@@ -1,7 +1,8 @@
 """Command-line front end: zeros / predict / verify / plot.
 
-Outputs are byte-deterministic: floats go through one %.12e formatter, files
-are written after all worker threads join, and nothing timestamps itself.
+Outputs are byte-deterministic: floats go through one %.12e formatter, the
+degrees are computed and written in ascending order, and nothing timestamps
+itself.
 Exit codes: 0 ok, 1 verification gate failed, 2 bad parameters, 3 numerical
 non-convergence.
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +27,7 @@ from .measures import (
     classify_zeros, equilibrium_moments, predicted, quadrature_residuals,
     potential_check, weak_star_distance,
 )
-from .rootfind import ZeroSet, compute_zeros
+from .rootfind import SIMULTANEOUS_MAX_N, ZeroSet, compute_zeros
 from .faber import scaled_residual
 
 FIGURE_PRESETS = {1: (1.26, 0.0), 2: (2.1, 0.0), 3: (2.1, 0.2), 4: (1.45, 0.2)}
@@ -68,6 +68,12 @@ def _json_text(obj, indent: int = 0) -> str:
 
 
 def _write(path: str, text: str):
+    # a rerun removes the old file first: opening a just-written file with
+    # truncation blocks until the filesystem has written it back (~100 ms)
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
 
@@ -83,7 +89,6 @@ class RunConfig:
     seed_method: str = "auto"
     tol_quad: float | None = None
     zeros_in: str | None = None
-    threads: int = 0
 
     def validate(self):
         if self.command in ("zeros", "verify", "plot"):
@@ -94,6 +99,10 @@ class RunConfig:
                     raise ParameterError(f"n must be in [1, 500], got {n}")
         if self.seed_method not in ("auto", "simultaneous", "seeded"):
             raise ParameterError(f"unknown seed method {self.seed_method!r}")
+        top = max(self.n_list, default=0)
+        if self.seed_method == "simultaneous" and top > SIMULTANEOUS_MAX_N:
+            raise ParameterError(
+                f"--seed-method simultaneous works up to n = {SIMULTANEOUS_MAX_N}")
 
 
 def _parse_config_file(path: str) -> dict:
@@ -181,7 +190,6 @@ def _resolve(ns: argparse.Namespace) -> RunConfig:
         seed_method=pick(ns.seed_method, "seed_method", str, "auto"),
         tol_quad=pick(ns.tol_quad, "tol_quad", float, None),
         zeros_in=ns.zeros_in,
-        threads=int(os.environ.get("FABER_THREADS", "0") or 0),
     )
     cfg.validate()
     return cfg
@@ -193,13 +201,14 @@ def _default_tol_quad(cfg: RunConfig) -> float:
     return 1e-6 if max(cfg.n_list) <= 60 else 1e-4
 
 
-def _map_over_n(cfg: RunConfig, fn):
-    ns = sorted(set(cfg.n_list))
-    workers = cfg.threads if cfg.threads >= 1 else min(4, len(ns))
-    if workers <= 1 or len(ns) == 1:
-        return {n: fn(n) for n in ns}
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return dict(zip(ns, ex.map(fn, ns)))
+def _zeros_by_degree(p: AirfoilParams, cfg: RunConfig) -> dict:
+    """{n: (ZeroSet, class labels)} in ascending n, all computed before any
+    file is written."""
+    out = {}
+    for n in sorted(set(cfg.n_list)):
+        zs = compute_zeros(p, n, method=cfg.seed_method)
+        out[n] = zs, classify_zeros(p, zs)
+    return out
 
 
 # ---------------------------------------------------------------- zeros
@@ -226,14 +235,9 @@ def cmd_zeros(cfg: RunConfig) -> int:
     p = params_from(cfg.R, cfg.theta)
     formats = cfg.formats or ("csv",)
 
-    def work(n):
-        zs = compute_zeros(p, n, method=cfg.seed_method)
-        return zs, classify_zeros(p, zs)
-
-    results = _map_over_n(cfg, work)
+    results = _zeros_by_degree(p, cfg)
     os.makedirs(cfg.out, exist_ok=True)
-    for n in sorted(results):
-        zs, labels = results[n]
+    for n, (zs, labels) in results.items():
         if "csv" in formats:
             _write(os.path.join(cfg.out, f"zeros_n{n}.csv"), _zeros_csv(n, zs, labels))
         if "json" in formats:
@@ -344,7 +348,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         cfg.n_list = [pre.n]
         zsets = {pre.n: pre}
     else:
-        zsets = _map_over_n(cfg, lambda n: compute_zeros(p, n, method=cfg.seed_method))
+        zsets = {n: compute_zeros(p, n, method=cfg.seed_method)
+                 for n in sorted(set(cfg.n_list))}
 
     runs = []
     all_pass = True
@@ -478,14 +483,9 @@ def _svg_text(p: AirfoilParams, zs: ZeroSet, labels: list[str]) -> str:
 def cmd_plot(cfg: RunConfig) -> int:
     p = params_from(cfg.R, cfg.theta)
 
-    def work(n):
-        zs = compute_zeros(p, n, method=cfg.seed_method)
-        return zs, classify_zeros(p, zs)
-
-    results = _map_over_n(cfg, work)
+    results = _zeros_by_degree(p, cfg)
     os.makedirs(cfg.out, exist_ok=True)
-    for n in sorted(results):
-        zs, labels = results[n]
+    for n, (zs, labels) in results.items():
         _write(os.path.join(cfg.out, f"plot_n{n}.svg"), _svg_text(p, zs, labels))
         print(f"n={n}: wrote plot_n{n}.svg")
     return 0

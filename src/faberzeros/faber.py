@@ -9,7 +9,6 @@ with its derivative.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import mpmath as mp
@@ -18,28 +17,31 @@ import numpy as np
 from .conformal import AirfoilParams, boundary_samples, phi, uvw4
 from .errors import ResolutionError
 
-# mpmath precision is global context state; every workdps block in the package
-# takes this lock so CLI worker threads can't interleave precision changes.
-MP_LOCK = threading.Lock()
-
 _CHEB_BAND = 1.0 + 1e-3
 
 
-def _cheb_power_pair(n: int, u):
-    # T_n and T_n' from x^n + x^{-n} with the |x| >= 1 branch of x = u ± sqrt(u^2-1).
-    # The derivative denominator must be x - 1/x of the *selected* x (it is -2s
-    # when the minus branch wins), else Newton walks uphill.
-    u = np.asarray(u, dtype=complex)
+def _cheb_x(u):
+    # the |x| >= 1 branch of x = u ± sqrt(u^2-1), so T_n(u) = (x^n + x^-n)/2
     s = np.sqrt(u * u - 1.0)
-    x = np.where(np.abs(u + s) >= 1.0, u + s, u - s)
-    xn = x ** n
-    t = 0.5 * (xn + 1.0 / xn)
-    d = x - 1.0 / x
-    tiny = np.abs(d) < 1e-12
-    dsafe = np.where(tiny, 1.0, d)
-    # limit at u -> ±1: T_n'(±1) = (±1)^{n+1} n^2
-    sign = np.where(u.real >= 0, 1.0, (-1.0) ** ((n + 1) % 2))
-    dt = np.where(tiny, n * n * sign + 0j, n * (xn - 1.0 / xn) / dsafe)
+    return np.where(np.abs(u + s) >= 1.0, u + s, u - s)
+
+
+def _cheb_power_pair(n: int, u):
+    # T_n and T_n' from x^n + x^{-n}. The derivative denominator must be
+    # x - 1/x of the *selected* x (it is -2s when the minus branch wins), else
+    # Newton walks uphill. Where |x|^n passes the double range (U near its
+    # pole at z = c) both come out infinite, without a floating-point warning.
+    u = np.asarray(u, dtype=complex)
+    x = _cheb_x(u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xn = x ** n
+        t = 0.5 * (xn + 1.0 / xn)
+        d = x - 1.0 / x
+        tiny = np.abs(d) < 1e-12
+        dsafe = np.where(tiny, 1.0, d)
+        # limit at u -> ±1: T_n'(±1) = (±1)^{n+1} n^2
+        sign = np.where(u.real >= 0, 1.0, (-1.0) ** ((n + 1) % 2))
+        dt = np.where(tiny, n * n * sign + 0j, n * (xn - 1.0 / xn) / dsafe)
     return t, dt
 
 
@@ -142,7 +144,7 @@ def faber_coeffs_mp(p: AirfoilParams, n: int, dps: int | None = None) -> list:
     """Same coefficients as faber_closed but in mpmath (list of mpc, ascending)."""
     if dps is None:
         dps = 40 + int(0.7 * n)
-    with MP_LOCK, mp.workdps(dps):
+    with mp.workdps(dps):
         a = mp.mpc(p.a)
         b = mp.mpc(p.b)
         s0 = [mp.mpc(0)] * (n + 1); s0[0] = mp.mpc(2)
@@ -224,16 +226,30 @@ def residual(p: AirfoilParams, n: int, z):
     F_n. The pair feeds Newton in rootfind. SingularityError at z = c."""
     u, v, _w, sv = uvw4(p, z)
     t, dt = _cheb_power_pair(n, u)
-    rhs = (-p.b / sv) ** n
-    r = 2.0 * t - rhs
-    du = (1.0 - p.b * np.asarray(z, dtype=complex)) / sv ** 3
-    dr = 2.0 * dt * du - rhs * (n * p.b / v)
+    # as an array even for scalar z: a Python complex power raises on overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = (-p.b / np.asarray(sv)) ** n
+        r = 2.0 * t - rhs
+        du = (1.0 - p.b * np.asarray(z, dtype=complex)) / sv ** 3
+        dr = 2.0 * dt * du - rhs * (n * p.b / v)
     return r, dr
 
 
 def scaled_residual(p: AirfoilParams, n: int, z):
-    """|r| / (2 + |(-b/sqrt(V))^n|): O(eps) at true zeros on every component."""
+    """|r| / (2 + |(-b/sqrt(V))^n|): O(eps) at true zeros on every component.
+    Where x^n or (-b/sqrt(V))^n passes the double range, the three terms of r
+    are divided by the largest of them in log form, so the result is finite."""
     u, v, _w, sv = uvw4(p, z)
     t, _ = _cheb_power_pair(n, u)
-    rhs = (-p.b / sv) ** n
-    return np.abs(2.0 * t - rhs) / (2.0 + np.abs(rhs))
+    q = -p.b / np.asarray(sv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = q ** n
+        out = np.abs(2.0 * t - rhs) / (2.0 + np.abs(rhs))
+    huge = ~np.isfinite(out)
+    if np.any(huge):
+        lx = n * np.log(_cheb_x(np.asarray(u, dtype=complex)))
+        lq = n * np.log(q)
+        top = np.maximum(lx.real, lq.real)
+        num = np.abs(np.exp(lx - top) + np.exp(-lx - top) - np.exp(lq - top))
+        out = np.where(huge, num / (2.0 * np.exp(-top) + np.exp(lq.real - top)), out)[()]
+    return out

@@ -18,7 +18,6 @@ from .conformal import (
     AirfoilParams, boundary_samples, phi, phi_b_inverse, psi, uvw, uvw4,
 )
 from .errors import DomainError, ParameterError, ResolutionError
-from .faber import MP_LOCK
 from .limitsets import (
     CaseClass, CaseTag, arc_z_of_u, classify, intersection_ib, loop_points,
     polyline_min_dist, segment_points, u_lower,
@@ -134,7 +133,7 @@ class MomentVector:
 def closed_moment_mp(b: complex, k: int, dps: int = 80) -> complex:
     """Exact equilibrium moment 2^-k sum_j C(k,j) b^(k-2j) (binomial mean of
     the boundary parametrization, all negative powers average to zero)."""
-    with MP_LOCK, mp.workdps(dps):
+    with mp.workdps(dps):
         bm = mp.mpc(b)
         s = mp.mpc(0)
         for j in range(k // 2 + 1):
@@ -191,7 +190,7 @@ def quadrature_residuals(p: AirfoilParams, zs: ZeroSet | np.ndarray,
         raise ValueError("need moments up to k = n")
     dps = 30 + n // 4
     out = np.empty(n)
-    with MP_LOCK, mp.workdps(dps):
+    with mp.workdps(dps):
         zm = [mp.mpc(v) for v in zarr]
         pw = [mp.mpc(1) for _ in zm]
         inv_n = mp.mpf(1) / n

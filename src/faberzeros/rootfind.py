@@ -1,39 +1,48 @@
 """Locating all n zeros of the degree-n Faber polynomial.
 
-Two routes that cross-check each other: a simultaneous (Aberth) solver on the
-coefficients, and a seeded solver that never touches coefficients — real-arc
-bisection / arc Newton for segment zeros, plus a unit-circle Newton in the
-w-plane for loop zeros using the exact pullback
+The production route is the seeded solver, which never touches coefficients:
+real-arc bisection / arc Newton for segment zeros, plus a unit-circle Newton
+in the w-plane for loop zeros using the exact pullback
 F_n(J(b(1-w))) = (-b/a)^n (w^n + g(w)^n - 1), g(w) = 1 - 1/(b^2 (1-w)).
-The coefficient route dies of rounding around n ≈ 40 unless it escalates to
-mpmath via the provenance stored on PolyCoeffs; the seeded route is the
-authoritative one for large n.
+A double-precision Newton pass tightens every zero, and Newton in mpmath on
+the closed form finishes the few that double precision cannot pin down (near
+theta = pi/2 its floor is about 1e-13).
+
+The simultaneous (Aberth) solver on the coefficients is the independent
+oracle. It dies of rounding around n ≈ 40 unless it escalates to mpmath via
+the provenance stored on PolyCoeffs, and it stops converging above
+n = SIMULTANEOUS_MAX_N, so compute_zeros refuses it there.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
+import math
 from dataclasses import dataclass, field
 
 import mpmath as mp
 import numpy as np
 
 from .conformal import AirfoilParams, phi_b_inverse
-from .errors import ConvergenceError, DeficitError, MismatchError
+from .errors import ConvergenceError, DeficitError, MismatchError, ParameterError
 from .faber import (
-    MP_LOCK, PolyCoeffs, faber_closed, faber_coeffs_mp, residual, scaled_residual,
+    PolyCoeffs, faber_closed, faber_coeffs_mp, residual, scaled_residual,
 )
 from .limitsets import arc_z_of_u, intersection_ib, u_lower
 
 RESIDUAL_GATE = 1e-7      # ZeroSet guarantee on max scaled residual
 BACKWARD_GATE = 1e-10     # |p(root)| / (max|c| * max(1,|root|)^deg)
 DISTINCT_TOL = 1e-8
+TIGHTEN_GATE = 1e-13      # seeded zeros above this scaled residual get Newton
+POLISH_GATE = 2e-14       # error bound / max(1,|z|) above this: mpmath Newton
+SIMULTANEOUS_MAX_N = 60   # the coefficient route converges up to this degree
+_EPS = np.finfo(float).eps
 
 
 class Method(enum.Enum):
     SIMULTANEOUS = "simultaneous"
     SEEDED = "seeded"
-    CROSS_CHECKED = "cross_checked"
 
 
 @dataclass(frozen=True)
@@ -55,11 +64,16 @@ def _sorted(z):
 
 
 def _dedup(z, tol=DISTINCT_TOL):
-    kept: list[complex] = []
-    for v in _sorted(z):
-        if all(abs(v - k) > tol for k in kept):
-            kept.append(complex(v))
-    return np.array(kept, dtype=complex)
+    """Greedy in (Re, Im) order: drop each zero within tol of one kept before
+    it. Only zeros whose real parts lie within 2 tol after a kept one (a
+    margin over rounding) are compared with it."""
+    z = _sorted(z)
+    hi = np.searchsorted(z.real, z.real + 2.0 * tol, side="right")
+    keep = np.ones(len(z), dtype=bool)
+    for i in np.nonzero(hi > np.arange(1, len(z) + 1))[0]:
+        if keep[i]:
+            keep[i + 1:hi[i]] &= np.abs(z[i + 1:hi[i]] - z[i]) > tol
+    return z[keep]
 
 
 def _horner_pair(co, z):
@@ -96,7 +110,7 @@ def _aberth_double(co, max_iter=120):
 
 
 def _aberth_polish_mp(co_mp, z0, dps, max_iter=60):
-    with MP_LOCK, mp.workdps(dps):
+    with mp.workdps(dps):
         zs = [mp.mpc(v) for v in z0]
         deg = len(zs)
         for _ in range(max_iter):
@@ -147,17 +161,17 @@ def roots_simultaneous(poly: PolyCoeffs, max_iter: int = 120) -> ZeroSet:
     else:
         z, ok = _aberth_double(co, max_iter=max_iter)
     src = poly.source
-    need_escalation = not ok or np.max(_backward_residuals(co, z)) > BACKWARD_GATE
+    need_escalation = not ok or not np.all(_backward_residuals(co, z) <= BACKWARD_GATE)
     if src is not None:
         p_air, n = src
         eq = scaled_residual(p_air, n, z)
-        need_escalation = need_escalation or np.max(eq) > 1e-11
+        need_escalation = need_escalation or not np.all(eq <= 1e-11)
         if need_escalation:
             dps = 40 + int(0.8 * n)
             z = _aberth_polish_mp(faber_coeffs_mp(p_air, n, dps=dps), z, dps=dps)
             eq = scaled_residual(p_air, n, z)
         res = eq
-        if np.max(res) > RESIDUAL_GATE:
+        if not np.all(res <= RESIDUAL_GATE):
             partial = ZeroSet(deg, _sorted(z), np.sort(res), Method.SIMULTANEOUS)
             raise ConvergenceError(
                 f"scaled residual stuck at {np.max(res):.2e}", partial=partial)
@@ -166,7 +180,7 @@ def roots_simultaneous(poly: PolyCoeffs, max_iter: int = 120) -> ZeroSet:
             # no provenance: polish against the same double coefficients
             z = _aberth_polish_mp([mp.mpc(v) for v in co], z, dps=60)
         res = _backward_residuals(co, z)
-        if np.max(res) > BACKWARD_GATE:
+        if not np.all(res <= BACKWARD_GATE):
             partial = ZeroSet(deg, _sorted(z), res, Method.SIMULTANEOUS)
             raise ConvergenceError(
                 f"backward residual stuck at {np.max(res):.2e}", partial=partial)
@@ -268,6 +282,8 @@ def _newton_z(p: AirfoilParams, n: int, z, max_iter=80, cap=0.05, accept=1e-6):
         z = z - step
         if np.max(np.abs(step)) < 1e-15 * np.max(1.0 + np.abs(z)):
             break
+    if accept is None:
+        return z
     r, _ = residual(p, n, z)
     return z[np.abs(r) < accept]
 
@@ -295,10 +311,81 @@ def _bisect_real(p: AirfoilParams, n: int, ts):
     return z[np.atleast_1d(scaled_residual(p, n, z)) < 1e-6]
 
 
+def _tighten(p: AirfoilParams, n: int, zs):
+    """(zeros, scaled residuals) after double-precision Newton on every zero
+    whose scaled residual is above TIGHTEN_GATE (NaN counts as above). A zero
+    takes its new value only where the residual dropped; real zeros of a real
+    airfoil stay on the axis."""
+    res = np.atleast_1d(scaled_residual(p, n, zs))
+    bad = ~(res <= TIGHTEN_GATE)
+    if not np.any(bad):
+        return zs, res
+    old = zs[bad]
+    new = _newton_z(p, n, old, max_iter=8, cap=1e-3, accept=None)
+    if p.is_real:
+        new = np.where(old.imag == 0.0, new.real + 0j, new)
+    new_res = np.atleast_1d(scaled_residual(p, n, new))
+    better = new_res < np.where(np.isnan(res[bad]), np.inf, res[bad])
+    zs, res = zs.copy(), res.copy()
+    idx = np.nonzero(bad)[0][better]
+    zs[idx] = new[better]
+    res[idx] = new_res[better]
+    return zs, res
+
+
+def _forward_error_bound(p: AirfoilParams, n: int, z):
+    """The larger of Newton's estimate |r/r'| and the rounding floor of U,
+    eps |U/U'| = eps |W V / (1 - b z)|: below that floor a double-precision
+    residual cannot see the error (it reaches 1e-13 near theta = pi/2)."""
+    r, dr = residual(p, n, z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        est = np.abs(r / dr)
+        floor = _EPS * np.abs((z - p.b) * (p.b * p.b + 1.0 - 2.0 * p.b * z)
+                              / (1.0 - p.b * z))
+    return np.maximum(est, floor)
+
+
+def _polish_mp(p: AirfoilParams, n: int, z):
+    """Newton in mpmath on a^n F_n = (w+s)^n + (w-s)^n - (-b)^n, w = z - b,
+    s^2 = z^2 - 1, for the zeros double precision cannot pin down. The
+    working precision covers the cancellation between the three terms:
+    30 digits plus the decades by which |b|^n exceeds max |w +- s|^n."""
+    out = np.array(z, dtype=complex)
+    for i, zi in enumerate(out):
+        zi = complex(zi)
+        sd = cmath.sqrt(zi - 1.0) * cmath.sqrt(zi + 1.0)
+        big = max(abs(zi - p.b + sd), abs(zi - p.b - sd))
+        if big == 0.0:
+            continue
+        excess = n * (math.log10(abs(p.b)) - math.log10(big))
+        with mp.workdps(30 + max(0, math.ceil(excess))):
+            zm, bm = mp.mpc(zi), mp.mpc(p.b)
+            tol = mp.mpf(2) ** -60 * max(1, abs(zm))
+            for _ in range(4):
+                s = mp.sqrt(zm - 1) * mp.sqrt(zm + 1)
+                if s == 0:
+                    break
+                w = zm - bm
+                p1 = (w + s) ** (n - 1)
+                p2 = (w - s) ** (n - 1)
+                f = p1 * (w + s) + p2 * (w - s) - (-bm) ** n
+                df = n * (p1 * (s + zm) + p2 * (s - zm)) / s
+                if df == 0:
+                    break
+                step = f / df
+                zm -= step
+                if abs(step) <= tol:
+                    break
+            out[i] = complex(zm)
+    return out
+
+
 def roots_seeded(p: AirfoilParams, n: int) -> ZeroSet:
     """Coefficient-free zero finder: all n zeros from the seed plan, with a
     mop-up ring near the loop corners and a simultaneous-method merge as the
-    final fallback. DeficitError when the count still isn't n."""
+    last fallback. Every zero is then tightened in double and, where its
+    forward-error bound stays above POLISH_GATE, polished in mpmath.
+    DeficitError when the count isn't n."""
     if n < 1:
         raise ValueError("n must be >= 1")
     plan = seed_plan(p, n)
@@ -314,6 +401,10 @@ def roots_seeded(p: AirfoilParams, n: int) -> ZeroSet:
         if len(w):
             found.append(phi_b_inverse(p, w))
     zs = _dedup(np.concatenate(found) if found else np.empty(0, complex))
+    if len(zs) < n:
+        # an arc zero Newton left loose can lie farther than DISTINCT_TOL
+        # from the same zero found again below: tighten before searching on
+        zs = _dedup(_tighten(p, n, zs)[0])
 
     if len(zs) < n and intersection_ib(p) is not None:
         # corners eat a few seeds; re-launch from small rings around c_±
@@ -346,13 +437,11 @@ def roots_seeded(p: AirfoilParams, n: int) -> ZeroSet:
         raise DeficitError(
             f"found {len(zs)} of {n} zeros", missing=n - len(zs))
 
-    res = np.atleast_1d(scaled_residual(p, n, zs))
-    if np.max(res) > RESIDUAL_GATE:
-        bad = res > 1e-13
-        tightened = _newton_z(p, n, zs[bad], max_iter=8, cap=1e-3, accept=np.inf)
-        if len(tightened) == int(np.sum(bad)):
-            zs[bad] = tightened
-            res = np.atleast_1d(scaled_residual(p, n, zs))
+    zs, res = _tighten(p, n, zs)
+    ill = ~(_forward_error_bound(p, n, zs) <= POLISH_GATE * np.maximum(1.0, np.abs(zs)))
+    if np.any(ill):
+        zs[ill] = _polish_mp(p, n, zs[ill])
+        res[ill] = scaled_residual(p, n, zs[ill])
     order = np.lexsort((zs.imag, zs.real))
     return ZeroSet(n, zs[order], res[order], Method.SEEDED)
 
@@ -392,11 +481,14 @@ def cross_check(a: ZeroSet, b: ZeroSet, tol: float = 1e-6) -> CrossCheckReport:
 
 
 def compute_zeros(p: AirfoilParams, n: int, method: str = "auto") -> ZeroSet:
-    """Dispatcher: simultaneous for n <= 60, seeded above (method='auto')."""
-    if method == "auto":
-        method = "simultaneous" if n <= 60 else "seeded"
-    if method == "simultaneous":
-        return roots_simultaneous(faber_closed(p, n))
-    if method == "seeded":
+    """Dispatcher: 'auto' and 'seeded' take the seeded route for every n;
+    'simultaneous' takes the coefficient route, kept as the oracle, and
+    raises ParameterError above SIMULTANEOUS_MAX_N, where it cannot converge."""
+    if method in ("auto", "seeded"):
         return roots_seeded(p, n)
+    if method == "simultaneous":
+        if n > SIMULTANEOUS_MAX_N:
+            raise ParameterError(
+                f"the simultaneous route stops at n = {SIMULTANEOUS_MAX_N}, got n = {n}")
+        return roots_simultaneous(faber_closed(p, n))
     raise ValueError(f"unknown method {method!r}")

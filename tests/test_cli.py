@@ -1,10 +1,8 @@
 """Command-line interface: file contracts, config precedence, exit codes."""
 
 import json
-import os
 import re
-import subprocess
-import sys
+import time
 
 import numpy as np
 import pytest
@@ -189,18 +187,37 @@ def test_parameter_failures_exit_2(args, tmp_path, capsys):
     assert code == 2
 
 
-# ---------------------------------------------------------------- threads
+# ---------------------------------------------------------------- reruns
 
-def test_thread_count_does_not_change_bytes(tmp_path):
-    env = dict(os.environ)
-    outs = {}
-    for threads in ("1", "4"):
-        env["FABER_THREADS"] = threads
-        out = tmp_path / ("t" + threads)
-        r = subprocess.run(
-            [sys.executable, "-m", "faberzeros", "zeros", "--R", "2.1",
-             "--theta", "0.2", "--n", "20,35", "--out", str(out)],
-            env=env, capture_output=True, text=True)
-        assert r.returncode == 0, r.stderr
-        outs[threads] = [(out / f"zeros_n{n}.csv").read_bytes() for n in (20, 35)]
-    assert outs["1"] == outs["4"]
+def test_rerun_into_same_out_is_byte_identical(tmp_path):
+    # several degrees, both sides of the old n = 60 route split, rerun into
+    # the same --out: the rewrite must reproduce every byte
+    out = tmp_path / "rr"
+    degrees = (5, 20, 35, 61, 120)
+    argv = ["zeros", "--R", "2.1", "--theta", "0.2",
+            "--n", ",".join(map(str, degrees)), "--out", str(out)]
+    assert run(argv) == 0
+    first = [(out / f"zeros_n{n}.csv").read_bytes() for n in degrees]
+    assert run(argv) == 0
+    assert [(out / f"zeros_n{n}.csv").read_bytes() for n in degrees] == first
+
+
+def test_predict_rerun_same_out_rewrites_identical_bytes(tmp_path):
+    out = tmp_path / "pp"
+    argv = ["predict", "--paper-figure", "3", "--out", str(out)]
+    assert run(argv) == 0
+    first = {f: (out / f).read_bytes() for f in ("curves.csv", "predicted.json")}
+    assert run(argv) == 0
+    assert {f: (out / f).read_bytes() for f in first} == first
+
+
+def test_simultaneous_seed_method_fails_fast(tmp_path, capsys):
+    # the coefficient route cannot converge at n = 100; refuse before computing
+    t0 = time.monotonic()
+    code = run(["zeros", "--paper-figure", "2", "--n", "100", "--seed-method",
+                "simultaneous", "--out", str(tmp_path / "s")])
+    elapsed = time.monotonic() - t0
+    assert code == 2
+    assert "simultaneous" in capsys.readouterr().err
+    assert elapsed < 0.5
+    assert not (tmp_path / "s").exists()

@@ -1,16 +1,41 @@
 """Root finders: simultaneous iteration, seeded pipeline, cross checks."""
 
+import math
+import time
+import warnings
+
+import mpmath as mp
 import numpy as np
 import pytest
 
 import faberzeros as fz
 from faberzeros.conformal import params_from
-from faberzeros.errors import MismatchError
-from faberzeros.faber import PolyCoeffs, faber_closed, scaled_residual
+from faberzeros.errors import MismatchError, ParameterError
+from faberzeros.faber import PolyCoeffs, faber_closed, faber_coeffs_mp, scaled_residual
 from faberzeros.rootfind import (
     Method, compute_zeros, cross_check, roots_seeded, roots_simultaneous,
     seed_plan,
 )
+
+ULP_512 = 512 * 2.0 ** -52     # "near machine precision": 2^9 ulp of max(1, |z|)
+
+
+def forward_errors(p, n, z):
+    """|F_n(z) / F_n'(z)| at each double z, by Horner in mpmath on the
+    mpmath coefficients (the oracle route, not the closed form the seeded
+    solver polishes with)."""
+    dps = 50 + n
+    co = faber_coeffs_mp(p, n, dps=dps)
+    out = []
+    with mp.workdps(dps):
+        for v in np.atleast_1d(z):
+            zm = mp.mpc(complex(v))
+            f, df = co[-1], mp.mpc(0)
+            for c in co[-2::-1]:
+                df = df * zm + f
+                f = f * zm + c
+            out.append(float(abs(f / df)))
+    return np.array(out)
 
 
 def coeffs_from_roots(roots):
@@ -113,14 +138,39 @@ def test_zeros_are_sorted_and_deterministic():
 
 
 def test_compute_zeros_dispatch():
+    # the seeded route serves every degree; the coefficient route only on request
     p = params_from(1.26, 0.0)
-    assert compute_zeros(p, 12).method is Method.SIMULTANEOUS
+    assert compute_zeros(p, 12).method is Method.SEEDED
     assert compute_zeros(p, 61).method is Method.SEEDED
     assert compute_zeros(p, 12, method="seeded").method is Method.SEEDED
+    assert compute_zeros(p, 12, method="simultaneous").method is Method.SIMULTANEOUS
     with pytest.raises(ValueError):
         compute_zeros(p, 12, method="bogus")
     with pytest.raises(ValueError):
         compute_zeros(p, 0)
+
+
+def test_dedup_matches_greedy_loop():
+    # the windowed _dedup keeps exactly what the plain greedy loop keeps
+    from faberzeros.rootfind import DISTINCT_TOL, _dedup, _sorted
+
+    def greedy(z):
+        kept = []
+        for v in _sorted(z):
+            if all(abs(v - k) > DISTINCT_TOL for k in kept):
+                kept.append(complex(v))
+        return np.array(kept, dtype=complex)
+
+    rng = np.random.default_rng(7)
+    for trial in range(300):
+        base = rng.normal(size=30) + 1j * rng.normal(size=30)
+        if trial % 3 == 0:
+            base = base.real + 0j            # ties in the real part
+        jitter = rng.normal(size=12) + 1j * rng.normal(size=12)
+        near = base[rng.integers(0, 30, size=12)] + jitter * 10.0 ** rng.integers(-10, -6, size=12)
+        z = np.concatenate([base, near, np.conj(base[:10])])
+        assert np.array_equal(_dedup(z), greedy(z))
+    assert len(_dedup(np.empty(0, complex))) == 0
 
 
 def test_cross_check_mismatch():
@@ -167,3 +217,58 @@ def test_real_supercritical_segment_not_polluted():
     assert np.max(np.abs(seg.imag)) < 1e-10
     assert seg.real.min() > lo - 1e-6
     assert np.max(scaled_residual(p, 70, zs.zeros)) < 1e-9
+
+
+def test_simultaneous_route_refuses_high_degree_at_once():
+    # above n = 60 the coefficient route cannot converge; it used to take
+    # 10.9 s to say so with a ConvergenceError
+    p = params_from(2.1, 0.0)
+    t0 = time.monotonic()
+    with pytest.raises(ParameterError):
+        compute_zeros(p, 100, method="simultaneous")
+    assert time.monotonic() - t0 < 0.5
+
+
+@pytest.mark.parametrize("R", [1.05, 1.26, 1.4])
+def test_odd_degree_real_zero_near_b(R):
+    # theta = 0, odd n: one zero sits within |b|^n of z = b, where U(z) = 0;
+    # the seeded route used to return it 5e-10 off
+    p = params_from(R, 0.0)
+    for n in (7, 23, 45, 61, 99):
+        zs = compute_zeros(p, n)
+        z = zs.zeros[np.argmin(np.abs(zs.zeros - p.b))]
+        assert z.imag == 0.0
+        fe = forward_errors(p, n, z)[0]
+        assert fe <= ULP_512 * max(1.0, abs(z)), (R, n, z, fe)
+
+
+# (R cos theta, theta, n) where double-precision Newton leaves a zero between
+# 1.5e-13 and 1.2e-11 off: steep rotations, mostly above criticality
+STEEP_CASES = [(1.5, 1.5, 42), (1.51, 1.5, 50), (1.8, 1.5, 14), (1.8, -1.5, 14),
+               (2.5, 1.5, 26), (4.0, 1.5, 22), (4.0, -1.5, 26)]
+
+
+def test_accuracy_sweep_includes_steep_rotations():
+    # every zero near machine precision on both sides of the critical
+    # R cos(theta) = 3/2 and at theta = +-1.5, where the mpmath polish
+    # finishes what double precision cannot
+    grid = [(rc, th, n) for rc in (1.02, 1.49, 1.51, 2.5)
+            for th in (0.3, 1.5, -1.5) for n in (6, 17)]
+    for rc, theta, n in grid + STEEP_CASES:
+        p = params_from(rc / math.cos(theta), theta)
+        zs = compute_zeros(p, n)
+        assert zs.n == n and len(np.unique(zs.zeros)) == n
+        rel = forward_errors(p, n, zs.zeros) / np.maximum(1.0, np.abs(zs.zeros))
+        assert np.max(rel) <= ULP_512, (rc, theta, n, np.max(rel))
+        assert np.mean(zs.zeros) == pytest.approx(p.b / 2, abs=1e-12 * abs(p.b))
+
+
+def test_high_degree_near_pole_stays_finite_and_quiet():
+    # a zero close to c, where U has its pole, used to overflow x^n: 105
+    # RuntimeWarnings and one NaN residual
+    p = params_from(3.0, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        zs = compute_zeros(p, 500)
+    assert zs.n == 500
+    assert np.all(np.isfinite(zs.residuals))
