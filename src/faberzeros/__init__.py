@@ -23,7 +23,8 @@ from .measures import (
     EmpiricalMeasure, MomentVector, PredictedMeasure, WeakStarDistances,
     classify_zeros, closed_moment_mp, default_test_points, equilibrium_moments,
     potential_check, predicted, predicted_moments, pullback_density,
-    quadrature_residuals, report, ullman_density, weak_star_distance,
+    quadrature_gate, quadrature_residuals, report, ullman_density,
+    weak_star_distance,
 )
 from .rootfind import (
     CrossCheckReport, Method, SeedPlan, ZeroSet, compute_zeros, cross_check,
@@ -46,8 +47,8 @@ __all__ = [
     "faber_coeffs_mp", "faber_oracle", "faber_shifted", "horner",
     "intersection_ib", "loop_points", "params_from", "phi", "phi_b",
     "phi_b_inverse", "polyline_min_dist", "potential_check", "predicted",
-    "predicted_moments", "psi", "pullback_density", "quadrature_residuals",
-    "report", "residual", "roots_seeded", "roots_simultaneous",
-    "scaled_residual", "seed_plan", "segment_points", "u_lower",
-    "ullman_density", "uvw", "uvw4", "weak_star_distance",
+    "predicted_moments", "psi", "pullback_density", "quadrature_gate",
+    "quadrature_residuals", "report", "residual", "roots_seeded",
+    "roots_simultaneous", "scaled_residual", "seed_plan", "segment_points",
+    "u_lower", "ullman_density", "uvw", "uvw4", "weak_star_distance",
 ]

@@ -24,8 +24,8 @@ from .errors import (
 )
 from .limitsets import CaseTag, arc_A, classify, intersection_ib, loop_points, segment_points
 from .measures import (
-    classify_zeros, equilibrium_moments, predicted, quadrature_residuals,
-    potential_check, weak_star_distance,
+    classify_zeros, predicted, potential_check, quadrature_gate,
+    weak_star_distance,
 )
 from .rootfind import SIMULTANEOUS_MAX_N, ZeroSet, compute_zeros
 from .faber import scaled_residual
@@ -61,7 +61,8 @@ def _json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return fnum(obj)
+        # JSON has no inf or nan: a non-finite value is written as null
+        return fnum(obj) if np.isfinite(obj) else "null"
     if isinstance(obj, str):
         return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
     raise TypeError(f"not JSON-serializable here: {type(obj)}")
@@ -355,10 +356,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     all_pass = True
     for n in sorted(zsets):
         zs = zsets[n]
-        moments = equilibrium_moments(p, n)
-        quad = quadrature_residuals(p, zs, moments=moments)
-        mscale = np.maximum(1.0, np.abs(moments.values[:n]))
-        quad_rel = float(np.max(quad / mscale))
+        quad_rel = quadrature_gate(p, zs)
         wsd = weak_star_distance(p, zs)
         pot = float(np.max(potential_check(p, zs)))
         labels = classify_zeros(p, zs)

@@ -5,10 +5,19 @@ measure pulled back through U on the zero-carrying arc piece, plus (above
 criticality) the uniform angle measure pushed onto the loop through -1. The
 equilibrium-measure moments double as an n-point quadrature exactness test:
 the zero set of the degree-n polynomial integrates z^k exactly for k <= n.
+
+Both sides of that test are exact or error-free up to one final rounding:
+the moments come from a recurrence for the closed binomial form, run once in
+mpmath with enough guard bits for its cancellation, and the power sums of
+the double zeros are built in double-double and summed by error-free
+extraction, all zeros at a time. Values are kept as mantissa and binary
+exponent, so the gate value is finite wherever the ratio it reports is.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -17,15 +26,12 @@ import numpy as np
 from .conformal import (
     AirfoilParams, boundary_samples, phi, phi_b_inverse, psi, uvw, uvw4,
 )
-from .errors import DomainError, ParameterError, ResolutionError
+from .errors import DomainError, ParameterError
 from .limitsets import (
     CaseClass, CaseTag, arc_z_of_u, classify, intersection_ib, loop_points,
     polyline_min_dist, segment_points, u_lower,
 )
 from .rootfind import ZeroSet
-
-_STABLE = 1e-11
-_GRID_CAP = 2 ** 16
 
 
 def _zeros_of(zs) -> np.ndarray:
@@ -126,81 +132,198 @@ def predicted(p: AirfoilParams, m: int = 257) -> PredictedMeasure:
 
 @dataclass(frozen=True)
 class MomentVector:
+    """Equilibrium moments m_k, k = 1..k_max: values[k-1] = m_k as a complex
+    double (inf where that overflows), and m_k = mantissas[k-1] *
+    2^exponents[k-1] with max(|Re|, |Im|) of each mantissa in [1/2, 1),
+    which stays finite at any size."""
+
     k_max: int
-    values: np.ndarray    # values[k-1] = integral of z^k
+    values: np.ndarray
+    mantissas: np.ndarray
+    exponents: np.ndarray
 
 
 def closed_moment_mp(b: complex, k: int, dps: int = 80) -> complex:
     """Exact equilibrium moment 2^-k sum_j C(k,j) b^(k-2j) (binomial mean of
-    the boundary parametrization, all negative powers average to zero)."""
+    the boundary parametrization, all negative powers average to zero); the
+    term-by-term reference for equilibrium_moments."""
     with mp.workdps(dps):
-        bm = mp.mpc(b)
+        b2 = mp.mpc(b) ** 2
+        term = mp.mpc(b) ** (k % 2)          # b^(k-2j) from j = k//2 down
+        binom = math.comb(k, k // 2)
         s = mp.mpc(0)
-        for j in range(k // 2 + 1):
-            s += mp.binomial(k, j) * bm ** (k - 2 * j)
+        for j in range(k // 2, -1, -1):
+            s += binom * term
+            term *= b2
+            binom = binom * j // (k - j + 1)  # C(k, j-1)
         return complex(s / mp.mpf(2) ** k)
 
 
-def equilibrium_moments(p: AirfoilParams, k_max: int,
-                        escalate: bool = True) -> MomentVector:
-    """Moments of the equilibrium measure by trapezoid/FFT on the boundary
-    circle, grid-doubling until each moment moves < 1e-11. Moments whose
-    double-precision noise floor exceeds that target are finished exactly in
-    mpmath when escalate=True, else ResolutionError."""
+def equilibrium_moments(p: AirfoilParams, k_max: int) -> MomentVector:
+    """All equilibrium moments m_1..m_kmax in one pass over the closed form.
+
+    m_k = g_k / 2^k with g_k = sum_{j <= k/2} C(k, j) b^(k-2j), the part of
+    (b + 1/b)^k without negative powers of b. Splitting off the middle
+    binomial gives g_0 = 1 and
+
+        g_{k+1} = (b + 1/b) g_k - [k even] C(k, k/2) / b + [k odd] C(k, (k+1)/2).
+
+    The recurrence cancels where |b + 1/b| > 2: a rounding at step j grows
+    by up to |b + 1/b|^(k-j), while g_k is needed to an ulp of
+    2^k max(1, |m_k|). |g_j|, |b + 1/b| and the binomial terms are bounded by
+    powers of M = |b| + 1/|b|, so mpmath runs with k_max log2(M/2) guard bits
+    on top of 64 and each moment is rounded to double once.
+    """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    mvals = np.zeros(k_max, dtype=complex)
-    stable = np.zeros(k_max, dtype=bool)
-    prev = None
-    m = 1024
-    while m <= _GRID_CAP:
-        t = 2 * np.pi * np.arange(m) / m
-        zs = psi(p, np.exp(1j * t))
-        pw = np.ones(m, dtype=complex)
-        cur = np.empty(k_max, dtype=complex)
-        for k in range(1, k_max + 1):
-            pw = pw * zs
-            cur[k - 1] = np.mean(pw)
-        if prev is not None:
-            newly = np.abs(cur - prev) < _STABLE
-            mvals = np.where(newly & ~stable, cur, mvals)
-            stable |= newly
-            if np.all(stable):
-                return MomentVector(k_max, mvals)
-        prev = cur
-        m *= 2
-    if not escalate:
-        raise ResolutionError(
-            f"{int(np.sum(~stable))} moment(s) failed to stabilize below "
-            f"{_STABLE} with {_GRID_CAP} samples")
-    for k in np.nonzero(~stable)[0] + 1:
-        mvals[k - 1] = closed_moment_mp(p.b, int(k))
-    return MomentVector(k_max, mvals)
+    growth = abs(p.b) + 1.0 / abs(p.b)
+    prec = 64 + math.ceil(math.log2(3 * k_max)
+                          + k_max * max(0.0, math.log2(growth / 2)))
+    mant = np.empty(k_max, dtype=complex)
+    expo = np.empty(k_max, dtype=np.int64)
+    with mp.workprec(prec):
+        b = mp.mpc(p.b)
+        inv_b = 1 / b
+        c = b + inv_b
+        g = mp.mpc(1)
+        for k in range(k_max):
+            mid = math.comb(k, k // 2)        # = C(k, (k+1)/2) at odd k
+            g = c * g - mid * inv_b if k % 2 == 0 else c * g + mid
+            top = max(abs(g.real), abs(g.imag))
+            e = mp.frexp(top)[1] if top else 0
+            mant[k] = complex(float(mp.ldexp(g.real, -e)), float(mp.ldexp(g.imag, -e)))
+            expo[k] = e - (k + 1)
+    values = np.empty(k_max, dtype=complex)
+    with np.errstate(over="ignore"):
+        values.real = np.ldexp(mant.real, expo)
+        values.imag = np.ldexp(mant.imag, expo)
+    return MomentVector(k_max, values, mant, expo)
+
+
+# Double-double arithmetic (Dekker, Knuth) on numpy arrays, and error-free
+# vector summation by extraction (Rump, Ogita, Oishi, "Accurate floating-point
+# summation", SIAM J. Sci. Comput. 31, 2008; the compensated sums of Ogita,
+# Rump, Oishi, SIAM J. Sci. Comput. 26, 2005).
+
+_SPLIT = 134217729.0    # 2^27 + 1: Veltkamp's split into two 26-bit halves
+_BLOCK = 32             # powers z^k summed together, one block of k at a time
+
+
+def _split(a):
+    t = _SPLIT * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _two_sum(a, b):
+    """s + e == a + b exactly, s = fl(a + b)."""
+    s = a + b
+    bv = s - a
+    return s, (a - (s - bv)) + (b - bv)
+
+
+def _product_error(a, a_hi, a_lo, b_hi, b_lo, p):
+    """a*b - p exactly for p = fl(a*b), a and b given with their splits."""
+    return ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _exact_sums(hi, lo):
+    """Sums over the last axis of hi + lo, as (t1, t2, rest) whose total is
+    within about n^2 eps^2 max|hi| of the true sum.
+
+    Two extractions split every hi into parts on a grid fixed by
+    sigma = 2^m 2^ceil(log2 max|hi|), 2^m >= n + 2; those parts add up
+    without rounding in any order (t1, t2), and what is left over is below
+    eps^2 sigma and is summed plainly with lo.
+    """
+    n = hi.shape[-1]
+    m = math.ceil(math.log2(n + 2))
+    _, e = np.frexp(np.max(np.abs(hi), axis=-1, keepdims=True))
+    sigma = np.ldexp(1.0, e + m)
+    sums = []
+    for _ in range(2):
+        q = (sigma + hi) - sigma
+        hi = hi - q
+        sums.append(q.sum(axis=-1))
+        sigma = np.ldexp(sigma, m - 53)
+    return sums[0], sums[1], hi.sum(axis=-1) + lo.sum(axis=-1)
+
+
+def _power_blocks(z: np.ndarray):
+    """(k0, hi, lo) per block of up to _BLOCK consecutive powers: hi + lo of
+    shape (rows, 2, n) holds (Re, Im) of z_j^k, k = k0+1..k0+rows, in
+    double-double, built one k at a time over all zeros."""
+    n = len(z)
+    zr = z.real
+    zs = np.stack([-z.imag, z.imag])
+    zr_hi, zr_lo = _split(zr)
+    zs_hi, zs_lo = _split(zs)
+    # with H = (Re, Im) and H[::-1] = (Im, Re), z^(k+1) = H Re z + H[::-1] zs
+    H = np.zeros((2, n))
+    H[0] = 1.0
+    L = np.zeros((2, n))
+    hi = np.empty((_BLOCK, 2, n))
+    lo = np.empty((_BLOCK, 2, n))
+    for k0 in range(0, n, _BLOCK):
+        rows = min(_BLOCK, n - k0)
+        for j in range(rows):
+            H_hi, H_lo = _split(H)
+            p1 = H * zr
+            p2 = H[::-1] * zs
+            err = (_product_error(H, H_hi, H_lo, zr_hi, zr_lo, p1)
+                   + _product_error(H[::-1], H_hi[::-1], H_lo[::-1], zs_hi, zs_lo, p2))
+            s, e = _two_sum(p1, p2)
+            H, L = _two_sum(s, (e + err) + (L * zr + L[::-1] * zs))
+            hi[j] = H
+            lo[j] = L
+        yield k0, hi[:rows], lo[:rows]
 
 
 def quadrature_residuals(p: AirfoilParams, zs: ZeroSet | np.ndarray,
                          moments: MomentVector | None = None) -> np.ndarray:
-    """|mean(z_j^k) - m_k| for k = 1..n, the zero-set quadrature exactness
-    check. Summation runs in mpmath (deterministic, no double cancellation)."""
+    """|mean(z_j^k) - m_k| / max(1, |m_k|) for k = 1..n, the zero-set
+    quadrature exactness check.
+
+    The powers z_j^k are carried in double-double and summed error-free by
+    extraction, so the residual of the given double zeros comes out to about
+    n^2 eps^2 max_j |z_j|^k. The zeros are scaled by 2^-E, E >= 0 the binary
+    exponent of their largest component, and m_k by 2^-kE, so no power
+    passes 2^(k/2) and the result is finite wherever the ratio is.
+    """
     zarr = _zeros_of(zs)
     n = len(zarr)
     if moments is None:
         moments = equilibrium_moments(p, n)
     if moments.k_max < n:
         raise ValueError("need moments up to k = n")
-    dps = 30 + n // 4
-    out = np.empty(n)
-    with mp.workdps(dps):
-        zm = [mp.mpc(v) for v in zarr]
-        pw = [mp.mpc(1) for _ in zm]
-        inv_n = mp.mpf(1) / n
-        for k in range(1, n + 1):
-            acc = mp.mpc(0)
-            for i, z in enumerate(zm):
-                pw[i] *= z
-                acc += pw[i]
-            out[k - 1] = float(abs(acc * inv_n - mp.mpc(moments.values[k - 1])))
-    return out
+    E = max(0, int(np.frexp(np.max(np.abs([zarr.real, zarr.imag])))[1]))
+    ks = np.arange(1, n + 1)
+    mant, expo = moments.mantissas[:n], moments.exponents[:n]
+    # n m_k 2^-kE = nm + nm_err exactly, as (Re, Im) per k
+    m = np.stack([np.ldexp(mant.real, expo - ks * E),
+                  np.ldexp(mant.imag, expo - ks * E)], axis=-1)
+    nm = n * m
+    nm_err = _product_error(float(n), *_split(float(n)), *_split(m), nm)
+    num = np.empty(n)
+    for k0, hi, lo in _power_blocks(np.ldexp(zarr.real, -E) + 1j * np.ldexp(zarr.imag, -E)):
+        k1 = k0 + len(hi)
+        t1, t2, rest = _exact_sums(hi, lo)
+        d, e = _two_sum(t1, -nm[k0:k1])
+        d = d + (((e + t2) - nm_err[k0:k1]) + rest)
+        num[k0:k1] = np.hypot(d[:, 0], d[:, 1]) / n
+    # divide by max(1, |m_k|) = |mantissa| 2^exponent where that is >= 1
+    mag = np.abs(mant)
+    with np.errstate(divide="ignore"):
+        big = np.log2(mag) + expo >= 0
+    with np.errstate(over="ignore"):
+        return np.ldexp(num / np.where(big, mag, 1.0), ks * E - np.where(big, expo, 0))
+
+
+def quadrature_gate(p: AirfoilParams, zs: ZeroSet | np.ndarray,
+                    moments: MomentVector | None = None) -> float:
+    """The value verify gates on: max_k |mean(z_j^k) - m_k| / max(1, |m_k|)
+    over k = 1..n (inf when it overflows a double)."""
+    return float(np.max(quadrature_residuals(p, zs, moments=moments)))
 
 
 def classify_zeros(p: AirfoilParams, zs: ZeroSet | np.ndarray,
@@ -225,10 +348,20 @@ def classify_zeros(p: AirfoilParams, zs: ZeroSet | np.ndarray,
     return labels
 
 
+@functools.lru_cache(maxsize=4)
+def _gauss_legendre(n_gl: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order
+    (about 15 ms at 512 points)."""
+    x, w = np.polynomial.legendre.leggauss(n_gl)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def predicted_moments(p: AirfoilParams, k_max: int, n_gl: int = 512) -> np.ndarray:
     """Moments of the predicted limit measure by Gauss-Legendre on each
     component (arcsine pullback in the angle variable; uniform loop angle)."""
-    x, wq = np.polynomial.legendre.leggauss(n_gl)
+    x, wq = _gauss_legendre(n_gl)
     u_lo = u_lower(p)
     s_max = float(np.arccos(np.clip(u_lo, -1.0, 1.0)))
     s = s_max * (x + 1.0) / 2.0
@@ -335,11 +468,7 @@ def report(p: AirfoilParams, zs: ZeroSet | np.ndarray,
     case = classify(p)
     pred = predicted(p)
     wsd = weak_star_distance(p, zarr)
-    if moments is None:
-        moments = equilibrium_moments(p, len(zarr))
-    quad = quadrature_residuals(p, zarr, moments=moments)
-    mscale = np.maximum(1.0, np.abs(moments.values[:len(zarr)]))
-    quad_rel = float(np.max(quad / mscale))
+    quad_rel = quadrature_gate(p, zarr, moments=moments)
     pot = float(np.max(potential_check(p, zarr)))
     labels = classify_zeros(p, zarr)
     counts = {lab: labels.count(lab) for lab in ("segment", "loop", "other")}

@@ -3,11 +3,12 @@
 import json
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
 
-from faberzeros.cli import main
+from faberzeros.cli import _json_text, main
 
 FLOAT_RE = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,3}$")
 
@@ -117,6 +118,33 @@ def test_verify_zeros_in_roundtrip(tmp_path, capsys):
                 str(tmp_path / "vz")])
     capsys.readouterr()
     assert code == 0
+
+
+def _reject_constant(name):
+    raise ValueError(f"bare {name} in JSON")
+
+
+@pytest.mark.parametrize("R,theta,n", [(7.6485, 1.4, 400), (3.0, 0.5, 500)])
+def test_verify_far_out_fails_quietly_with_valid_json(R, theta, n, tmp_path, capsys):
+    # the quadrature gate fails at both (residual ~1e107 and ~1e127, past
+    # double range before scaling) without any RuntimeWarning, and the
+    # report is strict JSON
+    out = tmp_path / "far"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["verify", "--R", str(R), "--theta", str(theta), "--n", str(n),
+                    "--out", str(out)])
+    capsys.readouterr()
+    assert code == 1
+    doc = json.loads((out / "verify_report.json").read_text(),
+                     parse_constant=_reject_constant)
+    assert doc["runs"][0]["gates"]["quadrature"] is False
+
+
+def test_json_text_writes_non_finite_as_null():
+    text = _json_text({"a": float("inf"), "b": np.float64("nan"), "c": 1.5})
+    assert json.loads(text, parse_constant=_reject_constant) == {
+        "a": None, "b": None, "c": 1.5}
 
 
 # ---------------------------------------------------------------- plot

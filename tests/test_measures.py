@@ -5,17 +5,21 @@ and double-checked against a 60-digit trapezoid rule on an 8192-point grid
 before freezing.
 """
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 import faberzeros as fz
-from faberzeros.conformal import params_from
-from faberzeros.errors import DomainError, ParameterError, ResolutionError
+from faberzeros.conformal import params_from, psi
+from faberzeros.errors import DomainError, ParameterError
 from faberzeros.measures import (
     classify_zeros, closed_moment_mp, default_test_points, equilibrium_moments,
     potential_check, predicted, predicted_moments, pullback_density,
-    quadrature_residuals, report, ullman_density, weak_star_distance,
+    quadrature_gate, quadrature_residuals, report, ullman_density,
+    weak_star_distance,
 )
+
+PRESETS = [(1.26, 0.0), (2.1, 0.0), (2.1, 0.2), (1.45, 0.2)]
 
 
 # ---------------------------------------------------------------- moments
@@ -49,15 +53,59 @@ def test_equilibrium_moments_match_closed_form():
         assert np.max(np.abs(mv.values - want)) < 1e-10
 
 
-def test_equilibrium_moments_escalation():
-    p = params_from(2.1, 0.0)
-    # the double-precision trapezoid noise floor passes 1e-11 only up to
-    # k around 35 here; without the exact fallback the request must fail
-    with pytest.raises(ResolutionError):
-        equilibrium_moments(p, 100, escalate=False)
-    mv = equilibrium_moments(p, 100)
-    assert mv.values[99].real == pytest.approx(1.344418013458817, abs=1e-11)
-    assert mv.values[0] == pytest.approx(p.b / 2, abs=1e-12)
+def trapezoid_moments(p, k_max, m):
+    """Moments as the mean of psi(e^{it})^k over an m-point trapezoid grid,
+    an independent cross-check of the closed form; exact up to rounding for
+    k < m, the rounding being a few ulp of max|psi|^k."""
+    zs = psi(p, np.exp(2j * np.pi * np.arange(m) / m))
+    pw = np.ones(m, dtype=complex)
+    out = np.empty(k_max, dtype=complex)
+    for k in range(k_max):
+        pw = pw * zs
+        out[k] = np.mean(pw)
+    return out, float(np.max(np.abs(zs)))
+
+
+def test_equilibrium_moments_match_trapezoid():
+    k = np.arange(1, 41)
+    for R, theta in PRESETS:
+        p = params_from(R, theta)
+        want, rho = trapezoid_moments(p, 40, 8192)
+        gap = np.abs(equilibrium_moments(p, 40).values - want)
+        assert np.all(gap <= 8 * 2.0 ** -52 * rho ** k), (R, theta)
+
+
+def test_equilibrium_moments_within_two_ulp():
+    # every moment up to k = 500 is the correctly rounded closed form to
+    # within 2 ulp of max(1, |m_k|): near-degenerate b (R = 1.01), a large
+    # complex b, and |b| = 7.5 where m_500 is about 3e284
+    for R, theta in PRESETS + [(1.01, 0.0), (3.0, 0.5), (7.6485, 1.4)]:
+        p = params_from(R, theta)
+        mv = equilibrium_moments(p, 500)
+        want = np.array([closed_moment_mp(p.b, k, dps=200) for k in range(1, 501)])
+        assert np.all(np.isfinite(want))
+        ulp = np.spacing(np.maximum(1.0, np.abs(want)))
+        assert np.max(np.abs(mv.values - want) / ulp) <= 2.0, (R, theta)
+        assert np.array_equal(
+            mv.values, np.ldexp(mv.mantissas.real, mv.exponents)
+            + 1j * np.ldexp(mv.mantissas.imag, mv.exponents))
+
+
+def test_equilibrium_moments_beyond_double_range():
+    # |b| = 11: m_k passes 1e308 near k = 420; the scaled form stays finite
+    p = params_from(12.0, 0.0)
+    mv = equilibrium_moments(p, 500)
+    assert np.all(np.isfinite(mv.mantissas)) and np.isinf(mv.values[-1].real)
+    top = np.maximum(np.abs(mv.mantissas.real), np.abs(mv.mantissas.imag))
+    assert np.all((top >= 0.5) & (top < 1.0))
+    k = 480
+    with mp.workdps(40):
+        exact = mp.mpf(0)
+        for j in range(k // 2 + 1):
+            exact += mp.binomial(k, j) * mp.mpf(p.b.real) ** (k - 2 * j)
+        exact /= mp.mpf(2) ** k
+        got = mp.ldexp(mp.mpf(mv.mantissas[k - 1].real), int(mv.exponents[k - 1]))
+        assert abs(got / exact - 1) < 2 ** -52
 
 
 def test_quadrature_identity_small_n():
@@ -73,6 +121,54 @@ def test_quadrature_rejects_short_moments():
     zs = fz.compute_zeros(p, 10)
     with pytest.raises(ValueError):
         quadrature_residuals(p, zs, moments=equilibrium_moments(p, 5))
+
+
+def mpmath_quadrature_gate(zeros, moments):
+    """Reference gate value: the power sums of the double zeros summed
+    exactly in mpmath, O(n^2) products at 30 + n/4 digits."""
+    n = len(zeros)
+    out = np.empty(n)
+    with mp.workdps(30 + n // 4):
+        zm = [mp.mpc(v) for v in zeros]
+        pw = [mp.mpc(1) for _ in zm]
+        inv_n = mp.mpf(1) / n
+        for k in range(1, n + 1):
+            acc = mp.mpc(0)
+            for i, z in enumerate(zm):
+                pw[i] *= z
+                acc += pw[i]
+            out[k - 1] = float(abs(acc * inv_n - mp.mpc(moments.values[k - 1])))
+    return float(np.max(out / np.maximum(1.0, np.abs(moments.values[:n]))))
+
+
+# the verify benchmark's round of seed 1, three of them failing the gate on
+# accurate zeros, and the presets from n = 60 to 500
+GATE_CASES = list(dict.fromkeys([
+    (1.26, 0.0, 120), (2.1, 0.2, 100), (2.1, 0.0, 150), (1.45, 0.2, 140),
+    (1.26, 0.0, 300), (1.45, 0.2, 200), (1.689162, 0.9, 100),
+    (1.05654, 0.0, 102), (1.142373, 0.110047, 112), (1.118339, -0.15535, 384),
+    (1.119509, 0.115417, 492),
+] + [(R, theta, n) for R, theta in PRESETS for n in (60, 100, 150, 200, 300, 500)]))
+
+
+@pytest.mark.parametrize("R,theta,n", GATE_CASES)
+def test_quadrature_gate_matches_mpmath(R, theta, n):
+    p = params_from(R, theta)
+    zs = fz.compute_zeros(p, n)
+    mv = equilibrium_moments(p, n)
+    got = quadrature_gate(p, zs, moments=mv)
+    want = mpmath_quadrature_gate(zs.zeros, mv)
+    assert abs(got - want) <= max(1e-6 * want, 4 * 2.0 ** -52), (got, want)
+
+
+def test_quadrature_gate_finite_past_double_range():
+    # m_k and z_j^k pass 1e308 here (|b| = 11); the ratio does not
+    p = params_from(12.0, 0.0)
+    zs = fz.compute_zeros(p, 500)
+    assert np.isinf(equilibrium_moments(p, 500).values[-1])
+    res = quadrature_residuals(p, zs)
+    assert np.all(np.isfinite(res))
+    assert quadrature_gate(p, zs) == np.max(res)
 
 
 # ---------------------------------------------------------------- densities
