@@ -20,7 +20,7 @@ from .limitsets import (
     segment_points, u_lower,
 )
 from .measures import (
-    EmpiricalMeasure, MomentVector, PredictedMeasure, WeakStarDistances,
+    MomentVector, PredictedMeasure, WeakStarDistances,
     classify_zeros, closed_moment_mp, default_test_points, equilibrium_moments,
     potential_check, predicted, predicted_moments, pullback_density,
     quadrature_gate, quadrature_residuals, report, ullman_density,
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AirfoilParams", "ArcA", "BranchedValue", "BranchError", "CaseClass",
     "CaseError", "CaseTag", "ConvergenceError", "CrossCheckReport",
-    "DeficitError", "DomainError", "EmpiricalMeasure", "FaberError",
+    "DeficitError", "DomainError", "FaberError",
     "FaberEvaluator", "LoopArc", "Method", "MismatchError", "MomentVector",
     "ParameterError", "PolyCoeffs", "PoleError", "PredictedMeasure", "Region",
     "ResolutionError", "SeedPlan", "SegmentArc", "Sheet", "SingularityError",

@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -215,10 +216,10 @@ def _zeros_by_degree(p: AirfoilParams, cfg: RunConfig) -> dict:
 # ---------------------------------------------------------------- zeros
 
 def _zeros_csv(n: int, zs: ZeroSet, labels: list[str]) -> str:
-    lines = ["n,index,re,im,residual,class"]
-    for i, (z, r, lab) in enumerate(zip(zs.zeros, zs.residuals, labels)):
-        lines.append(f"{n},{i},{fnum(z.real)},{fnum(z.imag)},{fnum(r)},{lab}")
-    return "\n".join(lines) + "\n"
+    cols = zip(range(len(labels)), zs.zeros.real.tolist(), zs.zeros.imag.tolist(),
+               zs.residuals.tolist(), labels)
+    return "n,index,re,im,residual,class\n" + (
+        f"{n},%d,%.12e,%.12e,%.12e,%s\n" * len(labels) % tuple(chain.from_iterable(cols)))
 
 
 def _zeros_json(n: int, zs: ZeroSet, labels: list[str]) -> str:
@@ -249,9 +250,11 @@ def cmd_zeros(cfg: RunConfig) -> int:
 
 # ---------------------------------------------------------------- predict
 
-def _curve_rows(component: str, param: np.ndarray, z: np.ndarray):
-    return [f"{component},{fnum(t)},{fnum(v.real)},{fnum(v.imag)}"
-            for t, v in zip(param, z)]
+def _curve_rows(component: str, param: np.ndarray, z: np.ndarray) -> str:
+    """One CSV row per sample, each ending in a newline."""
+    z = np.asarray(z, dtype=complex)
+    vals = np.column_stack([np.asarray(param, dtype=float), z.real, z.imag])
+    return f"{component},%.12e,%.12e,%.12e\n" * len(z) % tuple(vals.ravel().tolist())
 
 
 def cmd_predict(cfg: RunConfig) -> int:
@@ -259,29 +262,29 @@ def cmd_predict(cfg: RunConfig) -> int:
     formats = cfg.formats or ("csv", "json")
     case = classify(p)
     pred = predicted(p)
-    rows = ["component,param,re,im"]
+    rows = ["component,param,re,im\n"]
     t = np.linspace(0.0, 2 * np.pi, 512)
-    rows += _curve_rows("boundary", t, psi(p, np.exp(1j * t)))
+    rows.append(_curve_rows("boundary", t, psi(p, np.exp(1j * t))))
     arc = arc_A(p, 257)
     q = np.sqrt(arc.rho)
     qs = np.concatenate([-q[::-1], q[1:]])            # signed sqrt(rho): one polyline
     zarc = np.concatenate([arc.z_minus[::-1], arc.z_plus[1:]])
-    rows += _curve_rows("arc", qs, zarc)
-    rows += _curve_rows("circle_cb", t, p.c + (abs(p.b) / 2) * np.exp(1j * t))
+    rows.append(_curve_rows("arc", qs, zarc))
+    rows.append(_curve_rows("circle_cb", t, p.c + (abs(p.b) / 2) * np.exp(1j * t)))
     if p.is_real and p.b.real <= -1.0:
         rtilde = abs(p.c - p.b)
-        rows += _curve_rows("circle_cb_tilde", t, p.c + rtilde * np.exp(1j * t))
+        rows.append(_curve_rows("circle_cb_tilde", t, p.c + rtilde * np.exp(1j * t)))
     seg = segment_points(p, 257)
-    rows += _curve_rows("segment", seg.us, seg.samples)
+    rows.append(_curve_rows("segment", seg.us, seg.samples))
     ib = intersection_ib(p)
     if case.has_loop and case.tag is not CaseTag.CRITICAL:
         for which in ("plus", "minus"):
             lp = loop_points(p, 257, which=which)
             th = np.linspace(0.0, lp.span, 257)
-            rows += _curve_rows("loop" if which == "plus" else "loop_minus",
-                                th, lp.samples)
+            rows.append(_curve_rows("loop" if which == "plus" else "loop_minus",
+                                    th, lp.samples))
     if ib is not None:
-        rows += _curve_rows("corner_ib", np.zeros(1), np.array([ib], dtype=complex))
+        rows.append(_curve_rows("corner_ib", np.zeros(1), np.array([ib], dtype=complex)))
     doc = {
         "case": case.tag.value,
         "rcos": p.rcos,
@@ -297,7 +300,7 @@ def cmd_predict(cfg: RunConfig) -> int:
     }
     os.makedirs(cfg.out, exist_ok=True)
     if "csv" in formats:
-        _write(os.path.join(cfg.out, "curves.csv"), "\n".join(rows) + "\n")
+        _write(os.path.join(cfg.out, "curves.csv"), "".join(rows))
     if "json" in formats:
         _write(os.path.join(cfg.out, "predicted.json"), _json_text(doc) + "\n")
     print(f"case={case.tag.value} masses: segment {pred.mass_segment:.6f} "
@@ -411,10 +414,24 @@ _CURVE_STYLE = {
 _DOT_STYLE = {"segment": "#1f77b4", "loop": "#d62728", "other": "#333333"}
 
 
+def _svg_xy(z: np.ndarray) -> tuple:
+    """(x0, y0, x1, y1, ...) of the points z in SVG coordinates (y down)."""
+    z = np.asarray(z, dtype=complex)
+    return tuple(np.column_stack([z.real, -z.imag]).ravel().tolist())
+
+
 def _svg_poly(z: np.ndarray, color: str) -> str:
-    pts = " ".join(f"{v.real:.4f},{-v.imag:.4f}" for v in z)
+    pts = " ".join(["%.4f,%.4f"] * len(z)) % _svg_xy(z)
     return (f'<polyline fill="none" stroke="{color}" stroke-width="0.012" '
             f'points="{pts}"/>')
+
+
+def _svg_dots(z: np.ndarray, labels: list[str]) -> str:
+    """One filled circle per zero, coloured by its class, one per line."""
+    xy = _svg_xy(z)
+    cols = zip(xy[0::2], xy[1::2], [_DOT_STYLE[lab] for lab in labels])
+    return "\n".join(['<circle cx="%.4f" cy="%.4f" r="0.012" fill="%s"/>']
+                     * len(labels)) % tuple(chain.from_iterable(cols))
 
 
 def _svg_text(p: AirfoilParams, zs: ZeroSet, labels: list[str]) -> str:
@@ -471,9 +488,7 @@ def _svg_text(p: AirfoilParams, zs: ZeroSet, labels: list[str]) -> str:
     if ib is not None:
         parts.append(f'<circle cx="{ib.real:.4f}" cy="{-ib.imag:.4f}" r="0.02" '
                      f'fill="none" stroke="#000000" stroke-width="0.012"/>')
-    for z, lab in zip(zs.zeros, labels):
-        parts.append(f'<circle cx="{z.real:.4f}" cy="{-z.imag:.4f}" r="0.012" '
-                     f'fill="{_DOT_STYLE[lab]}"/>')
+    parts.append(_svg_dots(zs.zeros, labels))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

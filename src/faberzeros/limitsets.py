@@ -221,9 +221,23 @@ def segment_points(p: AirfoilParams, m: int = 257) -> SegmentArc:
     return SegmentArc(us=us, samples=arc_z_of_u(p, us), u_lo=u_lo)
 
 
+_SEG_BLOCK = 32     # consecutive segments that share one bounding box
+
+
 def polyline_min_dist(z, pts: np.ndarray):
     """Min distance from each z to the polyline through pts (true segment
-    distance, with each point projected onto its nearest segment)."""
+    distance, with each point projected onto its nearest segment).
+
+    The segments are cut into blocks of _SEG_BLOCK (the last one padded by
+    repeating the last segment). For each point, a block's bounding box
+    bounds its distance from below, and the nearest first vertex of a block
+    bounds the answer from above; the projection is evaluated only on the
+    blocks that are not farther than that, so no (points x segments) array is
+    built. Each evaluated segment goes through the same elementwise formula
+    as a dense evaluation, and for every point the kept blocks hold the
+    segment where that dense evaluation is smallest, so the result is bit
+    for bit the dense minimum.
+    """
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
@@ -231,10 +245,28 @@ def polyline_min_dist(z, pts: np.ndarray):
     if len(pts) == 1:
         d = np.abs(z - pts[0])
         return float(d[0]) if scalar else d
-    a = pts[:-1][None, :]
-    seg = (pts[1:] - pts[:-1])[None, :]
+    seg = pts[1:] - pts[:-1]
     L2 = np.abs(seg) ** 2
-    t = ((z[:, None] - a) * np.conj(seg)).real / np.where(L2 > 0, L2, 1.0)
+    L2 = np.where(L2 > 0, L2, 1.0)
+    nblk = -(-len(seg) // _SEG_BLOCK)
+    idx = np.minimum(np.arange(nblk * _SEG_BLOCK), len(seg) - 1).reshape(nblk, _SEG_BLOCK)
+    verts = pts[np.concatenate([idx, idx[:, -1:] + 1], axis=1)]
+    x, y = z.real[:, None], z.imag[:, None]
+    dx = np.maximum(np.maximum(verts.real.min(axis=1) - x, x - verts.real.max(axis=1)), 0.0)
+    dy = np.maximum(np.maximum(verts.imag.min(axis=1) - y, y - verts.imag.max(axis=1)), 0.0)
+    lower = np.hypot(dx, dy)
+    upper = np.min(np.abs(z[:, None] - verts[:, 0]), axis=1)
+    # Slack for rounding: the box and vertex distances round differently (a
+    # strict bound dropped every block for some points), and a computed
+    # projection distance is off by a few ulps of the coordinates, not of
+    # the distance. A NaN bound keeps every block, as the dense min is NaN.
+    slack = 1e-12 * (upper + np.abs(z) + np.max(np.abs(pts)))
+    ip, ib = np.nonzero(~(lower > (upper + slack)[:, None]))
+    zk = z[ip][:, None]
+    k = idx[ib]
+    a, s = pts[k], seg[k]
+    t = ((zk - a) * np.conj(s)).real / L2[k]
     t = np.clip(t, 0.0, 1.0)
-    d = np.min(np.abs(z[:, None] - (a + t * seg)), axis=1)
+    dk = np.min(np.abs(zk - (a + t * s)), axis=1)
+    d = np.minimum.reduceat(dk, np.searchsorted(ip, np.arange(len(z))))
     return float(d[0]) if scalar else d

@@ -40,18 +40,6 @@ def _zeros_of(zs) -> np.ndarray:
     return np.atleast_1d(np.asarray(z, dtype=complex))
 
 
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Uniform atomic measure on a finite point set."""
-
-    atoms: np.ndarray
-    weight: float
-
-    @classmethod
-    def from_zeros(cls, zs: ZeroSet) -> "EmpiricalMeasure":
-        return cls(atoms=np.asarray(zs.zeros), weight=1.0 / zs.n)
-
-
 def pullback_density(p: AirfoilParams, x):
     """Real-case (theta = 0) arc density (1/pi) (1-bx) / (sqrt(1-x^2) V(x)),
     x in (-1, 1). DomainError at |x| >= 1."""
@@ -424,19 +412,24 @@ def weak_star_distance(p: AirfoilParams, zs: ZeroSet | np.ndarray,
 
 def default_test_points(p: AirfoilParams, count: int = 8,
                         margin: float = 0.2) -> np.ndarray:
-    """Exterior probe ring: psi(r e^{i theta_k}) with the radius grown per
-    direction until the boundary clearance exceeds the margin."""
+    """Exterior probe ring: psi(r_k e^{i theta_k}), each radius starting at
+    1.05 and grown by 6 % until the boundary clearance reaches 1.02 margin
+    (or r reaches 50). All directions still growing are measured in one
+    polyline_min_dist call per step."""
     boundary = boundary_samples(p, 1024)
-    pts = []
-    for k in range(count):
-        w0 = np.exp(2j * np.pi * (k + 0.5) / count)
-        r = 1.05
-        z = psi(p, r * w0)
-        while polyline_min_dist(z, boundary) < margin * 1.02 and r < 50.0:
-            r *= 1.06
-            z = psi(p, r * w0)
-        pts.append(z)
-    return np.array(pts, dtype=complex)
+    # one direction at a time: the array form of this complex arithmetic
+    # rounds differently when count is not a power of two
+    w0 = np.array([np.exp(2j * np.pi * (k + 0.5) / count) for k in range(count)])
+    r = np.full(count, 1.05)
+    z = psi(p, r * w0)
+    grow = np.arange(count)
+    while True:
+        near = polyline_min_dist(z[grow], boundary) < margin * 1.02
+        grow = grow[near & (r[grow] < 50.0)]
+        if not len(grow):
+            return z
+        r[grow] *= 1.06
+        z[grow] = psi(p, r[grow] * w0[grow])
 
 
 def potential_check(p: AirfoilParams, zs: ZeroSet | np.ndarray, points=None,

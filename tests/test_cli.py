@@ -8,7 +8,11 @@ import warnings
 import numpy as np
 import pytest
 
-from faberzeros.cli import _json_text, main
+from faberzeros.cli import (
+    _DOT_STYLE, _curve_rows, _json_text, _svg_dots, _svg_poly, _zeros_csv, fnum,
+    main,
+)
+from faberzeros.rootfind import Method, ZeroSet
 
 FLOAT_RE = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,3}$")
 
@@ -249,3 +253,52 @@ def test_simultaneous_seed_method_fails_fast(tmp_path, capsys):
     assert "simultaneous" in capsys.readouterr().err
     assert elapsed < 0.5
     assert not (tmp_path / "s").exists()
+
+
+# ---------------------------------------------------------------- formatting
+
+# signed zeros, extremes, nan, and values that round up or down at the 4th
+# decimal (SVG) and at the 12th decimal of the mantissa (CSV)
+_EDGE = np.array([
+    -0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, np.nan, np.inf, -np.inf,
+    0.00005, -0.00005, 0.00004999, -0.00004999, 0.99995, -0.99995, 1.23445,
+    2.00015, 1.0000000000005, 9.9999999999995, -9.9999999999995,
+    1.2345678901235e-7, 0.1 + 0.2, 1 / 3, -2 / 3,
+])
+
+
+def _edge_points():
+    """Every pairing of the edge values as (Re, Im)."""
+    re, im = np.meshgrid(_EDGE, _EDGE[::-1])
+    z = np.empty(re.size, dtype=complex)
+    z.real = re.ravel()
+    z.imag = im.ravel()
+    return z
+
+
+def test_batched_csv_rows_match_per_number_formatting():
+    z = _edge_points()
+    param = np.resize(_EDGE, len(z))
+    want = "".join(f"curve,{fnum(t)},{fnum(v.real)},{fnum(v.imag)}\n"
+                   for t, v in zip(param, z))
+    assert _curve_rows("curve", param, z) == want
+    assert _curve_rows("curve", np.zeros(0), np.zeros(0, complex)) == ""
+    res = np.abs(np.resize(_EDGE, len(z)))
+    labels = [("segment", "loop", "other")[i % 3] for i in range(len(z))]
+    zs = ZeroSet(len(z), z, res, Method.SEEDED)
+    lines = ["n,index,re,im,residual,class"]
+    for i, (v, r, lab) in enumerate(zip(z, res, labels)):
+        lines.append(f"{len(z)},{i},{fnum(v.real)},{fnum(v.imag)},{fnum(r)},{lab}")
+    assert _zeros_csv(len(z), zs, labels) == "\n".join(lines) + "\n"
+
+
+def test_batched_svg_matches_per_number_formatting():
+    z = _edge_points()
+    pts = " ".join(f"{v.real:.4f},{-v.imag:.4f}" for v in z)
+    assert _svg_poly(z, "#123456") == (
+        f'<polyline fill="none" stroke="#123456" stroke-width="0.012" '
+        f'points="{pts}"/>')
+    labels = [("segment", "loop", "other")[i % 3] for i in range(len(z))]
+    dots = [f'<circle cx="{v.real:.4f}" cy="{-v.imag:.4f}" r="0.012" '
+            f'fill="{_DOT_STYLE[lab]}"/>' for v, lab in zip(z, labels)]
+    assert _svg_dots(z, labels) == "\n".join(dots)

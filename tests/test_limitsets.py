@@ -1,10 +1,12 @@
 """Case classification and the predicted zero-attracting sets."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import faberzeros as fz
-from faberzeros.conformal import params_from, phi_b_inverse, uvw
+from faberzeros.conformal import boundary_samples, params_from, phi_b_inverse, uvw
 from faberzeros.errors import CaseError
 from faberzeros.limitsets import (
     CaseTag, Region, arc_A, arc_z_of_u, cb_region, classify, intersection_ib,
@@ -203,3 +205,71 @@ def test_polyline_min_dist():
     assert polyline_min_dist(np.array([0.5 + 0j]), pts)[0] == pytest.approx(0.0)
     assert polyline_min_dist(np.array([2.0 + 1.0j]), pts)[0] == pytest.approx(1.0)
     assert polyline_min_dist(np.array([0.5 + 0.3j]), pts)[0] == pytest.approx(0.3)
+
+
+def dense_min_dist(z, pts):
+    """The dense (points x segments) evaluation: the reference that
+    polyline_min_dist must match bit for bit."""
+    z = np.asarray(z, dtype=complex)
+    scalar = z.ndim == 0
+    z = np.atleast_1d(z)
+    pts = np.asarray(pts, dtype=complex)
+    if len(pts) == 1:
+        d = np.abs(z - pts[0])
+        return float(d[0]) if scalar else d
+    a = pts[:-1][None, :]
+    seg = (pts[1:] - pts[:-1])[None, :]
+    L2 = np.abs(seg) ** 2
+    t = ((z[:, None] - a) * np.conj(seg)).real / np.where(L2 > 0, L2, 1.0)
+    t = np.clip(t, 0.0, 1.0)
+    d = np.min(np.abs(z[:, None] - (a + t * seg)), axis=1)
+    return float(d[0]) if scalar else d
+
+
+DIST_AIRFOILS = [(1.26, 0.0), (2.1, 0.0), (2.1, 0.2), (1.45, 0.2),
+                 (5.4, 1.09), (1.08, 0.0), (1.689162, 0.9), (1.001, 0.0)]
+
+
+@pytest.mark.parametrize("R,theta", DIST_AIRFOILS)
+def test_polyline_min_dist_matches_dense_bitwise(R, theta):
+    # (2.1, 0), n = 50 holds zeros for which the box bound and the vertex
+    # bound round to the same distance differently: without the slack in the
+    # pruning test they lose every block holding their nearest segment
+    p = params_from(R, theta)
+    case = classify(p)
+    polylines = [segment_points(p, 2048).samples, boundary_samples(p, 1024)]
+    if case.has_loop and case.tag is not CaseTag.CRITICAL:
+        polylines.append(loop_points(p, 2048).samples)
+    rng = np.random.default_rng(5)
+    for n in (50, 300, 500):
+        zs = fz.compute_zeros(p, n).zeros
+        noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for z in (zs, zs + 0.3 * noise, zs + 3.0 * noise):
+            for pts in polylines:
+                got = polyline_min_dist(z, pts)
+                assert np.array_equal(got, dense_min_dist(z, pts))
+    for pts in polylines:
+        assert polyline_min_dist(zs[7], pts) == dense_min_dist(zs[7], pts)
+        assert isinstance(polyline_min_dist(zs[7], pts), float)
+        assert np.array_equal(polyline_min_dist(zs, pts[:1]), dense_min_dist(zs, pts[:1]))
+
+
+def test_polyline_min_dist_propagates_nan():
+    pts = segment_points(params_from(2.1, 0.2), 2048).samples
+    d = polyline_min_dist(np.array([np.nan, 0.3 + 0.1j]), pts)
+    assert np.isnan(d[0])
+    assert d[1] == dense_min_dist(0.3 + 0.1j, pts)
+
+
+def test_polyline_min_dist_builds_no_dense_array():
+    p = params_from(2.1, 0.2)
+    zs = fz.compute_zeros(p, 500).zeros
+    pts = segment_points(p, 2048).samples
+    tracemalloc.start()
+    try:
+        polyline_min_dist(zs, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one complex (points x segments) array alone would take 16 MB
+    assert peak < len(zs) * (len(pts) - 1) * 16 / 2

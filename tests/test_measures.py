@@ -331,6 +331,34 @@ def test_default_test_points_keep_clearance():
         assert np.min(d) >= 0.2
 
 
+def scalar_test_points(p, count=8, margin=0.2):
+    """One direction at a time, one distance call per radius: the reference
+    for default_test_points."""
+    from faberzeros.conformal import boundary_samples
+    from faberzeros.limitsets import polyline_min_dist
+    boundary = boundary_samples(p, 1024)
+    pts = []
+    for k in range(count):
+        w0 = np.exp(2j * np.pi * (k + 0.5) / count)
+        r = 1.05
+        z = psi(p, r * w0)
+        while polyline_min_dist(z, boundary) < margin * 1.02 and r < 50.0:
+            r *= 1.06
+            z = psi(p, r * w0)
+        pts.append(z)
+    return np.array(pts, dtype=complex)
+
+
+@pytest.mark.parametrize("R,theta", [
+    (1.26, 0.0), (2.1, 0.0), (2.1, 0.2), (1.45, 0.2), (5.4, 1.09), (1.08, 0.0),
+    (1.689162, 0.9), (1.001, 0.0), (7.6485, 1.4)])
+def test_default_test_points_match_scalar_loop(R, theta):
+    p = params_from(R, theta)
+    for count, margin in ((8, 0.2), (7, 0.2), (12, 0.5), (5, 3.0)):
+        assert np.array_equal(default_test_points(p, count, margin),
+                              scalar_test_points(p, count, margin))
+
+
 def test_report_shape():
     p = params_from(2.1, 0.0)
     zs = fz.compute_zeros(p, 30)
