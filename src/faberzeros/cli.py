@@ -25,8 +25,8 @@ from .errors import (
 )
 from .limitsets import CaseTag, arc_A, classify, intersection_ib, loop_points, segment_points
 from .measures import (
-    classify_zeros, predicted, potential_check, quadrature_gate,
-    weak_star_distance,
+    classify_zeros, equilibrium_moments, predicted, potential_check,
+    quadrature_gate, weak_star_distance,
 )
 from .rootfind import SIMULTANEOUS_MAX_N, ZeroSet, compute_zeros
 from .faber import scaled_residual
@@ -355,14 +355,15 @@ def cmd_verify(cfg: RunConfig) -> int:
         zsets = {n: compute_zeros(p, n, method=cfg.seed_method)
                  for n in sorted(set(cfg.n_list))}
 
+    moments = equilibrium_moments(p, max(zsets))
     runs = []
     all_pass = True
     for n in sorted(zsets):
         zs = zsets[n]
-        quad_rel = quadrature_gate(p, zs)
-        wsd = weak_star_distance(p, zs)
-        pot = float(np.max(potential_check(p, zs)))
+        quad_rel = quadrature_gate(p, zs, moments=moments)
         labels = classify_zeros(p, zs)
+        wsd = weak_star_distance(p, zs, labels=labels)
+        pot = float(np.max(potential_check(p, zs)))
         counts = {lab: labels.count(lab) for lab in ("segment", "loop", "other")}
         gates = {"quadrature": quad_rel < tol_quad,
                  "cdf": wsd.cdf_dist < CDF_GATE,

@@ -8,10 +8,11 @@ the zero set of the degree-n polynomial integrates z^k exactly for k <= n.
 
 Both sides of that test are exact or error-free up to one final rounding:
 the moments come from a recurrence for the closed binomial form, run once in
-mpmath with enough guard bits for its cancellation, and the power sums of
-the double zeros are built in double-double and summed by error-free
-extraction, all zeros at a time. Values are kept as mantissa and binary
-exponent, so the gate value is finite wherever the ratio it reports is.
+integer fixed point with enough guard bits for its cancellation, and the
+power sums of the double zeros are built in double-double, a block of
+consecutive powers at a time over all zeros, and summed by error-free
+extraction. Values are kept as mantissa and binary exponent, so the gate
+value is finite wherever the ratio it reports is.
 """
 
 from __future__ import annotations
@@ -154,33 +155,49 @@ def equilibrium_moments(p: AirfoilParams, k_max: int) -> MomentVector:
     (b + 1/b)^k without negative powers of b. Splitting off the middle
     binomial gives g_0 = 1 and
 
-        g_{k+1} = (b + 1/b) g_k - [k even] C(k, k/2) / b + [k odd] C(k, (k+1)/2).
+        g_{k+1} = b g_k + (g_k - [k even] C(k, k/2)) / b + [k odd] C(k, (k+1)/2).
 
     The recurrence cancels where |b + 1/b| > 2: a rounding at step j grows
     by up to |b + 1/b|^(k-j), while g_k is needed to an ulp of
     2^k max(1, |m_k|). |g_j|, |b + 1/b| and the binomial terms are bounded by
-    powers of M = |b| + 1/|b|, so mpmath runs with k_max log2(M/2) guard bits
-    on top of 64 and each moment is rounded to double once.
+    powers of M = |b| + 1/|b|, so g runs in fixed point on Python integers
+    with k_max log2(M/2) guard bits on top of 64 fraction bits, plus the gap
+    between the binary exponents of Re b and Im b, which keeps the smaller
+    part of each g_k (of order theta g_k at small theta) as precise as the
+    larger. b enters exactly, as integers over 2^s; a step rounds only where
+    it shifts by 2^s and divides by |b|^2 2^2s, and each moment is rounded to
+    double once.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     growth = abs(p.b) + 1.0 / abs(p.b)
-    prec = 64 + math.ceil(math.log2(3 * k_max)
+    frac = 64 + math.ceil(math.log2(3 * k_max)
                           + k_max * max(0.0, math.log2(growth / 2)))
+    parts = [abs(v) for v in (p.b.real, p.b.imag) if v]
+    frac += math.frexp(max(parts))[1] - math.frexp(min(parts))[1]
+    # b = (br + i bi) / 2^s exactly: both denominators are powers of two
+    (nr, dr), (ni, di) = p.b.real.as_integer_ratio(), p.b.imag.as_integer_ratio()
+    s = max(dr, di).bit_length() - 1
+    br, bi = nr << (s - dr.bit_length() + 1), ni << (s - di.bit_length() + 1)
+    norm = br * br + bi * bi
     mant = np.empty(k_max, dtype=complex)
     expo = np.empty(k_max, dtype=np.int64)
-    with mp.workprec(prec):
-        b = mp.mpc(p.b)
-        inv_b = 1 / b
-        c = b + inv_b
-        g = mp.mpc(1)
-        for k in range(k_max):
-            mid = math.comb(k, k // 2)        # = C(k, (k+1)/2) at odd k
-            g = c * g - mid * inv_b if k % 2 == 0 else c * g + mid
-            top = max(abs(g.real), abs(g.imag))
-            e = mp.frexp(top)[1] if top else 0
-            mant[k] = complex(float(mp.ldexp(g.real, -e)), float(mp.ldexp(g.imag, -e)))
-            expo[k] = e - (k + 1)
+    gr, gi = 1 << frac, 0                     # g = (gr + i gi) / 2^frac
+    mid = 1                                   # C(k, floor(k/2))
+    for k in range(k_max):
+        tr = gr - (mid << frac) if k % 2 == 0 else gr
+        # b g + t / b, with t = g - [k even] mid and 1/b = 2^s (br - i bi) / norm
+        gr, gi = (((br * gr - bi * gi) >> s) + (((tr * br + gi * bi) << s) // norm),
+                  ((br * gi + bi * gr) >> s) + (((gi * br - tr * bi) << s) // norm))
+        if k % 2:
+            gr += mid << frac
+            mid *= 2
+        else:
+            mid = mid * (k + 1) // (k // 2 + 1)
+        e = max(abs(gr), abs(gi)).bit_length()
+        one = 1 << e                          # int / int rounds correctly
+        mant[k] = complex(gr / one, gi / one)
+        expo[k] = e - frac - (k + 1)
     values = np.empty(k_max, dtype=complex)
     with np.errstate(over="ignore"):
         values.real = np.ldexp(mant.real, expo)
@@ -194,7 +211,8 @@ def equilibrium_moments(p: AirfoilParams, k_max: int) -> MomentVector:
 # Rump, Oishi, SIAM J. Sci. Comput. 26, 2005).
 
 _SPLIT = 134217729.0    # 2^27 + 1: Veltkamp's split into two 26-bit halves
-_BLOCK = 32             # powers z^k summed together, one block of k at a time
+_BLOCK = 8              # consecutive powers z^k built and summed together;
+                        # 16 or 32 hold more memory and are no faster at n <= 500
 
 
 def _split(a):
@@ -237,34 +255,53 @@ def _exact_sums(hi, lo):
     return sums[0], sums[1], hi.sum(axis=-1) + lo.sum(axis=-1)
 
 
+def _factor(hi, lo):
+    """A complex double-double multiplier w = hi + lo, (Re, Im) on axis 0,
+    as _dd_mul takes it: Re w and w' = (-Im w, Im w), each with its Veltkamp
+    split and its low part."""
+    re, sw = hi[0], np.stack([-hi[1], hi[1]])
+    return (re, *_split(re), lo[0]), (sw, *_split(sw), np.stack([-lo[1], lo[1]]))
+
+
+def _dd_mul(H, L, w):
+    """(H + L) w in double-double, (Re, Im) of H + L on axis -2, w from
+    _factor. With H' = H with Re and Im swapped, H w = H Re w + H' w'; both
+    products are exact by TwoProduct, the low parts enter in double, and
+    only L times w's low part is dropped."""
+    (re, re_hi, re_lo, re_tail), (sw, sw_hi, sw_lo, sw_tail) = w
+    Hs, Ls = H[..., ::-1, :], L[..., ::-1, :]
+    H_hi, H_lo = _split(H)
+    p1 = H * re
+    p2 = Hs * sw
+    err = (_product_error(H, H_hi, H_lo, re_hi, re_lo, p1)
+           + _product_error(Hs, H_hi[..., ::-1, :], H_lo[..., ::-1, :], sw_hi, sw_lo, p2))
+    s, e = _two_sum(p1, p2)
+    return _two_sum(s, (e + err) + ((L * re + Ls * sw) + (H * re_tail + Hs * sw_tail)))
+
+
 def _power_blocks(z: np.ndarray):
     """(k0, hi, lo) per block of up to _BLOCK consecutive powers: hi + lo of
     shape (rows, 2, n) holds (Re, Im) of z_j^k, k = k0+1..k0+rows, in
-    double-double, built one k at a time over all zeros."""
+    double-double. The first block is built one k at a time, each later one
+    as the block before it times z^_BLOCK, all of it in one product."""
     n = len(z)
-    zr = z.real
-    zs = np.stack([-z.imag, z.imag])
-    zr_hi, zr_lo = _split(zr)
-    zs_hi, zs_lo = _split(zs)
-    # with H = (Re, Im) and H[::-1] = (Im, Re), z^(k+1) = H Re z + H[::-1] zs
-    H = np.zeros((2, n))
+    zero = np.zeros((2, n))
+    w = _factor(np.stack([z.real, z.imag]), zero)
+    rows = min(_BLOCK, n)
+    hi = np.empty((rows, 2, n))
+    lo = np.empty((rows, 2, n))
+    H, L = zero.copy(), zero
     H[0] = 1.0
-    L = np.zeros((2, n))
-    hi = np.empty((_BLOCK, 2, n))
-    lo = np.empty((_BLOCK, 2, n))
-    for k0 in range(0, n, _BLOCK):
+    for j in range(rows):
+        H, L = _dd_mul(H, L, w)
+        hi[j] = H
+        lo[j] = L
+    yield 0, hi, lo
+    w = _factor(H, L)                   # z^_BLOCK
+    for k0 in range(_BLOCK, n, _BLOCK):
         rows = min(_BLOCK, n - k0)
-        for j in range(rows):
-            H_hi, H_lo = _split(H)
-            p1 = H * zr
-            p2 = H[::-1] * zs
-            err = (_product_error(H, H_hi, H_lo, zr_hi, zr_lo, p1)
-                   + _product_error(H[::-1], H_hi[::-1], H_lo[::-1], zs_hi, zs_lo, p2))
-            s, e = _two_sum(p1, p2)
-            H, L = _two_sum(s, (e + err) + (L * zr + L[::-1] * zs))
-            hi[j] = H
-            lo[j] = L
-        yield k0, hi[:rows], lo[:rows]
+        hi, lo = _dd_mul(hi[:rows], lo[:rows], w)
+        yield k0, hi, lo
 
 
 def quadrature_residuals(p: AirfoilParams, zs: ZeroSet | np.ndarray,
@@ -380,10 +417,12 @@ class WeakStarDistances:
 
 
 def weak_star_distance(p: AirfoilParams, zs: ZeroSet | np.ndarray,
-                       k_max: int = 20, n_gl: int = 512) -> WeakStarDistances:
+                       k_max: int = 20, n_gl: int = 512,
+                       labels: list[str] | None = None) -> WeakStarDistances:
     """Two weak-star proxies: max moment gap for k <= k_max, and the KS
     distance of Re U(segment zeros) against the arcsine law conditioned to
-    [u_lo, 1] (all zeros and the full arcsine below criticality)."""
+    [u_lo, 1] (all zeros and the full arcsine below criticality). labels,
+    if given, are classify_zeros(p, zs), already computed."""
     zarr = _zeros_of(zs)
     pred = predicted_moments(p, k_max, n_gl=n_gl)
     pw = np.ones(len(zarr), dtype=complex)
@@ -393,7 +432,8 @@ def weak_star_distance(p: AirfoilParams, zs: ZeroSet | np.ndarray,
         md = max(md, float(abs(np.mean(pw) - pred[k - 1])))
     u_lo = u_lower(p)
     if classify(p).tag is CaseTag.SUPERCRITICAL:
-        labels = classify_zeros(p, zarr)
+        if labels is None:
+            labels = classify_zeros(p, zarr)
         sel = zarr[np.array([lab == "segment" for lab in labels])]
     else:
         sel = zarr
@@ -460,10 +500,10 @@ def report(p: AirfoilParams, zs: ZeroSet | np.ndarray,
     zarr = _zeros_of(zs)
     case = classify(p)
     pred = predicted(p)
-    wsd = weak_star_distance(p, zarr)
+    labels = classify_zeros(p, zarr)
+    wsd = weak_star_distance(p, zarr, labels=labels)
     quad_rel = quadrature_gate(p, zarr, moments=moments)
     pot = float(np.max(potential_check(p, zarr)))
-    labels = classify_zeros(p, zarr)
     counts = {lab: labels.count(lab) for lab in ("segment", "loop", "other")}
     return {
         "case": case.tag.value,

@@ -5,11 +5,16 @@ and double-checked against a 60-digit trapezoid rule on an 8192-point grid
 before freezing.
 """
 
+import functools
+import math
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
 
 import faberzeros as fz
+from faberzeros import measures
 from faberzeros.conformal import params_from, psi
 from faberzeros.errors import DomainError, ParameterError
 from faberzeros.measures import (
@@ -91,6 +96,45 @@ def test_equilibrium_moments_within_two_ulp():
             + 1j * np.ldexp(mv.mantissas.imag, mv.exponents))
 
 
+def mpmath_moments(p, k_max):
+    """Reference for equilibrium_moments: the same recurrence run in mpmath
+    floating point with the same guard bits, each g_k rounded to double
+    mantissa and binary exponent once."""
+    growth = abs(p.b) + 1.0 / abs(p.b)
+    prec = 64 + math.ceil(math.log2(3 * k_max)
+                          + k_max * max(0.0, math.log2(growth / 2)))
+    mant = np.empty(k_max, dtype=complex)
+    expo = np.empty(k_max, dtype=np.int64)
+    with mp.workprec(prec):
+        b = mp.mpc(p.b)
+        inv_b = 1 / b
+        c = b + inv_b
+        g = mp.mpc(1)
+        for k in range(k_max):
+            mid = math.comb(k, k // 2)
+            g = c * g - mid * inv_b if k % 2 == 0 else c * g + mid
+            top = max(abs(g.real), abs(g.imag))
+            e = mp.frexp(top)[1] if top else 0
+            mant[k] = complex(float(mp.ldexp(g.real, -e)), float(mp.ldexp(g.imag, -e)))
+            expo[k] = e - (k + 1)
+    return mant, expo
+
+
+@pytest.mark.parametrize("R,theta", PRESETS + [
+    (1.001, 0.0), (1.01, 0.0), (12.0, 0.0), (3.0, 0.5), (7.6485, 1.4),
+    (1.3, 1e-9), (1.3, -1e-9)])
+def test_equilibrium_moments_bitwise_match_mpmath_recurrence(R, theta):
+    # the integer fixed-point recurrence rounds every moment as the mpmath
+    # one does; at (1.3, +-1e-9), Im b = -+1.3e-9 sits 28 binary orders
+    # below Re b = -0.3
+    p = params_from(R, theta)
+    for k_max in (1, 2, 33, 500):
+        mv = equilibrium_moments(p, k_max)
+        mant, expo = mpmath_moments(p, k_max)
+        assert np.array_equal(mv.mantissas, mant), (k_max, R, theta)
+        assert np.array_equal(mv.exponents, expo), (k_max, R, theta)
+
+
 def test_equilibrium_moments_beyond_double_range():
     # |b| = 11: m_k passes 1e308 near k = 420; the scaled form stays finite
     p = params_from(12.0, 0.0)
@@ -151,14 +195,77 @@ GATE_CASES = list(dict.fromkeys([
 ] + [(R, theta, n) for R, theta in PRESETS for n in (60, 100, 150, 200, 300, 500)]))
 
 
+@functools.lru_cache(maxsize=None)
+def gate_zeros(R, theta, n):
+    return fz.compute_zeros(params_from(R, theta), n)
+
+
 @pytest.mark.parametrize("R,theta,n", GATE_CASES)
 def test_quadrature_gate_matches_mpmath(R, theta, n):
     p = params_from(R, theta)
-    zs = fz.compute_zeros(p, n)
+    zs = gate_zeros(R, theta, n)
     mv = equilibrium_moments(p, n)
     got = quadrature_gate(p, zs, moments=mv)
     want = mpmath_quadrature_gate(zs.zeros, mv)
     assert abs(got - want) <= max(1e-6 * want, 4 * 2.0 ** -52), (got, want)
+
+
+def stepwise_power_blocks(z):
+    """Reference for measures._power_blocks: every power z^(k+1) is z^k times
+    the double z in double-double, one k at a time over all zeros."""
+    n = len(z)
+    zr = z.real
+    zs = np.stack([-z.imag, z.imag])
+    zr_hi, zr_lo = measures._split(zr)
+    zs_hi, zs_lo = measures._split(zs)
+    H = np.zeros((2, n))
+    H[0] = 1.0
+    L = np.zeros((2, n))
+    block = measures._BLOCK
+    hi = np.empty((block, 2, n))
+    lo = np.empty((block, 2, n))
+    for k0 in range(0, n, block):
+        rows = min(block, n - k0)
+        for j in range(rows):
+            H_hi, H_lo = measures._split(H)
+            p1 = H * zr
+            p2 = H[::-1] * zs
+            err = (measures._product_error(H, H_hi, H_lo, zr_hi, zr_lo, p1)
+                   + measures._product_error(H[::-1], H_hi[::-1], H_lo[::-1],
+                                             zs_hi, zs_lo, p2))
+            s, e = measures._two_sum(p1, p2)
+            H, L = measures._two_sum(s, (e + err) + (L * zr + L[::-1] * zs))
+            hi[j] = H
+            lo[j] = L
+        yield k0, hi[:rows], lo[:rows]
+
+
+@pytest.mark.parametrize("R,theta,n", GATE_CASES + [
+    (R, theta, n) for R, theta in PRESETS for n in (1, 7, 8, 9, 33, 499)])
+def test_blocked_power_sums_match_stepwise(R, theta, n, monkeypatch):
+    # later blocks are the block before times z^_BLOCK; n = 1..499 is not a
+    # multiple of the block length, so the last block is partial
+    p = params_from(R, theta)
+    zs = gate_zeros(R, theta, n)
+    mv = equilibrium_moments(p, n)
+    got = quadrature_gate(p, zs, moments=mv)
+    monkeypatch.setattr(measures, "_power_blocks", stepwise_power_blocks)
+    want = quadrature_gate(p, zs, moments=mv)
+    assert abs(got - want) <= max(1e-6 * want, 4 * 2.0 ** -52), (got, want)
+
+
+def test_quadrature_residuals_memory_stays_small():
+    # the blocks of powers are (_BLOCK, 2, n) arrays, never n x n
+    p = params_from(1.26, 0.0)
+    zs = gate_zeros(1.26, 0.0, 500)
+    mv = equilibrium_moments(p, 500)
+    tracemalloc.start()
+    try:
+        quadrature_residuals(p, zs, moments=mv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
 
 
 def test_quadrature_gate_finite_past_double_range():
