@@ -10,6 +10,7 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -124,7 +125,9 @@ def _parse_config_file(path: str) -> dict:
     return vals
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args fills a fresh Namespace every call
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--R", type=float, default=None, help="circle radius R > 1")
     common.add_argument("--theta", type=float, default=None,

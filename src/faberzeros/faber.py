@@ -18,6 +18,38 @@ from .conformal import AirfoilParams, boundary_samples, phi, uvw4
 from .errors import ResolutionError
 
 _CHEB_BAND = 1.0 + 1e-3
+_POW_DIRECT = 100                   # numpy's complex ** multiplies below this
+_TINY = np.finfo(float).tiny
+
+
+def _square_chain(x, n: int):
+    if n < _POW_DIRECT:
+        return x ** n
+    h = _square_chain(x, n // 2)
+    return h * h * x if n & 1 else h * h
+
+
+def ipow(x, n: int):
+    """x ** n for an integer n >= 0, without floating-point warnings.
+
+    numpy's complex ** multiplies for exponents below 100 and goes through
+    exp/log above, which is several times slower and, on the unit circle,
+    has three times the error (1.2 n eps against 0.35 n eps at worst). So
+    n >= 100 is split by binary powering, x^n = (x^(n//2))^2 x^(n mod 2), down
+    to powers below 100. Powers of two stay with x ** n: there n log x is
+    exact and exp/log is the more accurate (0.31 n eps). Entries whose result
+    overflows, is not finite or falls below the normal range are recomputed
+    with x ** n, so they are exactly numpy's. Below n = 100 the result is
+    x ** n bit for bit."""
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        if n < _POW_DIRECT or n & (n - 1) == 0:
+            return x ** n
+        out = _square_chain(x, n)
+        mag = np.abs(out)
+        redo = ~((mag >= _TINY) & (mag < np.inf))
+        if np.any(redo):
+            out = np.where(redo, x ** n, out)
+    return out
 
 
 def _cheb_x(u):
@@ -33,8 +65,8 @@ def _cheb_power_pair(n: int, u):
     # pole at z = c) both come out infinite, without a floating-point warning.
     u = np.asarray(u, dtype=complex)
     x = _cheb_x(u)
+    xn = ipow(x, n)
     with np.errstate(over="ignore", invalid="ignore"):
-        xn = x ** n
         t = 0.5 * (xn + 1.0 / xn)
         d = x - 1.0 / x
         tiny = np.abs(d) < 1e-12
@@ -227,8 +259,8 @@ def residual(p: AirfoilParams, n: int, z):
     u, v, _w, sv = uvw4(p, z)
     t, dt = _cheb_power_pair(n, u)
     # as an array even for scalar z: a Python complex power raises on overflow
+    rhs = ipow(-p.b / np.asarray(sv), n)
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs = (-p.b / np.asarray(sv)) ** n
         r = 2.0 * t - rhs
         du = (1.0 - p.b * np.asarray(z, dtype=complex)) / sv ** 3
         dr = 2.0 * dt * du - rhs * (n * p.b / v)
@@ -242,8 +274,8 @@ def scaled_residual(p: AirfoilParams, n: int, z):
     u, v, _w, sv = uvw4(p, z)
     t, _ = _cheb_power_pair(n, u)
     q = -p.b / np.asarray(sv)
+    rhs = ipow(q, n)
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs = q ** n
         out = np.abs(2.0 * t - rhs) / (2.0 + np.abs(rhs))
     huge = ~np.isfinite(out)
     if np.any(huge):

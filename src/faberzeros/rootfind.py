@@ -1,8 +1,12 @@
 """Locating all n zeros of the degree-n Faber polynomial.
 
-The production route is the seeded solver, which never touches coefficients:
-real-arc bisection / arc Newton for segment zeros, plus a unit-circle Newton
-in the w-plane for loop zeros using the exact pullback
+The production route is the seeded solver, which never touches coefficients.
+Segment zeros come from brackets whose ends are the arc points where U takes
+adjacent Chebyshev values cos(k pi/n). On a real airfoil the residual
+2 T_n(U) - (-b/sqrt(V))^n is real on the segment, so each bracket is bisected
+in z on its sign, one residual evaluation per step; otherwise Newton starts
+from the arc point of each bracket's middle angle. Loop zeros come from a
+unit-circle Newton in the w-plane on the exact pullback
 F_n(J(b(1-w))) = (-b/a)^n (w^n + g(w)^n - 1), g(w) = 1 - 1/(b^2 (1-w)).
 A double-precision Newton pass tightens every zero, and Newton in mpmath on
 the closed form finishes the few that double precision cannot pin down (near
@@ -27,7 +31,7 @@ import numpy as np
 from .conformal import AirfoilParams, phi_b_inverse
 from .errors import ConvergenceError, DeficitError, MismatchError, ParameterError
 from .faber import (
-    PolyCoeffs, faber_closed, faber_coeffs_mp, residual, scaled_residual,
+    PolyCoeffs, faber_closed, faber_coeffs_mp, ipow, residual, scaled_residual,
 )
 from .limitsets import arc_z_of_u, intersection_ib, u_lower
 
@@ -194,7 +198,7 @@ class SeedPlan:
     roots-of-unity images for loop zeros."""
 
     n: int
-    segment_brackets: list        # (z_lo, z_hi) pairs on the arc
+    segment_brackets: np.ndarray  # (m, 2): arc points at the low/high u ends
     loop_seeds: np.ndarray        # J(b(1-omega_k)) for on-arc omega_k
     u_lo: float
     _ts: np.ndarray = field(repr=False, default=None)       # t-brackets, t = arccos u
@@ -222,11 +226,10 @@ def seed_plan(p: AirfoilParams, n: int) -> SeedPlan:
     keep = tlo < s_max - 1e-15
     tlo, thi = tlo[keep], np.minimum(thi[keep], s_max)
     ts = np.stack([tlo, thi], axis=1)
-    brackets = []
+    brackets = np.empty((0, 2), complex)
     if len(ts):
-        zlo = arc_z_of_u(p, np.cos(thi))   # lower u end
-        zhi = arc_z_of_u(p, np.cos(tlo))
-        brackets = list(zip(zlo, zhi))
+        # one call for both ends: column 0 is the lower u end
+        brackets = arc_z_of_u(p, np.cos(ts[:, ::-1]).ravel()).reshape(-1, 2)
     if intersection_ib(p) is not None:
         om = np.exp(2j * np.pi * np.arange(n) / n)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -250,8 +253,8 @@ def _newton_w(p: AirfoilParams, n: int, w, max_iter=100, cap=0.1, accept=1e-6):
     for _ in range(max_iter):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             g = _g_of_w(b, w)
-            wn = w ** n
-            gn = g ** n
+            wn = ipow(w, n)
+            gn = ipow(g, n)
             h = wn + gn - 1.0
             dh = n * wn / w - n * gn / g / (b * b * (1.0 - w) ** 2)
             dh = np.where(np.abs(dh) < 1e-300, 1e-300, dh)
@@ -263,7 +266,7 @@ def _newton_w(p: AirfoilParams, n: int, w, max_iter=100, cap=0.1, accept=1e-6):
         if np.max(np.abs(step)) < 5e-16 * np.max(1.0 + np.abs(w)):
             break
     g = _g_of_w(b, w)
-    hfin = np.abs(w ** n + g ** n - 1.0)
+    hfin = np.abs(ipow(w, n) + ipow(g, n) - 1.0)
     return w[hfin < accept]
 
 
@@ -288,26 +291,26 @@ def _newton_z(p: AirfoilParams, n: int, z, max_iter=80, cap=0.05, accept=1e-6):
     return z[np.abs(r) < accept]
 
 
-def _bisect_real(p: AirfoilParams, n: int, ts):
-    # real-axis case: the residual is real on the segment, brackets alternate sign
-    def f(t):
-        z = arc_z_of_u(p, np.cos(t)).real
-        return residual(p, n, z + 0j)[0].real, z
+def _bisect_real(p: AirfoilParams, n: int, brackets):
+    """Real-axis case: bisect each (m, 2) z-bracket of the seed plan on the
+    sign of the residual, which is real on the segment. U is monotone on the
+    segment piece, so a bracket whose ends differ in sign holds one zero."""
+    def f(z):
+        return residual(p, n, z + 0j)[0].real
 
-    tlo, thi = ts[:, 0].copy(), ts[:, 1].copy()
-    flo, _ = f(tlo)
-    fhi, _ = f(thi)
+    zlo, zhi = brackets[:, 0].real, brackets[:, 1].real
+    flo = f(zlo)
+    fhi = f(zhi)
     good = np.sign(flo) * np.sign(fhi) < 0
-    tlo, thi, flo = tlo[good], thi[good], flo[good]
+    zlo, zhi, flo = zlo[good], zhi[good], flo[good]
     for _ in range(60):
-        tm = 0.5 * (tlo + thi)
-        fm, _ = f(tm)
+        zm = 0.5 * (zlo + zhi)
+        fm = f(zm)
         left = np.sign(fm) == np.sign(flo)
-        tlo = np.where(left, tm, tlo)
+        zlo = np.where(left, zm, zlo)
         flo = np.where(left, fm, flo)
-        thi = np.where(left, thi, tm)
-    _, z = f(0.5 * (tlo + thi))
-    z = z.astype(complex)
+        zhi = np.where(left, zhi, zm)
+    z = 0.5 * (zlo + zhi) + 0j
     return z[np.atleast_1d(scaled_residual(p, n, z)) < 1e-6]
 
 
@@ -392,7 +395,7 @@ def roots_seeded(p: AirfoilParams, n: int) -> ZeroSet:
     found = []
     if len(plan._ts):
         if p.is_real:
-            found.append(_bisect_real(p, n, plan._ts))
+            found.append(_bisect_real(p, n, plan.segment_brackets))
         else:
             mid = np.cos(0.5 * (plan._ts[:, 0] + plan._ts[:, 1]))
             found.append(_newton_z(p, n, arc_z_of_u(p, mid)))

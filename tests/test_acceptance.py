@@ -161,6 +161,10 @@ def test_criterion_8_electrostatic_skeleton():
 def test_criterion_9_determinism():
     t0 = time.monotonic()
     import tempfile
+    # the child imports the package from where this process found it
+    src = os.path.dirname(os.path.dirname(fz.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     with tempfile.TemporaryDirectory() as td:
         blobs = {}
         for tag in ("a", "b", "c"):
@@ -169,7 +173,7 @@ def test_criterion_9_determinism():
                         ["plot", "--paper-figure", "3", "--n", "30"]):
                 r = subprocess.run(
                     [sys.executable, "-m", "faberzeros"] + cmd + ["--out", out],
-                    capture_output=True, text=True)
+                    capture_output=True, text=True, env=env)
                 assert r.returncode == 0, r.stderr
             blobs[tag] = tuple(
                 open(os.path.join(out, f), "rb").read()

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from faberzeros import cli
 from faberzeros.cli import (
     _DOT_STYLE, _curve_rows, _json_text, _svg_dots, _svg_poly, _zeros_csv, fnum,
     main,
@@ -217,6 +218,55 @@ def test_parameter_failures_exit_2(args, tmp_path, capsys):
     code = run(args + ["--out", str(tmp_path / "x")])
     capsys.readouterr()
     assert code == 2
+
+
+# ---------------------------------------------------------------- parser reuse
+
+# valid, invalid, valid: options given early (--theta, --tol-quad, --format)
+# are absent later, so a value carried over by the cached parser would change
+# the later exit codes, output or files
+PARSER_SEQUENCE = [
+    ["verify", "--R", "2.1", "--theta", "0.2", "--n", "40", "--tol-quad",
+     "1e-30", "--format", "csv,json", "--out", "o1"],
+    ["zeros", "--R", "1.26", "--n", "5", "--no-such-flag", "--out", "o2"],
+    ["zeros", "--R", "0.5", "--n", "5", "--out", "o3"],
+    ["verify", "--R", "1.26", "--n", "20", "--out", "o4"],
+    ["zeros", "--paper-figure", "2", "--n", "30", "--out", "o5"],
+]
+
+
+def _run_captured(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as e:       # argparse rejects the argv
+        code = e.code
+    cap = capsys.readouterr()
+    return code, cap.out, cap.err
+
+
+def _tree_bytes(root):
+    return {str(f.relative_to(root)): f.read_bytes()
+            for f in sorted(root.rglob("*")) if f.is_file()}
+
+
+def test_cached_parser_matches_fresh_parsers(tmp_path, monkeypatch, capsys):
+    (tmp_path / "cached").mkdir()
+    (tmp_path / "fresh").mkdir()
+    monkeypatch.chdir(tmp_path / "cached")
+    cli._build_parser.cache_clear()
+    cached = [_run_captured(argv, capsys) for argv in PARSER_SEQUENCE]
+    assert cli._build_parser.cache_info().misses == 1
+    monkeypatch.chdir(tmp_path / "fresh")
+    fresh = []
+    for argv in PARSER_SEQUENCE:
+        cli._build_parser.cache_clear()
+        fresh.append(_run_captured(argv, capsys))
+    assert [c for c, _, _ in cached] == [1, 2, 2, 0, 0]
+    assert cached == fresh
+    files = _tree_bytes(tmp_path / "cached")
+    assert set(files) == {"o1/verify_report.json", "o4/verify_report.json",
+                          "o5/zeros_n30.csv"}
+    assert files == _tree_bytes(tmp_path / "fresh")
 
 
 # ---------------------------------------------------------------- reruns

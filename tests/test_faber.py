@@ -5,6 +5,9 @@ oracle (faber_oracle) and the simultaneous root finder and cross-checked
 against faber_coeffs_mp before being written down.
 """
 
+import warnings
+
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ import faberzeros as fz
 from faberzeros.conformal import params_from, psi, uvw
 from faberzeros.faber import (
     FaberEvaluator, PolyCoeffs, chebyshev_T, faber_closed, faber_coeffs_mp,
-    faber_oracle, faber_shifted, horner, residual, scaled_residual,
+    faber_oracle, faber_shifted, horner, ipow, residual, scaled_residual,
 )
 
 PRESETS = [(1.26, 0.0), (2.1, 0.0), (2.1, 0.2), (1.45, 0.2)]
@@ -171,3 +174,62 @@ def test_evaluator_matches_coefficients():
     f = faber_closed(p, n)
     z = np.linspace(-1, 1, 9) + 0.2j
     assert np.allclose(ev(z), f(z), rtol=1e-12, atol=1e-12)
+
+
+def _power_points():
+    # on the unit circle, and off it on both sides, including the axes
+    rng = np.random.default_rng(7)
+    ang = np.concatenate([rng.uniform(-np.pi, np.pi, 60), np.pi / 2 * np.arange(4)])
+    on = np.exp(1j * ang)
+    off = np.concatenate([r * on for r in (0.93, 0.999, 1.001, 1.07)])
+    return on, off
+
+
+def test_ipow_powers_of_two_stay_with_numpy():
+    on, off = _power_points()
+    x = np.concatenate([on, off])
+    for n in (128, 256, 512):
+        assert np.array_equal(ipow(x, n), x ** n)
+
+
+def test_ipow_bitwise_below_100():
+    on, off = _power_points()
+    x = np.concatenate([on, off, [0.0, 1e-3 + 2e-3j, 40.0 - 30.0j]])
+    for n in range(100):
+        with np.errstate(all="ignore"):
+            want = x ** n
+        got = ipow(x, n)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+
+
+@pytest.mark.parametrize("n", [100, 127, 128, 255, 256, 300, 499, 500])
+def test_ipow_no_less_accurate_than_numpy_power(n):
+    for x in _power_points():
+        with mp.workdps(40):
+            exact = [mp.mpc(complex(v)) ** n for v in x]
+
+            def worst(y):
+                return max(float(abs(mp.mpc(complex(v)) - e) / abs(e))
+                           for v, e in zip(y, exact))
+
+            assert worst(ipow(x, n)) <= worst(x ** n)
+
+
+def test_ipow_overflow_and_underflow_match_numpy_quietly():
+    # entries far past the double range either way, and non-finite inputs,
+    # next to ordinary ones
+    extreme = np.array([1e4, 3e3 + 4e3j, -7e3j, 1e-4, 1e-4 - 1e-4j, 0.0,
+                        np.inf, complex(np.nan, 1.0), complex(1.0, np.inf)])
+    x = np.concatenate([extreme, [0.6 + 0.8j, 1.001j]])
+    for n in (100, 128, 333, 499):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ipow(x, n)
+        with np.errstate(all="ignore"):
+            want = x ** n
+        k = len(extreme)
+        # each extreme entry really leaves the range: non-finite or underflowed
+        assert not np.any(np.isfinite(got[:k]) & (np.abs(got[:k]) > 1.0)), n
+        np.testing.assert_array_equal(got[:k].view(float), want[:k].view(float))
+        assert np.all(np.isfinite(got[k:]))

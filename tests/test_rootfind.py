@@ -9,9 +9,13 @@ import numpy as np
 import pytest
 
 import faberzeros as fz
+from faberzeros import rootfind
 from faberzeros.conformal import params_from
 from faberzeros.errors import MismatchError, ParameterError
-from faberzeros.faber import PolyCoeffs, faber_closed, faber_coeffs_mp, scaled_residual
+from faberzeros.faber import (
+    PolyCoeffs, faber_closed, faber_coeffs_mp, residual, scaled_residual,
+)
+from faberzeros.limitsets import arc_z_of_u
 from faberzeros.rootfind import (
     Method, compute_zeros, cross_check, roots_seeded, roots_simultaneous,
     seed_plan,
@@ -34,6 +38,29 @@ def forward_errors(p, n, z):
             for c in co[-2::-1]:
                 df = df * zm + f
                 f = f * zm + c
+            out.append(float(abs(f / df)))
+    return np.array(out)
+
+
+def closed_form_forward_errors(p, n, z):
+    """|F_n(z) / F_n'(z)| at each double z, on the closed form
+    (w+s)^n + (w-s)^n - (-b)^n, w = z - b, s^2 = z^2 - 1, in mpmath with 30
+    digits plus the decades by which |b|^n exceeds max |w +- s|^n. Cheaper than
+    forward_errors at high degree."""
+    out = []
+    for v in np.atleast_1d(z):
+        v = complex(v)
+        sd = np.sqrt(v - 1.0 + 0j) * np.sqrt(v + 1.0 + 0j)
+        big = max(abs(v - p.b + sd), abs(v - p.b - sd))
+        excess = n * (math.log10(abs(p.b)) - math.log10(big)) if big else 0.0
+        with mp.workdps(30 + max(0, math.ceil(excess))):
+            zm, bm = mp.mpc(v), mp.mpc(p.b)
+            sm = mp.sqrt(zm - 1) * mp.sqrt(zm + 1)
+            wm = zm - bm
+            p1 = (wm + sm) ** (n - 1)
+            p2 = (wm - sm) ** (n - 1)
+            f = p1 * (wm + sm) + p2 * (wm - sm) - (-bm) ** n
+            df = n * (p1 * (sm + zm) + p2 * (sm - zm)) / sm
             out.append(float(abs(f / df)))
     return np.array(out)
 
@@ -272,3 +299,61 @@ def test_high_degree_near_pole_stays_finite_and_quiet():
         zs = compute_zeros(p, 500)
     assert zs.n == 500
     assert np.all(np.isfinite(zs.residuals))
+
+
+def t_bisect_reference(p, n, brackets):
+    """Reference for rootfind._bisect_real: bisect t = arccos u on the seed
+    plan's t-brackets, inverting U (arc_z_of_u) at every step, as the segment
+    solve did before it bisected the z-brackets directly."""
+    ts = seed_plan(p, n)._ts
+    assert len(ts) == len(brackets)
+
+    def f(t):
+        z = arc_z_of_u(p, np.cos(t)).real
+        return residual(p, n, z + 0j)[0].real, z
+
+    tlo, thi = ts[:, 0].copy(), ts[:, 1].copy()
+    flo, _ = f(tlo)
+    fhi, _ = f(thi)
+    good = np.sign(flo) * np.sign(fhi) < 0
+    tlo, thi, flo = tlo[good], thi[good], flo[good]
+    for _ in range(60):
+        tm = 0.5 * (tlo + thi)
+        fm, _ = f(tm)
+        left = np.sign(fm) == np.sign(flo)
+        tlo = np.where(left, tm, tlo)
+        flo = np.where(left, fm, flo)
+        thi = np.where(left, thi, tm)
+    _, z = f(0.5 * (tlo + thi))
+    z = z.astype(complex)
+    return z[np.atleast_1d(scaled_residual(p, n, z)) < 1e-6]
+
+
+def _rel_ulp_ok(p, n, z):
+    rel = closed_form_forward_errors(p, n, z) / np.maximum(1.0, np.abs(z))
+    return not len(z) or np.max(rel) <= ULP_512
+
+
+# real airfoils from near-degenerate to far above criticality (R = 1.5 is
+# critical), degrees on both sides of 100, where ipow switches to squaring
+SEGMENT_RS = (1.001, 1.05, 1.26, 1.5, 2.1, 12.0)
+SEGMENT_NS = (1, 2, 7, 8, 61, 99, 100, 145, 500)
+
+
+@pytest.mark.parametrize("R", SEGMENT_RS)
+def test_segment_bisection_in_z_matches_t_reference(R, monkeypatch):
+    p = params_from(R, 0.0)
+    for n in SEGMENT_NS:
+        plan = seed_plan(p, n)
+        assert plan.segment_brackets.shape == (len(plan._ts), 2)
+        raw = rootfind._bisect_real(p, n, plan.segment_brackets)
+        assert len(raw) == len(t_bisect_reference(p, n, plan.segment_brackets))
+        assert np.all(raw.imag == 0.0)
+        assert _rel_ulp_ok(p, n, raw), (R, n)
+        new = compute_zeros(p, n)
+        with monkeypatch.context() as m:
+            m.setattr(rootfind, "_bisect_real", t_bisect_reference)
+            old = compute_zeros(p, n)
+        assert new.n == old.n == n
+        assert _rel_ulp_ok(p, n, new.zeros), (R, n)
+        assert _rel_ulp_ok(p, n, old.zeros), (R, n)
