@@ -18,25 +18,24 @@ from itertools import chain
 
 import numpy as np
 
-from .conformal import AirfoilParams, boundary_samples, params_from, psi
+from .conformal import AirfoilParams, params_from, psi
 from .errors import (
     BranchError, CaseError, ConvergenceError, DeficitError, DomainError,
     FaberError, MismatchError, ParameterError, PoleError, ResolutionError,
     SingularityError,
 )
 from .limitsets import CaseTag, arc_A, classify, intersection_ib, loop_points, segment_points
-from .measures import (
-    classify_zeros, equilibrium_moments, predicted, potential_check,
-    quadrature_gate, weak_star_distance,
-)
-from .rootfind import SIMULTANEOUS_MAX_N, ZeroSet, compute_zeros
+from .measures import classify_zeros, equilibrium_moments, predicted, report
+from .rootfind import Method, ZeroSet, compute_zeros
 from .faber import scaled_residual
 
 FIGURE_PRESETS = {1: (1.26, 0.0), 2: (2.1, 0.0), 3: (2.1, 0.2), 4: (1.45, 0.2)}
 
-CDF_GATE = 0.12
-MASS_GATE = 0.06
-POTENTIAL_GATE = 0.05
+# the output formats each command can write
+FORMATS = {"zeros": ("csv", "json"), "predict": ("csv", "json"),
+           "verify": ("json",), "plot": ("svg",)}
+# the keys a --config file may set
+CONFIG_KEYS = ("R", "theta", "n", "out", "format", "tol_quad", "paper_figure")
 
 
 def fnum(x) -> str:
@@ -89,7 +88,6 @@ class RunConfig:
     n_list: list[int] = field(default_factory=list)
     out: str = "out"
     formats: tuple = ()
-    seed_method: str = "auto"
     tol_quad: float | None = None
     zeros_in: str | None = None
 
@@ -100,12 +98,11 @@ class RunConfig:
             for n in self.n_list:
                 if not 1 <= n <= 500:
                     raise ParameterError(f"n must be in [1, 500], got {n}")
-        if self.seed_method not in ("auto", "simultaneous", "seeded"):
-            raise ParameterError(f"unknown seed method {self.seed_method!r}")
-        top = max(self.n_list, default=0)
-        if self.seed_method == "simultaneous" and top > SIMULTANEOUS_MAX_N:
-            raise ParameterError(
-                f"--seed-method simultaneous works up to n = {SIMULTANEOUS_MAX_N}")
+        known = FORMATS[self.command]
+        for fmt in self.formats:
+            if fmt not in known:
+                raise ParameterError(f"{self.command} cannot write format {fmt!r}"
+                                     f" (choose from {','.join(known)})")
 
 
 def _parse_config_file(path: str) -> dict:
@@ -119,7 +116,10 @@ def _parse_config_file(path: str) -> dict:
                 if "=" not in line:
                     raise ParameterError(f"bad config line: {line!r}")
                 k, v = line.split("=", 1)
-                vals[k.strip().replace("-", "_")] = v.strip().strip('"')
+                k = k.strip().replace("-", "_")
+                if k not in CONFIG_KEYS:
+                    raise ParameterError(f"unknown config key {k!r} in {path}")
+                vals[k] = v.strip().strip('"')
     except OSError as e:
         raise ParameterError(f"cannot read config file {path}: {e}")
     return vals
@@ -137,10 +137,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", type=str, default=None, help="output directory")
     common.add_argument("--format", dest="fmt", type=str, default=None,
                         help="comma-separated output formats (csv,json,svg)")
-    common.add_argument("--seed-method", type=str, default=None,
-                        choices=("auto", "simultaneous", "seeded"))
     common.add_argument("--tol-quad", type=float, default=None,
-                        help="override the quadrature residual gate")
+                        help="quadrature residual gate (default 1e-6 for n <= 60, "
+                             "1e-4 above)")
     common.add_argument("--paper-figure", type=int, default=None,
                         choices=sorted(FIGURE_PRESETS),
                         help="preset airfoil 1-4 (sets R and theta)")
@@ -192,7 +191,6 @@ def _resolve(ns: argparse.Namespace) -> RunConfig:
         n_list=n_list,
         out=pick(ns.out, "out", str, "out"),
         formats=tuple(s.strip() for s in fmt.split(",")) if fmt else (),
-        seed_method=pick(ns.seed_method, "seed_method", str, "auto"),
         tol_quad=pick(ns.tol_quad, "tol_quad", float, None),
         zeros_in=ns.zeros_in,
     )
@@ -200,18 +198,12 @@ def _resolve(ns: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _default_tol_quad(cfg: RunConfig) -> float:
-    if cfg.tol_quad is not None:
-        return cfg.tol_quad
-    return 1e-6 if max(cfg.n_list) <= 60 else 1e-4
-
-
 def _zeros_by_degree(p: AirfoilParams, cfg: RunConfig) -> dict:
     """{n: (ZeroSet, class labels)} in ascending n, all computed before any
     file is written."""
     out = {}
     for n in sorted(set(cfg.n_list)):
-        zs = compute_zeros(p, n, method=cfg.seed_method)
+        zs = compute_zeros(p, n)
         out[n] = zs, classify_zeros(p, zs)
     return out
 
@@ -260,32 +252,39 @@ def _curve_rows(component: str, param: np.ndarray, z: np.ndarray) -> str:
     return f"{component},%.12e,%.12e,%.12e\n" * len(z) % tuple(vals.ravel().tolist())
 
 
+def _curves(p: AirfoilParams) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """(name, param, z) of every predicted curve, in the order predict writes
+    and plot draws them."""
+    t = np.linspace(0.0, 2 * np.pi, 512)
+    arc = arc_A(p, 257)
+    q = np.sqrt(arc.rho)
+    seg = segment_points(p, 257)
+    curves = [
+        ("boundary", t, psi(p, np.exp(1j * t))),
+        # signed sqrt(rho): both branches as one polyline
+        ("arc", np.concatenate([-q[::-1], q[1:]]),
+         np.concatenate([arc.z_minus[::-1], arc.z_plus[1:]])),
+        ("circle_cb", t, p.c + (abs(p.b) / 2) * np.exp(1j * t)),
+    ]
+    if arc.has_circle_component:
+        curves.append(("circle_cb_tilde", t, p.c + abs(p.c - p.b) * np.exp(1j * t)))
+    curves.append(("segment", seg.us, seg.samples))
+    case = classify(p)
+    if case.has_loop and case.tag is not CaseTag.CRITICAL:
+        for which, name in (("plus", "loop"), ("minus", "loop_minus")):
+            lp = loop_points(p, 257, which=which)
+            curves.append((name, np.linspace(0.0, lp.span, 257), lp.samples))
+    return curves
+
+
 def cmd_predict(cfg: RunConfig) -> int:
     p = params_from(cfg.R, cfg.theta)
     formats = cfg.formats or ("csv", "json")
-    case = classify(p)
     pred = predicted(p)
+    case = pred.case
     rows = ["component,param,re,im\n"]
-    t = np.linspace(0.0, 2 * np.pi, 512)
-    rows.append(_curve_rows("boundary", t, psi(p, np.exp(1j * t))))
-    arc = arc_A(p, 257)
-    q = np.sqrt(arc.rho)
-    qs = np.concatenate([-q[::-1], q[1:]])            # signed sqrt(rho): one polyline
-    zarc = np.concatenate([arc.z_minus[::-1], arc.z_plus[1:]])
-    rows.append(_curve_rows("arc", qs, zarc))
-    rows.append(_curve_rows("circle_cb", t, p.c + (abs(p.b) / 2) * np.exp(1j * t)))
-    if p.is_real and p.b.real <= -1.0:
-        rtilde = abs(p.c - p.b)
-        rows.append(_curve_rows("circle_cb_tilde", t, p.c + rtilde * np.exp(1j * t)))
-    seg = segment_points(p, 257)
-    rows.append(_curve_rows("segment", seg.us, seg.samples))
+    rows += [_curve_rows(name, param, z) for name, param, z in _curves(p)]
     ib = intersection_ib(p)
-    if case.has_loop and case.tag is not CaseTag.CRITICAL:
-        for which in ("plus", "minus"):
-            lp = loop_points(p, 257, which=which)
-            th = np.linspace(0.0, lp.span, 257)
-            rows.append(_curve_rows("loop" if which == "plus" else "loop_minus",
-                                    th, lp.samples))
     if ib is not None:
         rows.append(_curve_rows("corner_ib", np.zeros(1), np.array([ib], dtype=complex)))
     doc = {
@@ -334,68 +333,36 @@ def _read_zeros_csv(path: str, p: AirfoilParams) -> ZeroSet:
     order = np.lexsort((z.imag, z.real))
     z = z[order]
     res = np.atleast_1d(scaled_residual(p, nval, z))
-    from .rootfind import Method
     return ZeroSet(nval, z, res, Method.SEEDED)
 
 
 def cmd_verify(cfg: RunConfig) -> int:
     p = params_from(cfg.R, cfg.theta)
     formats = cfg.formats or ("json",)
-    tol_quad = _default_tol_quad(cfg)
-    case = classify(p)
-    pred = predicted(p)
 
     if cfg.zeros_in is not None:
         if len(cfg.n_list) > 1:
             raise ParameterError("--zeros-in works with a single n")
         pre = _read_zeros_csv(cfg.zeros_in, p)
-        if cfg.n_list and cfg.n_list[0] != pre.n:
+        if cfg.n_list[0] != pre.n:
             raise ParameterError(
                 f"--n {cfg.n_list[0]} disagrees with file n={pre.n}")
-        cfg.n_list = [pre.n]
         zsets = {pre.n: pre}
     else:
-        zsets = {n: compute_zeros(p, n, method=cfg.seed_method)
-                 for n in sorted(set(cfg.n_list))}
+        zsets = {n: compute_zeros(p, n) for n in sorted(set(cfg.n_list))}
 
     moments = equilibrium_moments(p, max(zsets))
     runs = []
-    all_pass = True
     for n in sorted(zsets):
-        zs = zsets[n]
-        quad_rel = quadrature_gate(p, zs, moments=moments)
-        labels = classify_zeros(p, zs)
-        wsd = weak_star_distance(p, zs, labels=labels)
-        pot = float(np.max(potential_check(p, zs)))
-        counts = {lab: labels.count(lab) for lab in ("segment", "loop", "other")}
-        gates = {"quadrature": quad_rel < tol_quad,
-                 "cdf": wsd.cdf_dist < CDF_GATE,
-                 "potential": pot < POTENTIAL_GATE,
-                 "unclassified": counts["other"] <= 3.0 * np.sqrt(n)}
-        if case.tag is CaseTag.SUPERCRITICAL:
-            gates["mass_split"] = (
-                abs(counts["segment"] / n - pred.mass_segment) <= MASS_GATE
-                and abs(counts["loop"] / n - pred.mass_loop) <= MASS_GATE)
-        ok = all(gates.values())
-        all_pass = all_pass and ok
-        for gname, gval in gates.items():
+        run = report(p, zsets[n], moments=moments, tol_quad=cfg.tol_quad)
+        runs.append(run)
+        for gname, gval in run["gates"].items():
             print(f"[n={n}] {gname}: {'PASS' if gval else 'FAIL'}")
-        print(f"[n={n}] quad_max_residual={quad_rel:.3e} tol={tol_quad:.1e} "
-              f"cdf_dist={wsd.cdf_dist:.4f} moment_dist={wsd.moment_dist:.3e} "
-              f"potential={pot:.3e} counts={counts}")
-        runs.append({
-            "n": n,
-            "case": case.tag.value,
-            "masses": {"segment": pred.mass_segment, "loop": pred.mass_loop},
-            "moment_dist": wsd.moment_dist,
-            "cdf_dist": wsd.cdf_dist,
-            "quad_max_residual": quad_rel,
-            "quad_tol": tol_quad,
-            "potential_max_dev": pot,
-            "counts": counts,
-            "gates": gates,
-            "pass": ok,
-        })
+        print(f"[n={n}] quad_max_residual={run['quad_max_residual']:.3e} "
+              f"tol={run['quad_tol']:.1e} cdf_dist={run['cdf_dist']:.4f} "
+              f"moment_dist={run['moment_dist']:.3e} "
+              f"potential={run['potential_max_dev']:.3e} counts={run['counts']}")
+    all_pass = all(run["pass"] for run in runs)
     doc = {"R": cfg.R, "theta": cfg.theta, "runs": runs, "pass": all_pass}
     os.makedirs(cfg.out, exist_ok=True)
     if "json" in formats:
@@ -438,35 +405,24 @@ def _svg_dots(z: np.ndarray, labels: list[str]) -> str:
                      * len(labels)) % tuple(chain.from_iterable(cols))
 
 
+def _runs_within(z: np.ndarray, bound: float) -> list[np.ndarray]:
+    """The runs of two or more consecutive points of z with |z| <= bound."""
+    keep = np.abs(z) <= bound
+    cuts = np.flatnonzero(keep[1:] != keep[:-1]) + 1
+    return [run for run, k in zip(np.split(z, cuts), np.split(keep, cuts))
+            if k[0] and len(run) > 1]
+
+
 def _svg_text(p: AirfoilParams, zs: ZeroSet, labels: list[str]) -> str:
-    case = classify(p)
     curves = []
-    t = np.linspace(0.0, 2 * np.pi, 512)
-    curves.append(("boundary", psi(p, np.exp(1j * t))))
-    arc = arc_A(p, 257)
-    curves.append(("arc", np.concatenate([arc.z_minus[::-1], arc.z_plus[1:]])))
-    curves.append(("circle_cb", p.c + (abs(p.b) / 2) * np.exp(1j * t)))
-    if p.is_real and p.b.real <= -1.0:
-        curves.append(("circle_cb_tilde", p.c + abs(p.c - p.b) * np.exp(1j * t)))
-    curves.append(("segment", segment_points(p, 257).samples))
     clipped = []   # drawn but excluded from the frame: the minus loop runs
-    if case.has_loop and case.tag is not CaseTag.CRITICAL:
-        curves.append(("loop", loop_points(p, 257, "plus").samples))
-        # the complement arc maps through w = 1 where the image is unbounded;
-        # keep only the pieces near the figure and break the polyline there
-        lm = loop_points(p, 257, "minus").samples
-        keep = np.abs(lm) <= 4.0
-        run = []
-        for v, ok in zip(lm, keep):
-            if ok:
-                run.append(v)
-            elif len(run) > 1:
-                clipped.append(("loop_minus", np.array(run)))
-                run = []
-            else:
-                run = []
-        if len(run) > 1:
-            clipped.append(("loop_minus", np.array(run)))
+    for name, _, z in _curves(p):
+        if name == "loop_minus":
+            # the complement arc maps through w = 1 where the image is
+            # unbounded; keep only the pieces near the figure
+            clipped += [(name, run) for run in _runs_within(z, 4.0)]
+        else:
+            curves.append((name, z))
     allz = np.concatenate([z for _, z in curves] + [zs.zeros])
     x0, x1 = np.min(allz.real), np.max(allz.real)
     y0, y1 = np.min(-allz.imag), np.max(-allz.imag)

@@ -29,10 +29,15 @@ from .conformal import (
 )
 from .errors import DomainError, ParameterError
 from .limitsets import (
-    CaseClass, CaseTag, arc_z_of_u, classify, intersection_ib, loop_points,
-    polyline_min_dist, segment_points, u_lower,
+    CaseClass, CaseTag, arc_z_of_u, classify, loop_points, polyline_min_dist,
+    segment_points, u_lower,
 )
 from .rootfind import ZeroSet
+
+# verify's gates: a run passes when every one of them holds
+CDF_GATE = 0.12         # Kolmogorov distance of the segment zeros' U-law
+MASS_GATE = 0.06        # |segment or loop share - predicted mass|, supercritical
+POTENTIAL_GATE = 0.05   # max deviation of the zeros' log potential
 
 
 def _zeros_of(zs) -> np.ndarray:
@@ -495,9 +500,16 @@ def potential_check(p: AirfoilParams, zs: ZeroSet | np.ndarray, points=None,
 
 
 def report(p: AirfoilParams, zs: ZeroSet | np.ndarray,
-           moments: MomentVector | None = None) -> dict:
-    """Everything the verify command gates on, as one plain dict."""
+           moments: MomentVector | None = None,
+           tol_quad: float | None = None) -> dict:
+    """Everything the verify command gates on, the gates and the verdict, as
+    one plain dict in the key order of a run in verify_report.json.
+    moments, if given, are equilibrium_moments up to at least k = n;
+    tol_quad defaults to 1e-6 for n <= 60 and 1e-4 above."""
     zarr = _zeros_of(zs)
+    n = len(zarr)
+    if tol_quad is None:
+        tol_quad = 1e-6 if n <= 60 else 1e-4
     case = classify(p)
     pred = predicted(p)
     labels = classify_zeros(p, zarr)
@@ -505,12 +517,24 @@ def report(p: AirfoilParams, zs: ZeroSet | np.ndarray,
     quad_rel = quadrature_gate(p, zarr, moments=moments)
     pot = float(np.max(potential_check(p, zarr)))
     counts = {lab: labels.count(lab) for lab in ("segment", "loop", "other")}
+    gates = {"quadrature": quad_rel < tol_quad,
+             "cdf": wsd.cdf_dist < CDF_GATE,
+             "potential": pot < POTENTIAL_GATE,
+             "unclassified": counts["other"] <= 3.0 * np.sqrt(n)}
+    if case.tag is CaseTag.SUPERCRITICAL:
+        gates["mass_split"] = (
+            abs(counts["segment"] / n - pred.mass_segment) <= MASS_GATE
+            and abs(counts["loop"] / n - pred.mass_loop) <= MASS_GATE)
     return {
+        "n": n,
         "case": case.tag.value,
         "masses": {"segment": pred.mass_segment, "loop": pred.mass_loop},
         "moment_dist": wsd.moment_dist,
         "cdf_dist": wsd.cdf_dist,
         "quad_max_residual": quad_rel,
+        "quad_tol": tol_quad,
         "potential_max_dev": pot,
         "counts": counts,
+        "gates": gates,
+        "pass": all(gates.values()),
     }

@@ -13,9 +13,10 @@ the closed form finishes the few that double precision cannot pin down (near
 theta = pi/2 its floor is about 1e-13).
 
 The simultaneous (Aberth) solver on the coefficients is the independent
-oracle. It dies of rounding around n ≈ 40 unless it escalates to mpmath via
-the provenance stored on PolyCoeffs, and it stops converging above
-n = SIMULTANEOUS_MAX_N, so compute_zeros refuses it there.
+oracle, roots_simultaneous(faber_closed(p, n)), and the last fallback of the
+seeded solver. It dies of rounding around n ≈ 40 unless it escalates to
+mpmath via the provenance stored on PolyCoeffs, and it stops converging
+above n = 60.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import mpmath as mp
 import numpy as np
 
 from .conformal import AirfoilParams, phi_b_inverse
-from .errors import ConvergenceError, DeficitError, MismatchError, ParameterError
+from .errors import ConvergenceError, DeficitError, MismatchError
 from .faber import (
     PolyCoeffs, faber_closed, faber_coeffs_mp, ipow, residual, scaled_residual,
 )
@@ -40,7 +41,6 @@ BACKWARD_GATE = 1e-10     # |p(root)| / (max|c| * max(1,|root|)^deg)
 DISTINCT_TOL = 1e-8
 TIGHTEN_GATE = 1e-13      # seeded zeros above this scaled residual get Newton
 POLISH_GATE = 2e-14       # error bound / max(1,|z|) above this: mpmath Newton
-SIMULTANEOUS_MAX_N = 60   # the coefficient route converges up to this degree
 _EPS = np.finfo(float).eps
 
 
@@ -483,15 +483,6 @@ def cross_check(a: ZeroSet, b: ZeroSet, tol: float = 1e-6) -> CrossCheckReport:
                             mean_distance=float(np.mean(dists)))
 
 
-def compute_zeros(p: AirfoilParams, n: int, method: str = "auto") -> ZeroSet:
-    """Dispatcher: 'auto' and 'seeded' take the seeded route for every n;
-    'simultaneous' takes the coefficient route, kept as the oracle, and
-    raises ParameterError above SIMULTANEOUS_MAX_N, where it cannot converge."""
-    if method in ("auto", "seeded"):
-        return roots_seeded(p, n)
-    if method == "simultaneous":
-        if n > SIMULTANEOUS_MAX_N:
-            raise ParameterError(
-                f"the simultaneous route stops at n = {SIMULTANEOUS_MAX_N}, got n = {n}")
-        return roots_simultaneous(faber_closed(p, n))
-    raise ValueError(f"unknown method {method!r}")
+def compute_zeros(p: AirfoilParams, n: int) -> ZeroSet:
+    """All n zeros of the degree-n Faber polynomial, by the seeded route."""
+    return roots_seeded(p, n)

@@ -2,7 +2,6 @@
 
 import json
 import re
-import time
 import warnings
 
 import numpy as np
@@ -10,10 +9,12 @@ import pytest
 
 from faberzeros import cli
 from faberzeros.cli import (
-    _DOT_STYLE, _curve_rows, _json_text, _svg_dots, _svg_poly, _zeros_csv, fnum,
-    main,
+    FIGURE_PRESETS, _DOT_STYLE, _curve_rows, _json_text, _read_zeros_csv,
+    _svg_dots, _svg_poly, _zeros_csv, fnum, main,
 )
-from faberzeros.rootfind import Method, ZeroSet
+from faberzeros.conformal import params_from
+from faberzeros.measures import report
+from faberzeros.rootfind import Method, ZeroSet, compute_zeros
 
 FLOAT_RE = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,3}$")
 
@@ -125,6 +126,52 @@ def test_verify_zeros_in_roundtrip(tmp_path, capsys):
     assert code == 0
 
 
+def _report_runs(path):
+    return json.loads(path.read_text())["runs"]
+
+
+def _as_written(rep):
+    """report()'s dict as a run of verify_report.json reads back."""
+    return json.loads(_json_text(rep))
+
+
+def test_verify_writes_report_dicts(tmp_path, capsys):
+    # supercritical, two degrees on either side of the n = 60 tolerance step
+    p = params_from(*FIGURE_PRESETS[2])
+    out = tmp_path / "v2"
+    code = run(["verify", "--paper-figure", "2", "--n", "90,30", "--out", str(out)])
+    capsys.readouterr()
+    runs = _report_runs(out / "verify_report.json")
+    assert [r["n"] for r in runs] == [30, 90]
+    assert runs == [_as_written(report(p, compute_zeros(p, n))) for n in (30, 90)]
+    assert code == (0 if all(r["pass"] for r in runs) else 1)
+    assert "mass_split" in runs[0]["gates"]
+
+
+def test_verify_zeros_in_writes_report_dict(tmp_path, capsys):
+    p = params_from(2.1, 0.2)
+    run(["zeros", "--R", "2.1", "--theta", "0.2", "--n", "45", "--out", str(tmp_path)])
+    csv = tmp_path / "zeros_n45.csv"
+    out = tmp_path / "v"
+    run(["verify", "--R", "2.1", "--theta", "0.2", "--n", "45", "--zeros-in", str(csv),
+         "--out", str(out)])
+    capsys.readouterr()
+    assert _report_runs(out / "verify_report.json") == [
+        _as_written(report(p, _read_zeros_csv(str(csv), p)))]
+
+
+def test_verify_quad_tol_follows_each_degree(tmp_path, capsys):
+    # the default tolerance is chosen per degree, not from the largest one
+    tols = {}
+    for degrees in ("40", "40,100"):
+        out = tmp_path / degrees.replace(",", "_")
+        run(["verify", "--paper-figure", "1", "--n", degrees, "--out", str(out)])
+        tols[degrees] = {r["n"]: r["quad_tol"] for r in _report_runs(
+            out / "verify_report.json")}
+    capsys.readouterr()
+    assert tols == {"40": {40: 1e-6}, "40,100": {40: 1e-6, 100: 1e-4}}
+
+
 def _reject_constant(name):
     raise ValueError(f"bare {name} in JSON")
 
@@ -213,11 +260,24 @@ def test_config_file_and_cli_precedence(tmp_path):
     ["zeros", "--n", "5"],                         # no R and no preset
     ["zeros", "--R", "2.0", "--theta", "1.6", "--n", "5"],
     ["verify", "--R", "1.26", "--n", "5", "--zeros-in", "/nonexistent.csv"],
+    ["zeros", "--config", "thetaa = 0.2\nR = 2.1\nn = 5"],   # misspelt key
+    ["zeros", "--config", "R = 2.1\nn = 5\nseed_method = seeded"],
+    ["zeros", "--R", "1.26", "--n", "5", "--format", "xml"],
+    ["zeros", "--R", "1.26", "--n", "5", "--format", "csv,svg"],
+    ["predict", "--R", "1.26", "--format", "svg"],
+    ["verify", "--R", "1.26", "--n", "5", "--format", "csv"],
+    ["plot", "--R", "1.26", "--n", "5", "--format", "csv"],
+    ["zeros", "--config", "R = 1.26\nn = 5\nformat = xml"],
 ])
 def test_parameter_failures_exit_2(args, tmp_path, capsys):
+    if args[1] == "--config":     # args[2] is the file's text
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(args[2] + "\n")
+        args = [args[0], "--config", str(cfg)]
     code = run(args + ["--out", str(tmp_path / "x")])
     capsys.readouterr()
     assert code == 2
+    assert not (tmp_path / "x").exists()
 
 
 # ---------------------------------------------------------------- parser reuse
@@ -227,7 +287,7 @@ def test_parameter_failures_exit_2(args, tmp_path, capsys):
 # the later exit codes, output or files
 PARSER_SEQUENCE = [
     ["verify", "--R", "2.1", "--theta", "0.2", "--n", "40", "--tol-quad",
-     "1e-30", "--format", "csv,json", "--out", "o1"],
+     "1e-30", "--format", "json", "--out", "o1"],
     ["zeros", "--R", "1.26", "--n", "5", "--no-such-flag", "--out", "o2"],
     ["zeros", "--R", "0.5", "--n", "5", "--out", "o3"],
     ["verify", "--R", "1.26", "--n", "20", "--out", "o4"],
@@ -291,18 +351,6 @@ def test_predict_rerun_same_out_rewrites_identical_bytes(tmp_path):
     first = {f: (out / f).read_bytes() for f in ("curves.csv", "predicted.json")}
     assert run(argv) == 0
     assert {f: (out / f).read_bytes() for f in first} == first
-
-
-def test_simultaneous_seed_method_fails_fast(tmp_path, capsys):
-    # the coefficient route cannot converge at n = 100; refuse before computing
-    t0 = time.monotonic()
-    code = run(["zeros", "--paper-figure", "2", "--n", "100", "--seed-method",
-                "simultaneous", "--out", str(tmp_path / "s")])
-    elapsed = time.monotonic() - t0
-    assert code == 2
-    assert "simultaneous" in capsys.readouterr().err
-    assert elapsed < 0.5
-    assert not (tmp_path / "s").exists()
 
 
 # ---------------------------------------------------------------- formatting

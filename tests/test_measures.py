@@ -471,11 +471,25 @@ def test_report_shape():
     zs = fz.compute_zeros(p, 30)
     rep = report(p, zs)
     assert rep["case"] == "supercritical"
-    assert set(rep) == {"case", "masses", "moment_dist", "cdf_dist",
-                        "quad_max_residual", "potential_max_dev", "counts"}
+    assert list(rep) == ["n", "case", "masses", "moment_dist", "cdf_dist",
+                         "quad_max_residual", "quad_tol", "potential_max_dev",
+                         "counts", "gates", "pass"]
+    assert rep["n"] == 30
+    assert rep["quad_tol"] == 1e-6
+    assert list(rep["gates"]) == ["quadrature", "cdf", "potential", "unclassified",
+                                  "mass_split"]
+    assert rep["pass"] is all(rep["gates"].values())
     assert rep["counts"]["segment"] + rep["counts"]["loop"] \
         + rep["counts"]["other"] == 30
     assert rep["quad_max_residual"] < 1e-6
     # plain arrays work too (the CSV re-verification path)
     rep2 = report(p, zs.zeros)
     assert rep2["counts"] == rep["counts"]
+    # the tolerance defaults from n and can be overridden
+    assert report(p, fz.compute_zeros(p, 61))["quad_tol"] == 1e-4
+    strict = report(p, zs, tol_quad=1e-30)
+    assert strict["quad_tol"] == 1e-30
+    assert strict["gates"]["quadrature"] is False and strict["pass"] is False
+    # subcritical: no mass split gate
+    p1 = params_from(1.26, 0.0)
+    assert "mass_split" not in report(p1, fz.compute_zeros(p1, 20))["gates"]
