@@ -64,26 +64,37 @@ class ArcA:
 
 
 def arc_A(p: AirfoilParams, m: int = 257) -> ArcA:
-    """Sample the arc on a Chebyshev grid in sqrt(rho) (endpoint-resolving)."""
+    """Sample the arc on a Chebyshev grid in sqrt(rho) (endpoint-resolving).
+
+    The branches are ordered by continuity: anchored at rho = 1, where the
+    candidates are exactly +1/-1, each sample takes the candidate order whose
+    summed distance to the next sample's pair is smaller (an exact tie puts
+    the larger imaginary part on z_plus). Against the raw pair at i + 1, the
+    pair at i either keeps its order or crosses; against the swapped pair the
+    two sums trade places (float addition commutes). So the pair at i is
+    swapped iff the pair at i + 1 is, XOR the raw pairs cross, except where
+    the sums tie or are NaN, which decide alone: a suffix XOR that restarts
+    there reproduces the sample-by-sample walk exactly."""
     if m < 2:
         raise ValueError("need at least 2 samples")
     q = (1.0 - np.cos(np.pi * np.arange(m) / (m - 1))) / 2.0  # sqrt(rho) in [0,1]
     rho = q * q
     zp_raw, zm_raw = arc_candidates(p, rho)
-    zp = np.empty(m, complex)
-    zm = np.empty(m, complex)
-    # anchor at rho=1 where candidates are exactly +1/-1, then walk down by continuity
-    if abs(zp_raw[-1] - 1.0) <= abs(zm_raw[-1] - 1.0):
-        zp[-1], zm[-1] = zp_raw[-1], zm_raw[-1]
-    else:
-        zp[-1], zm[-1] = zm_raw[-1], zp_raw[-1]
-    for i in range(m - 2, -1, -1):
-        c1, c2 = zp_raw[i], zm_raw[i]
-        keep = abs(c1 - zp[i + 1]) + abs(c2 - zm[i + 1])
-        swap = abs(c2 - zp[i + 1]) + abs(c1 - zm[i + 1])
-        if swap < keep or (swap == keep and c2.imag > c1.imag):
-            c1, c2 = c2, c1
-        zp[i], zm[i] = c1, c2
+    c1, c2 = zp_raw[:-1], zm_raw[:-1]
+    a1, a2 = zp_raw[1:], zm_raw[1:]     # the raw pair above
+    keep = np.abs(c1 - a1) + np.abs(c2 - a2)
+    swap = np.abs(c2 - a1) + np.abs(c1 - a2)
+    restart = ~((swap < keep) | (keep < swap))
+    # e: the crossing flag, or the swap decided alone where the walk restarts
+    e = np.where(restart, (swap == keep) & (c2.imag > c1.imag), swap < keep)
+    e = np.append(e, not abs(zp_raw[-1] - 1.0) <= abs(zm_raw[-1] - 1.0))
+    restart = np.append(restart, True)
+    # swapped[i] = e[i] ^ ... ^ e[j], j the first restart at or after i
+    suffix = np.cumsum(e[::-1])[::-1]
+    nxt = np.minimum.accumulate(np.where(restart, np.arange(m), m)[::-1])[::-1]
+    swapped = ((suffix - np.append(suffix, 0)[nxt + 1]) & 1).astype(bool)
+    zp = np.where(swapped, zm_raw, zp_raw)
+    zm = np.where(swapped, zp_raw, zm_raw)
     real_b = p.is_real
     return ArcA(
         rho=rho, z_plus=zp, z_minus=zm,
@@ -221,7 +232,16 @@ def segment_points(p: AirfoilParams, m: int = 257) -> SegmentArc:
     return SegmentArc(us=us, samples=arc_z_of_u(p, us), u_lo=u_lo)
 
 
-_SEG_BLOCK = 32     # consecutive segments that share one bounding box
+_SEG_BLOCK = 16     # consecutive segments that share one bounding box
+_BLK_GROUP = 8      # consecutive blocks that share one bounding box
+_DENSE_BOUNDS = 4096  # up to this many (point, block) pairs every block is bounded
+
+
+def _box_dist(x, y, box):
+    """Distance from (x, y) to the boxes box = (xmin, xmax, ymin, ymax)."""
+    dx = np.maximum(np.maximum(box[0] - x, x - box[1]), 0.0)
+    dy = np.maximum(np.maximum(box[2] - y, y - box[3]), 0.0)
+    return np.hypot(dx, dy)
 
 
 def polyline_min_dist(z, pts: np.ndarray):
@@ -229,14 +249,18 @@ def polyline_min_dist(z, pts: np.ndarray):
     distance, with each point projected onto its nearest segment).
 
     The segments are cut into blocks of _SEG_BLOCK (the last one padded by
-    repeating the last segment). For each point, a block's bounding box
-    bounds its distance from below, and the nearest first vertex of a block
-    bounds the answer from above; the projection is evaluated only on the
-    blocks that are not farther than that, so no (points x segments) array is
-    built. Each evaluated segment goes through the same elementwise formula
+    repeating the last segment). A block's bounding box bounds its distance
+    from below, and the nearest first vertex of a block bounds the answer
+    from above; the projection is evaluated only on the blocks that are not
+    farther than that, so no (points x segments) array is built. Few points
+    bound every block. Many points bound groups of _BLK_GROUP blocks first
+    (the last group padded by repeating the last block), against the
+    nearest first vertex of a group, and then only the blocks of the groups
+    that are not farther, against the nearest first vertex among those
+    blocks. Each evaluated segment goes through the same elementwise formula
     as a dense evaluation, and for every point the kept blocks hold the
-    segment where that dense evaluation is smallest, so the result is bit
-    for bit the dense minimum.
+    segment where that dense evaluation is smallest (its block and group lie
+    within any upper bound), so the result is bit for bit the dense minimum.
     """
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
@@ -251,17 +275,31 @@ def polyline_min_dist(z, pts: np.ndarray):
     nblk = -(-len(seg) // _SEG_BLOCK)
     idx = np.minimum(np.arange(nblk * _SEG_BLOCK), len(seg) - 1).reshape(nblk, _SEG_BLOCK)
     verts = pts[np.concatenate([idx, idx[:, -1:] + 1], axis=1)]
+    box = np.stack([verts.real.min(axis=1), verts.real.max(axis=1),
+                    verts.imag.min(axis=1), verts.imag.max(axis=1)])
+    first = verts[:, 0]
     x, y = z.real[:, None], z.imag[:, None]
-    dx = np.maximum(np.maximum(verts.real.min(axis=1) - x, x - verts.real.max(axis=1)), 0.0)
-    dy = np.maximum(np.maximum(verts.imag.min(axis=1) - y, y - verts.imag.max(axis=1)), 0.0)
-    lower = np.hypot(dx, dy)
-    upper = np.min(np.abs(z[:, None] - verts[:, 0]), axis=1)
     # Slack for rounding: the box and vertex distances round differently (a
     # strict bound dropped every block for some points), and a computed
     # projection distance is off by a few ulps of the coordinates, not of
     # the distance. A NaN bound keeps every block, as the dense min is NaN.
-    slack = 1e-12 * (upper + np.abs(z) + np.max(np.abs(pts)))
-    ip, ib = np.nonzero(~(lower > (upper + slack)[:, None]))
+    size = np.abs(z) + np.max(np.abs(pts))
+    if len(z) * nblk <= _DENSE_BOUNDS:
+        upper = np.min(np.abs(z[:, None] - first), axis=1)
+        ip, ib = np.nonzero(~(_box_dist(x, y, box) > (upper + 1e-12 * (upper + size))[:, None]))
+    else:
+        ngrp = -(-nblk // _BLK_GROUP)
+        grp = np.minimum(np.arange(ngrp * _BLK_GROUP), nblk - 1).reshape(ngrp, _BLK_GROUP)
+        gbox = np.stack([box[0][grp].min(axis=1), box[1][grp].max(axis=1),
+                         box[2][grp].min(axis=1), box[3][grp].max(axis=1)])
+        upper = np.min(np.abs(z[:, None] - first[grp[:, 0]]), axis=1)
+        ip, ig = np.nonzero(~(_box_dist(x, y, gbox) > (upper + 1e-12 * (upper + size))[:, None]))
+        ib = grp[ig]
+        vd = np.min(np.abs(z[ip][:, None] - first[ib]), axis=1)
+        upper = np.minimum(upper, np.minimum.reduceat(vd, np.searchsorted(ip, np.arange(len(z)))))
+        lower = _box_dist(x[ip], y[ip], box[:, ib])
+        jp, jb = np.nonzero(~(lower > (upper + 1e-12 * (upper + size))[ip][:, None]))
+        ip, ib = ip[jp], ib[jp, jb]
     zk = z[ip][:, None]
     k = idx[ib]
     a, s = pts[k], seg[k]

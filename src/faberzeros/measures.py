@@ -369,13 +369,9 @@ def classify_zeros(p: AirfoilParams, zs: ZeroSet | np.ndarray,
         dloop = polyline_min_dist(zarr, loop_points(p, m).samples)
     else:
         dloop = np.full(len(zarr), np.inf)
-    labels = []
-    for ds, dl in zip(dseg, dloop):
-        if min(ds, dl) >= radius:
-            labels.append("other")
-        else:
-            labels.append("segment" if ds <= dl else "loop")
-    return labels
+    near = np.where(dloop < dseg, dloop, dseg)     # min(ds, dl), NaN as min() takes it
+    labels = np.where(dseg <= dloop, "segment", "loop")
+    return np.where(near >= radius, "other", labels).tolist()
 
 
 @functools.lru_cache(maxsize=4)

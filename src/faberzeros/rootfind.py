@@ -198,7 +198,7 @@ class SeedPlan:
     roots-of-unity images for loop zeros."""
 
     n: int
-    segment_brackets: np.ndarray  # (m, 2): arc points at the low/high u ends
+    segment_brackets: np.ndarray  # (m, 2): arc points at the low/high u ends (real b only)
     loop_seeds: np.ndarray        # J(b(1-omega_k)) for on-arc omega_k
     u_lo: float
     _ts: np.ndarray = field(repr=False, default=None)       # t-brackets, t = arccos u
@@ -206,7 +206,7 @@ class SeedPlan:
 
     @property
     def count(self) -> int:
-        return len(self.segment_brackets) + len(self.loop_seeds)
+        return len(self._ts) + len(self.loop_seeds)
 
 
 def _g_of_w(b, w):
@@ -215,7 +215,9 @@ def _g_of_w(b, w):
 
 def seed_plan(p: AirfoilParams, n: int) -> SeedPlan:
     """Chebyshev-style brackets on the zero-carrying arc piece plus unit-root
-    seeds on the loop-side circle arc (selected by |g(omega)| < 1)."""
+    seeds on the loop-side circle arc (selected by |g(omega)| < 1). Only a
+    real airfoil's segment solve bisects in z, so only there are the
+    t-brackets mapped to z-brackets; elsewhere segment_brackets is empty."""
     if n < 1:
         raise ValueError("n must be >= 1")
     u_lo = u_lower(p)
@@ -227,7 +229,7 @@ def seed_plan(p: AirfoilParams, n: int) -> SeedPlan:
     tlo, thi = tlo[keep], np.minimum(thi[keep], s_max)
     ts = np.stack([tlo, thi], axis=1)
     brackets = np.empty((0, 2), complex)
-    if len(ts):
+    if len(ts) and p.is_real:
         # one call for both ends: column 0 is the lower u end
         brackets = arc_z_of_u(p, np.cos(ts[:, ::-1]).ravel()).reshape(-1, 2)
     if intersection_ib(p) is not None:
@@ -271,19 +273,31 @@ def _newton_w(p: AirfoilParams, n: int, w, max_iter=100, cap=0.1, accept=1e-6):
 
 
 def _newton_z(p: AirfoilParams, n: int, z, max_iter=80, cap=0.05, accept=1e-6):
+    """Newton on the zero equation in z, each zero stopped on its own once its
+    step reaches the rounding floor: below 1e-15 (1 + |z|), or below
+    1e-12 (1 + |z|) without halving the previous step (near theta = pi/2 the
+    residual's own rounding keeps the step there)."""
     z = np.asarray(z, dtype=complex).copy()
     if not len(z):
         return z
+    active = np.arange(len(z))
+    prev = np.full(len(z), np.inf)
     for _ in range(max_iter):
-        r, dr = residual(p, n, z)
+        za = z[active]
+        r, dr = residual(p, n, za)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             dr = np.where(np.abs(dr) < 1e-300, 1e-300, dr)
             step = r / dr
             step = np.where(np.isfinite(step), step, cap)
             mag = np.abs(step)
             step = np.where(mag > cap, step * (cap / mag), step)
-        z = z - step
-        if np.max(np.abs(step)) < 1e-15 * np.max(1.0 + np.abs(z)):
+        za = za - step
+        z[active] = za
+        mag = np.abs(step)
+        scale = 1.0 + np.abs(za)
+        done = (mag < 1e-15 * scale) | ((mag < 1e-12 * scale) & (mag > 0.5 * prev))
+        active, prev = active[~done], mag[~done]
+        if not len(active):
             break
     if accept is None:
         return z
@@ -458,20 +472,25 @@ class CrossCheckReport:
 
 def cross_check(a: ZeroSet, b: ZeroSet, tol: float = 1e-6) -> CrossCheckReport:
     """Greedy nearest-pair matching of two zero sets; MismatchError when any
-    matched pair is farther than tol (message lists the offenders)."""
+    matched pair is farther than tol (message lists the offenders).
+
+    The pairs are taken in one stable sort of the distance matrix, skipping
+    used rows and columns: the first free pair in row-major order among the
+    closest, as repeated argmin scans would take them, in O(n^2 log n)."""
     if a.n != b.n:
         raise MismatchError(f"zero counts differ: {a.n} vs {b.n}")
     d = np.abs(a.zeros[:, None] - b.zeros[None, :])
     n = a.n
-    dists = np.empty(n)
+    row_used, col_used = [False] * n, [False] * n
     pairs = []
-    work = d.copy()
-    for _ in range(n):
-        i, j = np.unravel_index(np.argmin(work), work.shape)
-        dists[len(pairs)] = work[i, j]
-        pairs.append((i, j))
-        work[i, :] = np.inf
-        work[:, j] = np.inf
+    order = np.argsort(d, axis=None, kind="stable")
+    for i, j in zip((order // n).tolist(), (order % n).tolist()):
+        if not (row_used[i] or col_used[j]):
+            row_used[i] = col_used[j] = True
+            pairs.append((i, j))
+            if len(pairs) == n:
+                break
+    dists = np.array([d[i, j] for i, j in pairs])
     if np.max(dists) > tol:
         bad = [(complex(a.zeros[i]), complex(b.zeros[j]))
                for (i, j), dd in zip(pairs, dists) if dd > tol]

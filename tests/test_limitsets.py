@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 import faberzeros as fz
-from faberzeros.conformal import boundary_samples, params_from, phi_b_inverse, uvw
+from faberzeros import limitsets
+from faberzeros.conformal import (
+    arc_candidates, boundary_samples, params_from, phi_b_inverse, uvw,
+)
 from faberzeros.errors import CaseError
 from faberzeros.limitsets import (
     CaseTag, Region, arc_A, arc_z_of_u, cb_region, classify, intersection_ib,
@@ -75,6 +78,64 @@ def test_arc_endpoints_and_continuity():
         # chained branch selection leaves no jumps
         for track in (arc.z_plus, arc.z_minus):
             assert np.max(np.abs(np.diff(track))) < 0.1
+
+
+def sequential_arc_walk(zp_raw, zm_raw):
+    """The sample-by-sample continuity walk arc_A's scan must reproduce:
+    anchor at rho = 1, then at each sample keep or swap the candidate pair,
+    whichever is closer in summed distance to the pair above (an exact tie
+    puts the larger imaginary part first)."""
+    m = len(zp_raw)
+    zp = np.empty(m, complex)
+    zm = np.empty(m, complex)
+    if abs(zp_raw[-1] - 1.0) <= abs(zm_raw[-1] - 1.0):
+        zp[-1], zm[-1] = zp_raw[-1], zm_raw[-1]
+    else:
+        zp[-1], zm[-1] = zm_raw[-1], zp_raw[-1]
+    for i in range(m - 2, -1, -1):
+        c1, c2 = zp_raw[i], zm_raw[i]
+        keep = abs(c1 - zp[i + 1]) + abs(c2 - zm[i + 1])
+        swap = abs(c2 - zp[i + 1]) + abs(c1 - zm[i + 1])
+        if swap < keep or (swap == keep and c2.imag > c1.imag):
+            c1, c2 = c2, c1
+        zp[i], zm[i] = c1, c2
+    return zp, zm
+
+
+# the presets, near-degenerate, the circle component, critical, and steep
+WALK_AIRFOILS = [(1.26, 0.0), (2.1, 0.0), (2.1, 0.2), (1.45, 0.2), (1.001, 0.0),
+                 (12.0, 0.0), (1.5, 0.0), (3.0, 0.5), (7.6485, 1.4), (5.4, 1.09)]
+
+
+@pytest.mark.parametrize("R,theta", WALK_AIRFOILS)
+def test_arc_scan_matches_sequential_walk_bitwise(R, theta):
+    p = params_from(R, theta)
+    for m in (2, 3, 257, 1025):
+        arc = arc_A(p, m)
+        zp, zm = sequential_arc_walk(*arc_candidates(p, arc.rho))
+        assert np.array_equal(arc.z_plus, zp), m
+        assert np.array_equal(arc.z_minus, zm), m
+    if R == 12.0:
+        assert arc.has_circle_component
+
+
+def test_arc_scan_matches_sequential_walk_on_ties_and_nan(monkeypatch):
+    # candidates on a small integer lattice tie exactly in summed distance
+    # (the scan restarts there) and NaN sums decide "keep" alone; on the
+    # airfoils above a tie only comes where the two candidates coincide
+    rng = np.random.default_rng(3)
+    lattice = np.array([0, 1, -1, 1j, -1j, 1 + 1j, -1 - 1j, 2])
+    for trial in range(40):
+        m = int(rng.integers(2, 60))
+        zp_raw, zm_raw = rng.choice(lattice, m), rng.choice(lattice, m)
+        if trial % 4 == 0:
+            zm_raw[rng.integers(0, m)] = np.nan
+        monkeypatch.setattr(limitsets, "arc_candidates",
+                            lambda p, rho, c=(zp_raw, zm_raw): c)
+        arc = arc_A(params_from(2.1, 0.2), m)
+        zp, zm = sequential_arc_walk(zp_raw, zm_raw)
+        assert np.array_equal(arc.z_plus, zp, equal_nan=True), trial
+        assert np.array_equal(arc.z_minus, zm, equal_nan=True), trial
 
 
 def test_arc_samples_square_to_rho():
@@ -240,6 +301,10 @@ def test_polyline_min_dist_matches_dense_bitwise(R, theta):
     polylines = [segment_points(p, 2048).samples, boundary_samples(p, 1024)]
     if case.has_loop and case.tag is not CaseTag.CRITICAL:
         polylines.append(loop_points(p, 2048).samples)
+    # group boundaries (a group spans 8 blocks of 16 segments): 1 and 2
+    # segments, exactly one group (128 segments), a last group padded with
+    # 5 and with 1 repeated block (299 and 999 segments), exactly 16 groups
+    polylines += [segment_points(p, m).samples for m in (2, 3, 129, 300, 1000, 2049)]
     rng = np.random.default_rng(5)
     for n in (50, 300, 500):
         zs = fz.compute_zeros(p, n).zeros

@@ -390,6 +390,28 @@ def test_classify_zeros_mass_split():
     assert labels.count("other") == 0
 
 
+def test_classify_zeros_labels_follow_the_distance_rule():
+    # 'other' beyond 5/sqrt(n) of both polylines, else the closer one with
+    # ties to the segment, as min() and <= read it (a NaN zero is 'loop')
+    from faberzeros.limitsets import loop_points, polyline_min_dist, segment_points
+    for R, theta in PRESETS:
+        p = params_from(R, theta)
+        z = fz.compute_zeros(p, 120).zeros
+        z = np.concatenate([z, z[:20] + 0.4, [np.nan + 0j, 3.0 + 3.0j]])
+        labels = classify_zeros(p, z)
+        ds = polyline_min_dist(z, segment_points(p, 2048).samples)
+        if R * np.cos(theta) > 1.5:
+            dl = polyline_min_dist(z, loop_points(p, 2048).samples)
+        else:
+            dl = np.full(len(z), np.inf)
+        radius = 5.0 / np.sqrt(len(z))
+        want = ["other" if min(a, b) >= radius else "segment" if a <= b else "loop"
+                for a, b in zip(ds, dl)]
+        assert labels == want
+        assert all(type(lab) is str for lab in labels)
+        assert labels[-2:] == ["loop", "other"]
+
+
 def test_loop_fraction_matches_mass_with_sqrt_slack():
     # at n = 70 the near-loop count may miss the loop mass by O(sqrt n),
     # never more: |fraction - 0.6996| <= 2/sqrt(70)

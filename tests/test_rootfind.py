@@ -206,6 +206,64 @@ def test_cross_check_mismatch():
     with pytest.raises(MismatchError) as ei:
         cross_check(a, shifted, tol=1e-3)
     assert ei.value.unmatched
+    # tied distances: greedy matching takes the first closest pair in
+    # row-major order, (0, 0), which leaves 1 to pair with -0.5 at 1.5; the
+    # other tie, (0, 1), would have matched everything at 0.5
+    a = fz.ZeroSet(2, np.array([0.0, 1.0 + 0j]), np.zeros(2), Method.SEEDED)
+    b = fz.ZeroSet(2, np.array([0.5, -0.5 + 0j]), np.zeros(2), Method.SEEDED)
+    rep = cross_check(a, b, tol=2.0)
+    assert (rep.max_distance, rep.mean_distance) == (1.5, 1.0)
+    with pytest.raises(MismatchError) as ei:
+        cross_check(a, b, tol=1.0)
+    assert ei.value.unmatched == [(1 + 0j, -0.5 + 0j)]
+    assert str(ei.value) == "1 zero pair(s) farther than 1; worst 1.500e+00: (1+0j) vs (-0.5+0j)"
+    # a tie among three: each row takes its first free column
+    a = fz.ZeroSet(3, np.array([0j, 0j, 0j]), np.zeros(3), Method.SEEDED)
+    b = fz.ZeroSet(3, np.array([1, 1j, -1 + 0j]), np.zeros(3), Method.SEEDED)
+    assert cross_check(a, b, tol=1.0).max_distance == 1.0
+    c = fz.ZeroSet(3, np.array([1, 1j, -3 + 0j]), np.zeros(3), Method.SEEDED)
+    with pytest.raises(MismatchError) as ei:
+        cross_check(a, c, tol=1.0)
+    assert ei.value.unmatched == [(0j, -3 + 0j)]
+
+
+STEEP = [(5.428131, 1.09256, 292), (4.679281, 1.081578, 281)]
+
+
+def test_newton_z_stops_each_zero_at_the_rounding_floor(monkeypatch):
+    # the residual's rounding floor keeps the largest step near 1e-14 here,
+    # 2e-15 of 1 + |z|, so a stop on max |step| < 1e-15 max(1 + |z|) ran
+    # all 80 iterations (81 calls)
+    R, theta, n = STEEP[0]
+    p = params_from(R, theta)
+    ts = seed_plan(p, n)._ts
+    seeds = arc_z_of_u(p, np.cos(0.5 * (ts[:, 0] + ts[:, 1])))
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return residual(*args)
+
+    monkeypatch.setattr(rootfind, "residual", counted)
+    found = rootfind._newton_z(p, n, seeds)
+    assert len(calls) <= 15
+    assert len(found) == len(seeds)
+
+
+@pytest.mark.parametrize("R,theta,n", STEEP)
+def test_steep_zeros_within_512_ulp(R, theta, n):
+    p = params_from(R, theta)
+    zs = compute_zeros(p, n)
+    assert zs.n == n
+    assert _rel_ulp_ok(p, n, zs.zeros), (R, theta, n)
+
+
+def test_seed_plan_maps_z_brackets_only_on_real_airfoils():
+    for (R, theta), real in (((2.1, 0.2), False), ((1.45, 0.2), False),
+                             ((2.1, 0.0), True), ((1.26, 0.0), True)):
+        plan = seed_plan(params_from(R, theta), 90)
+        assert plan.count == len(plan._ts) + len(plan.loop_seeds)
+        assert plan.segment_brackets.shape == ((len(plan._ts) if real else 0), 2)
 
 
 def test_real_case_zeros_stay_real_high_degree():
