@@ -193,15 +193,27 @@ def phi_b_inverse(p: AirfoilParams, w):
 
 
 def arc_candidates_raw(b: complex, rho):
-    # both square-root branches of the limit-arc equation U(z)^2 = rho
+    # roots b(1 - rho) +- s of U(z)^2 = rho, continuous in rho: s = sqrt(rho) r
+    # with r = sqrt(c0) sqrt(X / c0) the root of X = 1 - b^2 (1 - rho) with
+    # r(1) = 1, c0 the point of [1 - b^2, 1] nearest 0. X / c0 stays in the
+    # right half-plane, so r is continuous and lies within 45 degrees of
+    # sqrt(c0): the principal sqrt(rho X) is negated where Re(s conj sqrt(c0))
+    # < 0. A real b keeps the principal root.
     rho = np.asarray(rho, dtype=float)
     s = np.sqrt(rho * (1.0 - b * b + b * b * rho) + 0j)
+    if b.imag:
+        b2 = b * b
+        t = min(max((b2.conjugate() * (b2 - 1.0)).real / abs(b2) ** 2, 0.0), 1.0)
+        h = cmath.sqrt(1.0 - b2 + t * b2)
+        np.negative(s, out=s, where=(s * h.conjugate()).real < 0.0)
     base = b * (1.0 - rho)
     return base + s, base - s
 
 
 def arc_candidates(p: AirfoilParams, rho):
-    """Candidate points of the limit arc at parameter rho in [0, 1] (both branches)."""
+    """The limit arc U(z)^2 = rho, rho in [0, 1], as two continuous branches
+    (z_plus, z_minus): both start at b (rho = 0), z_plus ends at +1 and
+    z_minus at -1 (rho = 1)."""
     return arc_candidates_raw(p.b, rho)
 
 

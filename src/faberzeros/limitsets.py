@@ -1,13 +1,15 @@
 """Predicted zero limit sets: the square-root arc, the critical circle, the
-intersection point, and the loop through -1.
+intersection point, and the loop.
 
 Parameter regimes split on R*cos(theta) at 3/2: below, every zero accumulates
-on the arc; above, a loop component through -1 appears and the arc only
-carries zeros between the intersection point i_b and the cusp.
+on the arc; above, a loop component appears and the arc only carries zeros
+between the intersection point i_b and the cusp. The loop is the image under
+J(b(1-w)) of the unit-circle arc where |g(w)| < 1, g(w) = 1 - 1/(b^2 (1-w)).
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 from dataclasses import dataclass
 
@@ -64,37 +66,13 @@ class ArcA:
 
 
 def arc_A(p: AirfoilParams, m: int = 257) -> ArcA:
-    """Sample the arc on a Chebyshev grid in sqrt(rho) (endpoint-resolving).
-
-    The branches are ordered by continuity: anchored at rho = 1, where the
-    candidates are exactly +1/-1, each sample takes the candidate order whose
-    summed distance to the next sample's pair is smaller (an exact tie puts
-    the larger imaginary part on z_plus). Against the raw pair at i + 1, the
-    pair at i either keeps its order or crosses; against the swapped pair the
-    two sums trade places (float addition commutes). So the pair at i is
-    swapped iff the pair at i + 1 is, XOR the raw pairs cross, except where
-    the sums tie or are NaN, which decide alone: a suffix XOR that restarts
-    there reproduces the sample-by-sample walk exactly."""
+    """Sample the arc on a Chebyshev grid in sqrt(rho) (endpoint-resolving),
+    each branch continuous in rho (see arc_candidates)."""
     if m < 2:
         raise ValueError("need at least 2 samples")
     q = (1.0 - np.cos(np.pi * np.arange(m) / (m - 1))) / 2.0  # sqrt(rho) in [0,1]
     rho = q * q
-    zp_raw, zm_raw = arc_candidates(p, rho)
-    c1, c2 = zp_raw[:-1], zm_raw[:-1]
-    a1, a2 = zp_raw[1:], zm_raw[1:]     # the raw pair above
-    keep = np.abs(c1 - a1) + np.abs(c2 - a2)
-    swap = np.abs(c2 - a1) + np.abs(c1 - a2)
-    restart = ~((swap < keep) | (keep < swap))
-    # e: the crossing flag, or the swap decided alone where the walk restarts
-    e = np.where(restart, (swap == keep) & (c2.imag > c1.imag), swap < keep)
-    e = np.append(e, not abs(zp_raw[-1] - 1.0) <= abs(zm_raw[-1] - 1.0))
-    restart = np.append(restart, True)
-    # swapped[i] = e[i] ^ ... ^ e[j], j the first restart at or after i
-    suffix = np.cumsum(e[::-1])[::-1]
-    nxt = np.minimum.accumulate(np.where(restart, np.arange(m), m)[::-1])[::-1]
-    swapped = ((suffix - np.append(suffix, 0)[nxt + 1]) & 1).astype(bool)
-    zp = np.where(swapped, zm_raw, zp_raw)
-    zm = np.where(swapped, zp_raw, zm_raw)
+    zp, zm = arc_candidates(p, rho)
     real_b = p.is_real
     return ArcA(
         rho=rho, z_plus=zp, z_minus=zm,
@@ -121,22 +99,44 @@ def intersection_ib(p: AirfoilParams):
     return complex(b + r * b * x)
 
 
+def loop_g(p: AirfoilParams, w):
+    """g(w) = 1 - 1/(b^2 (1 - w)): F_n(J(b(1-w))) = (-b/a)^n (w^n + g(w)^n - 1),
+    and the loop is the image of the unit-circle arc where |g| < 1."""
+    return 1.0 - 1.0 / (p.b * p.b * (1.0 - w))
+
+
+def _loop_arc(p: AirfoilParams, ib: complex):
+    """(c_plus, c_minus, start angle, span) of the loop arc: the unit-circle
+    arc between the two phi_b images of i_b on which |g| < 1 at its
+    midpoint, run ccw from c_plus to c_minus."""
+    v1 = phi_b(p, ib, Sheet.PLUS).value
+    v2 = phi_b(p, ib, Sheet.MINUS).value
+    for v in (v1, v2):
+        if abs(abs(v) - 1.0) > 1e-8:
+            raise BranchError(f"loop endpoint not unimodular: |v| = {abs(v)}")
+    th1, th2 = float(np.angle(v1)), float(np.angle(v2))
+    span12 = (th2 - th1) % (2 * np.pi)
+    if abs(loop_g(p, cmath.exp(1j * (th1 + span12 / 2)))) < 1.0:
+        return v1, v2, th1, span12
+    return v2, v1, th2, (th1 - th2) % (2 * np.pi)
+
+
 def u_lower(p: AirfoilParams) -> float:
-    """Lower end of the zero-carrying arc piece in the U coordinate:
-    Re U(i_b) above criticality, -1 otherwise."""
+    """Lower end of the zero-carrying arc piece in the U coordinate: -1 up to
+    criticality, above it |Re U(i_b)| (the same on both branches of sqrt(V)),
+    positive iff the loop spans more than pi (the masses add up to one)."""
     ib = intersection_ib(p)
-    if ib is None:
-        return -1.0
-    if classify(p).tag is CaseTag.CRITICAL:
+    if ib is None or classify(p).tag is CaseTag.CRITICAL:
         return -1.0
     u, _, _ = uvw(p, ib)
-    return float(np.real(u))
+    mag = abs(float(np.real(u)))
+    return mag if _loop_arc(p, ib)[3] > np.pi else -mag
 
 
 @dataclass(frozen=True)
 class LoopArc:
-    """Image of a unit-circle arc under J(b(1-w)): the loop component
-    through -1 ('plus') or its complement ('minus', figures only)."""
+    """Image under J(b(1-w)) of the unit-circle arc where |g(w)| < 1: the
+    loop component ('plus') or its complement ('minus', figures only)."""
 
     samples: np.ndarray
     corner: complex        # i_b; both loop ends approach it
@@ -147,8 +147,9 @@ class LoopArc:
 
 
 def loop_points(p: AirfoilParams, m: int = 257, which: str = "plus") -> LoopArc:
-    """Sample the loop. CaseError when subcritical (no loop exists); the
-    critical loop is degenerate: empty samples, corner -1."""
+    """Sample the loop, the image of the arc between the loop ends on which
+    |g| < 1 at its midpoint. CaseError when subcritical (no loop exists);
+    the critical loop is degenerate: empty samples, corner -1."""
     case = classify(p)
     if case.tag is CaseTag.SUBCRITICAL:
         raise CaseError("no loop component below criticality")
@@ -159,18 +160,7 @@ def loop_points(p: AirfoilParams, m: int = 257, which: str = "plus") -> LoopArc:
         return LoopArc(samples=np.empty(0, complex), corner=-1.0 + 0j,
                        c_plus=cp, c_minus=cp, span=0.0, which=which)
     ib = intersection_ib(p)
-    v1 = phi_b(p, ib, Sheet.PLUS).value
-    v2 = phi_b(p, ib, Sheet.MINUS).value
-    for v in (v1, v2):
-        if abs(abs(v) - 1.0) > 1e-8:
-            raise BranchError(f"loop endpoint not unimodular: |v| = {abs(v)}")
-    # c_plus is the endpoint whose ccw arc to the other one passes through -1
-    th1, th2 = float(np.angle(v1)), float(np.angle(v2))
-    span12 = (th2 - th1) % (2 * np.pi)
-    if (np.pi - th1) % (2 * np.pi) <= span12:
-        cp, cm, th, span = v1, v2, th1, span12
-    else:
-        cp, cm, th, span = v2, v1, th2, (th1 - th2) % (2 * np.pi)
+    cp, cm, th, span = _loop_arc(p, ib)
     if which == "minus":
         th = (th + span) % (2 * np.pi)
         span = 2 * np.pi - span
@@ -206,20 +196,12 @@ class SegmentArc:
 
 
 def arc_z_of_u(p: AirfoilParams, u):
-    """Invert U on the zero-carrying arc branch: the candidate of U^2 = u^2
-    whose U-value is u. Real supercritical airfoils make U two-to-one on
-    [-1,1] (both candidates carry U = +u), so exact ties go to the candidate
-    farther from c — the branch ending at the cusp, not the one trapped
-    inside the small circle around c."""
+    """Invert U on the zero-carrying arc piece: the branch z_plus(u^2) of
+    arc_candidates for u >= 0 and z_minus(u^2) for u < 0, so z runs
+    continuously from -1 (u = -1) through b (u = 0) to the cusp (u = 1)."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     zp, zm = arc_candidates(p, u * u)
-    up, _, _ = uvw(p, zp)
-    um, _, _ = uvw(p, zm)
-    dp = np.abs(up - u)
-    dm = np.abs(um - u)
-    tie = np.abs(dp - dm) <= 1e-9 * (1.0 + np.abs(u))
-    pick_p = np.where(tie, np.abs(zp - p.c) >= np.abs(zm - p.c), dp <= dm)
-    return np.where(pick_p, zp, zm)
+    return np.where(u >= 0.0, zp, zm)
 
 
 def segment_points(p: AirfoilParams, m: int = 257) -> SegmentArc:

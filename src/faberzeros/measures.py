@@ -2,7 +2,8 @@
 
 The predicted weak-star limit of the zero counting measures is the arcsine
 measure pulled back through U on the zero-carrying arc piece, plus (above
-criticality) the uniform angle measure pushed onto the loop through -1. The
+criticality) the uniform angle measure on the unit-circle arc where
+|g(w)| < 1, pushed onto the loop by J(b(1-w)). The
 equilibrium-measure moments double as an n-point quadrature exactness test:
 the zero set of the degree-n polynomial integrates z^k exactly for k <= n.
 

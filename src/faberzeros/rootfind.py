@@ -16,7 +16,9 @@ The simultaneous (Aberth) solver on the coefficients is the independent
 oracle, roots_simultaneous(faber_closed(p, n)), and the last fallback of the
 seeded solver. It dies of rounding around n ≈ 40 unless it escalates to
 mpmath via the provenance stored on PolyCoeffs, and it stops converging
-above n = 60.
+above n = 60. The fallback stays because at low degree and steep rotation
+the limit set is too far from the zeros for the seeds: it alone completes
+(R cos theta, theta) = (4, 1.48) at n = 6..24 and (8, 1.5) at n = 7..60.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .errors import ConvergenceError, DeficitError, MismatchError
 from .faber import (
     PolyCoeffs, faber_closed, faber_coeffs_mp, ipow, residual, scaled_residual,
 )
-from .limitsets import arc_z_of_u, intersection_ib, u_lower
+from .limitsets import arc_z_of_u, intersection_ib, loop_g, u_lower
 
 RESIDUAL_GATE = 1e-7      # ZeroSet guarantee on max scaled residual
 BACKWARD_GATE = 1e-10     # |p(root)| / (max|c| * max(1,|root|)^deg)
@@ -209,10 +211,6 @@ class SeedPlan:
         return len(self._ts) + len(self.loop_seeds)
 
 
-def _g_of_w(b, w):
-    return 1.0 - 1.0 / (b * b * (1.0 - w))
-
-
 def seed_plan(p: AirfoilParams, n: int) -> SeedPlan:
     """Chebyshev-style brackets on the zero-carrying arc piece plus unit-root
     seeds on the loop-side circle arc (selected by |g(omega)| < 1). Only a
@@ -235,7 +233,7 @@ def seed_plan(p: AirfoilParams, n: int) -> SeedPlan:
     if intersection_ib(p) is not None:
         om = np.exp(2j * np.pi * np.arange(n) / n)
         with np.errstate(divide="ignore", invalid="ignore"):
-            keep_om = np.abs(_g_of_w(p.b, om)) < 1.0 - 1e-12
+            keep_om = np.abs(loop_g(p, om)) < 1.0 - 1e-12
         om = om[keep_om]
     else:
         om = np.empty(0, complex)
@@ -254,7 +252,7 @@ def _newton_w(p: AirfoilParams, n: int, w, max_iter=100, cap=0.1, accept=1e-6):
         return w
     for _ in range(max_iter):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            g = _g_of_w(b, w)
+            g = loop_g(p, w)
             wn = ipow(w, n)
             gn = ipow(g, n)
             h = wn + gn - 1.0
@@ -267,7 +265,7 @@ def _newton_w(p: AirfoilParams, n: int, w, max_iter=100, cap=0.1, accept=1e-6):
         w = w - step
         if np.max(np.abs(step)) < 5e-16 * np.max(1.0 + np.abs(w)):
             break
-    g = _g_of_w(b, w)
+    g = loop_g(p, w)
     hfin = np.abs(ipow(w, n) + ipow(g, n) - 1.0)
     return w[hfin < accept]
 

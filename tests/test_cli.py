@@ -216,6 +216,24 @@ def test_plot_svg_sane(tmp_path):
     assert svg.count("<circle") >= 40
 
 
+def test_plot_frames_a_loop_shorter_than_half_the_circle(tmp_path):
+    # the loop arc where |g| < 1 is 0.28 of the circle here; its complement
+    # runs through the pole of J(b(1-w)) and would stretch the frame
+    out = tmp_path / "svg"
+    assert run(["plot", "--R", "1.674757", "--theta", "0.3", "--n", "100",
+                "--out", str(out)]) == 0
+    svg = (out / "plot_n100.svg").read_text()
+    x, y, w, h = [float(v) for v in
+                  re.search(r'viewBox="([-\d. ]+)"', svg).group(1).split()]
+    assert -4 <= x and -4 <= y and x + w <= 4 and y + h <= 4, (x, y, w, h)
+
+
+def test_verify_passes_where_the_loop_is_short(tmp_path, capsys):
+    assert run(["verify", "--R", "1.674757", "--theta", "0.3", "--n", "300",
+                "--out", str(tmp_path / "v")]) == 0
+    assert "VERIFY PASS" in capsys.readouterr().out
+
+
 def test_plot_reruns_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     run(["plot", "--paper-figure", "3", "--n", "25", "--out", str(a)])

