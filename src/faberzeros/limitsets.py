@@ -226,6 +226,38 @@ def _box_dist(x, y, box):
     return np.hypot(dx, dy)
 
 
+@dataclass(frozen=True)
+class _Polyline:
+    """A polyline cut into blocks of _SEG_BLOCK segments (the last one padded
+    by repeating the last segment), as polyline_min_dist searches it; built
+    once by _prepare_polyline for any number of _polyline_query calls."""
+
+    pts: np.ndarray
+    seg: np.ndarray         # pts[1:] - pts[:-1]
+    L2: np.ndarray          # |seg|^2, 1 where a segment has zero length
+    idx: np.ndarray         # (blocks, _SEG_BLOCK) segment indices
+    box: np.ndarray         # (4, blocks): xmin, xmax, ymin, ymax per block
+    first: np.ndarray       # first vertex of each block
+    reach: float            # max |pts|
+
+
+def _prepare_polyline(pts) -> _Polyline:
+    """Cut the polyline through pts into polyline_min_dist's blocks."""
+    pts = np.asarray(pts, dtype=complex)
+    if len(pts) == 1:                       # no segments: the query is |z - pts[0]|
+        none = np.empty(0)
+        return _Polyline(pts, none, none, none, none, none, 0.0)
+    seg = pts[1:] - pts[:-1]
+    L2 = np.abs(seg) ** 2
+    L2 = np.where(L2 > 0, L2, 1.0)
+    nblk = -(-len(seg) // _SEG_BLOCK)
+    idx = np.minimum(np.arange(nblk * _SEG_BLOCK), len(seg) - 1).reshape(nblk, _SEG_BLOCK)
+    verts = pts[np.concatenate([idx, idx[:, -1:] + 1], axis=1)]
+    box = np.stack([verts.real.min(axis=1), verts.real.max(axis=1),
+                    verts.imag.min(axis=1), verts.imag.max(axis=1)])
+    return _Polyline(pts, seg, L2, idx, box, verts[:, 0], float(np.max(np.abs(pts))))
+
+
 def polyline_min_dist(z, pts: np.ndarray):
     """Min distance from each z to the polyline through pts (true segment
     distance, with each point projected onto its nearest segment).
@@ -243,29 +275,28 @@ def polyline_min_dist(z, pts: np.ndarray):
     as a dense evaluation, and for every point the kept blocks hold the
     segment where that dense evaluation is smallest (its block and group lie
     within any upper bound), so the result is bit for bit the dense minimum.
+    Callers that query one polyline many times prepare it once with
+    _prepare_polyline and call _polyline_query.
     """
+    return _polyline_query(_prepare_polyline(pts), z)
+
+
+def _polyline_query(poly: _Polyline, z):
+    """polyline_min_dist(z, poly.pts) on a prepared polyline."""
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
-    pts = np.asarray(pts, dtype=complex)
+    pts, seg, L2, idx, box, first = poly.pts, poly.seg, poly.L2, poly.idx, poly.box, poly.first
     if len(pts) == 1:
         d = np.abs(z - pts[0])
         return float(d[0]) if scalar else d
-    seg = pts[1:] - pts[:-1]
-    L2 = np.abs(seg) ** 2
-    L2 = np.where(L2 > 0, L2, 1.0)
-    nblk = -(-len(seg) // _SEG_BLOCK)
-    idx = np.minimum(np.arange(nblk * _SEG_BLOCK), len(seg) - 1).reshape(nblk, _SEG_BLOCK)
-    verts = pts[np.concatenate([idx, idx[:, -1:] + 1], axis=1)]
-    box = np.stack([verts.real.min(axis=1), verts.real.max(axis=1),
-                    verts.imag.min(axis=1), verts.imag.max(axis=1)])
-    first = verts[:, 0]
+    nblk = len(idx)
     x, y = z.real[:, None], z.imag[:, None]
     # Slack for rounding: the box and vertex distances round differently (a
     # strict bound dropped every block for some points), and a computed
     # projection distance is off by a few ulps of the coordinates, not of
     # the distance. A NaN bound keeps every block, as the dense min is NaN.
-    size = np.abs(z) + np.max(np.abs(pts))
+    size = np.abs(z) + poly.reach
     if len(z) * nblk <= _DENSE_BOUNDS:
         upper = np.min(np.abs(z[:, None] - first), axis=1)
         ip, ib = np.nonzero(~(_box_dist(x, y, box) > (upper + 1e-12 * (upper + size))[:, None]))

@@ -26,12 +26,13 @@ import mpmath as mp
 import numpy as np
 
 from .conformal import (
-    AirfoilParams, boundary_samples, phi, phi_b_inverse, psi, uvw, uvw4,
+    AirfoilParams, arc_candidates, boundary_samples, phi, phi_b_inverse, psi,
+    uvw, uvw4,
 )
 from .errors import DomainError, ParameterError
 from .limitsets import (
-    CaseClass, CaseTag, arc_z_of_u, classify, loop_points, polyline_min_dist,
-    segment_points, u_lower,
+    CaseClass, CaseTag, _polyline_query, _prepare_polyline, arc_z_of_u,
+    classify, loop_points, polyline_min_dist, segment_points, u_lower,
 )
 from .rootfind import ZeroSet
 
@@ -375,11 +376,52 @@ def classify_zeros(p: AirfoilParams, zs: ZeroSet | np.ndarray,
     return np.where(near >= radius, "other", labels).tolist()
 
 
+def _legendre_and_slope(n: int, theta: np.ndarray):
+    """P_n(cos theta) and dP_n/dtheta by the three-term recurrence, in
+    Reinsch's difference form: with D_j = P_j - P_(j-1) and x - 1 =
+    -2 sin^2(theta/2) taken from theta, not from the rounded x,
+
+        (j+1) D_(j+1) = (2j+1) (x-1) P_j + j D_j,   P_(j+1) = P_j + D_(j+1),
+
+    which stays accurate near x = 1, where the plain recurrence loses the
+    digits of 1 - x. dP_n/dtheta = n (x P_n - P_(n-1)) / sin theta."""
+    xm1 = -2.0 * np.sin(theta / 2) ** 2
+    d = xm1.copy()
+    p = 1.0 + xm1
+    t = np.empty_like(p)
+    for j in range(1, n):
+        np.multiply(xm1, p, out=t)
+        t *= (2 * j + 1) / (j + 1)
+        d *= j / (j + 1)
+        d += t
+        p += d
+    return p, n * (xm1 * p + d) / np.sin(theta)
+
+
 @functools.lru_cache(maxsize=4)
 def _gauss_legendre(n_gl: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], built once per order
-    (about 15 ms at 512 points)."""
-    x, w = np.polynomial.legendre.leggauss(n_gl)
+    """Gauss-Legendre nodes and weights on [-1, 1], ascending, built once per
+    order in O(n_gl) memory (Newton on the Legendre recurrence in the angle,
+    as in Hale and Townsend, SIAM J. Sci. Comput. 35, 2013).
+
+    The ceil(n_gl/2) nodes x = cos theta >= 0 start from Tricomi's
+    asymptotic angles, close enough that three Newton passes reach the
+    rounding floor (a fourth step is below 4e-16 at every order up to
+    2,100); a fourth evaluation gives the weights 2 / (dP_n/dtheta)^2. The
+    other half is the mirror image, and an odd order's middle node is 0."""
+    k = np.arange(1, (n_gl + 1) // 2 + 1)
+    theta = np.arccos((1.0 - (n_gl - 1) / (8.0 * n_gl ** 3))
+                      * np.cos(np.pi * (4 * k - 1) / (4 * n_gl + 2)))
+    for _ in range(3):
+        p, slope = _legendre_and_slope(n_gl, theta)
+        theta -= p / slope
+    _, slope = _legendre_and_slope(n_gl, theta)
+    x, w = np.cos(theta), 2.0 / slope ** 2     # x descending to the middle
+    odd = n_gl % 2
+    if odd:
+        x[-1] = 0.0
+    x = np.concatenate([-x, x[::-1][odd:]])
+    w = np.concatenate([w, w[::-1][odd:]])
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -422,7 +464,7 @@ def weak_star_distance(p: AirfoilParams, zs: ZeroSet | np.ndarray,
                        k_max: int = 20, n_gl: int = 512,
                        labels: list[str] | None = None) -> WeakStarDistances:
     """Two weak-star proxies: max moment gap for k <= k_max, and the KS
-    distance of Re U(segment zeros) against the arcsine law conditioned to
+    distance of U(segment zeros) against the arcsine law conditioned to
     [u_lo, 1] (all zeros and the full arcsine below criticality). labels,
     if given, are classify_zeros(p, zs), already computed."""
     zarr = _zeros_of(zs)
@@ -441,8 +483,14 @@ def weak_star_distance(p: AirfoilParams, zs: ZeroSet | np.ndarray,
         sel = zarr
     if len(sel) == 0:
         return WeakStarDistances(moment_dist=md, cdf_dist=1.0)
+    # u on the branch of the arc, not of sqrt(V), whose cut can cross the
+    # arc at steep theta: |Re U|, negative where the zero lies nearer
+    # z_minus(u^2) than z_plus(u^2) (see arc_z_of_u)
     u, _, _ = uvw(p, sel)
-    u = np.clip(np.real(u), -1.0, 1.0)
+    u = np.abs(np.real(u))
+    zp, zm = arc_candidates(p, u * u)
+    u = np.where(np.abs(sel - zp) <= np.abs(sel - zm), u, -u)
+    u = np.clip(u, -1.0, 1.0)
     lo = np.arcsin(np.clip(u_lo, -1.0, 1.0))
     g = (np.arcsin(u) - lo) / (np.pi / 2 - lo)
     g = np.sort(np.clip(g, 0.0, 1.0))
@@ -452,13 +500,22 @@ def weak_star_distance(p: AirfoilParams, zs: ZeroSet | np.ndarray,
     return WeakStarDistances(moment_dist=md, cdf_dist=ks)
 
 
+def _boundary_polyline(p: AirfoilParams):
+    """The 1024-point boundary, prepared for repeated distance queries."""
+    return _prepare_polyline(boundary_samples(p, 1024))
+
+
 def default_test_points(p: AirfoilParams, count: int = 8,
                         margin: float = 0.2) -> np.ndarray:
     """Exterior probe ring: psi(r_k e^{i theta_k}), each radius starting at
     1.05 and grown by 6 % until the boundary clearance reaches 1.02 margin
     (or r reaches 50). All directions still growing are measured in one
-    polyline_min_dist call per step."""
-    boundary = boundary_samples(p, 1024)
+    distance query per step."""
+    return _probe_ring(p, _boundary_polyline(p), count, margin)
+
+
+def _probe_ring(p: AirfoilParams, boundary, count: int, margin: float) -> np.ndarray:
+    """default_test_points against an already prepared boundary."""
     # one direction at a time: the array form of this complex arithmetic
     # rounds differently when count is not a power of two
     w0 = np.array([np.exp(2j * np.pi * (k + 0.5) / count) for k in range(count)])
@@ -466,7 +523,7 @@ def default_test_points(p: AirfoilParams, count: int = 8,
     z = psi(p, r * w0)
     grow = np.arange(count)
     while True:
-        near = polyline_min_dist(z[grow], boundary) < margin * 1.02
+        near = _polyline_query(boundary, z[grow]) < margin * 1.02
         grow = grow[near & (r[grow] < 50.0)]
         if not len(grow):
             return z
@@ -479,11 +536,11 @@ def potential_check(p: AirfoilParams, zs: ZeroSet | np.ndarray, points=None,
     """| (1/n) sum log|z - z_j| - log(capacity) - log|Phi(z)| | at exterior
     points; DomainError if any point is closer than margin to the boundary."""
     zarr = _zeros_of(zs)
+    boundary = _boundary_polyline(p)
     if points is None:
-        points = default_test_points(p, margin=margin)
+        points = _probe_ring(p, boundary, 8, margin)
     points = np.atleast_1d(np.asarray(points, dtype=complex))
-    boundary = boundary_samples(p, 1024)
-    d = polyline_min_dist(points, boundary)
+    d = _polyline_query(boundary, points)
     if np.any(d < margin - 1e-9):
         raise DomainError(
             f"test point too close to the boundary (clearance {np.min(d):.3f} "

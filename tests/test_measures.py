@@ -80,6 +80,28 @@ def test_equilibrium_moments_match_trapezoid():
         assert np.all(gap <= 8 * 2.0 ** -52 * rho ** k), (R, theta)
 
 
+def exact_moments(b, k_max):
+    """m_1..m_kmax of the closed form 2^-k sum_j C(k, j) b^(k-2j), each part
+    correctly rounded. b = B / 2^s exactly, B a Gaussian integer, so
+    2^(k(s+1)) m_k = B^(k mod 2) sum_j C(k, j) X^(k//2 - j) 4^(sj) with
+    X = B^2, summed exactly by Horner in X on Python integers."""
+    (nr, dr), (ni, di) = b.real.as_integer_ratio(), b.imag.as_integer_ratio()
+    s = max(dr, di).bit_length() - 1
+    br, bi = nr << (s - dr.bit_length() + 1), ni << (s - di.bit_length() + 1)
+    xr, xi = br * br - bi * bi, 2 * br * bi
+    out = np.empty(k_max, dtype=complex)
+    for k in range(1, k_max + 1):
+        gr, gi, c = 1, 0, 1
+        for j in range(1, k // 2 + 1):
+            c = c * (k - j + 1) // j                  # C(k, j)
+            gr, gi = gr * xr - gi * xi + (c << 2 * s * j), gr * xi + gi * xr
+        if k % 2:
+            gr, gi = gr * br - gi * bi, gr * bi + gi * br
+        den = 1 << k * (s + 1)
+        out[k - 1] = complex(gr / den, gi / den)     # int / int rounds correctly
+    return out
+
+
 def test_equilibrium_moments_within_two_ulp():
     # every moment up to k = 500 is the correctly rounded closed form to
     # within 2 ulp of max(1, |m_k|): near-degenerate b (R = 1.01), a large
@@ -87,7 +109,7 @@ def test_equilibrium_moments_within_two_ulp():
     for R, theta in PRESETS + [(1.01, 0.0), (3.0, 0.5), (7.6485, 1.4)]:
         p = params_from(R, theta)
         mv = equilibrium_moments(p, 500)
-        want = np.array([closed_moment_mp(p.b, k, dps=200) for k in range(1, 501)])
+        want = exact_moments(p.b, 500)
         assert np.all(np.isfinite(want))
         ulp = np.spacing(np.maximum(1.0, np.abs(want)))
         assert np.max(np.abs(mv.values - want) / ulp) <= 2.0, (R, theta)
@@ -376,6 +398,52 @@ def test_predicted_densities_integrate_to_masses():
         assert np.sum(mid * dz) == pytest.approx(pr.mass_loop, abs=5e-4)
 
 
+def mpmath_gauss_legendre_node(n, i, dps=40):
+    """Node i (ascending) of the n-point Gauss-Legendre rule and its weight,
+    by Newton in mpmath on the plain recurrence, from Tricomi's angle of the
+    (n - i)-th largest root."""
+    k = n - i
+    with mp.workdps(dps):
+        x = mp.cos(mp.pi * (4 * k - 1) / (4 * n + 2))
+        for _ in range(6):
+            p0, p1 = mp.mpf(1), x
+            for j in range(1, n):
+                p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+            dp = n * (x * p1 - p0) / (x * x - 1)
+            x -= p1 / dp
+        return x, 2 / ((1 - x * x) * dp * dp)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 20, 512])
+def test_gauss_legendre_matches_mpmath(n):
+    x, w = measures._gauss_legendre(n)
+    assert not x.flags.writeable and not w.flags.writeable
+    assert len(x) == len(w) == n and np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    # every node of the small rules; at n = 512 the 8 at each end, where the
+    # weights are smallest and 1 - x loses digits, and the 8 in the middle
+    idx = range(n) if n <= 20 else [*range(8), *range(252, 260), *range(504, 512)]
+    for i in idx:
+        xr, wr = mpmath_gauss_legendre_node(n, i)
+        assert abs(x[i] - xr) <= 2e-16, (n, i)
+        assert abs(w[i] / wr - 1) <= 1e-13, (n, i)
+    assert abs(math.fsum(w) - 2.0) <= 4 * np.spacing(2.0)
+
+
+def test_gauss_legendre_memory_is_linear():
+    # 2,048 nodes: arrays of 1,024 angles, never a 2,048 x 2,048 matrix
+    # (33.5 MB); the rule the exterior-potential check would need
+    tracemalloc.start()
+    try:
+        x, w = measures._gauss_legendre.__wrapped__(2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    assert abs(math.fsum(w) - 2.0) < 1e-13
+    assert np.array_equal(x, -x[::-1]) and np.all(np.diff(x) > 0)
+
+
 def test_predicted_moments_equal_equilibrium_moments():
     # the limit measure keeps every moment of the equilibrium measure: the
     # n-point quadrature identity survives n -> infinity for each fixed k
@@ -444,6 +512,16 @@ def test_weak_star_distance_shrinks():
     assert w100.cdf_dist < w25.cdf_dist
     assert w100.cdf_dist < 0.05
     assert w100.moment_dist < 1e-9
+
+
+@pytest.mark.parametrize("rc,theta", [(1.8, 1.5), (8.0, 1.3), (4.0, -1.4)])
+def test_cdf_reads_u_on_the_arc_branch(rc, theta):
+    # at these steep rotations the cut of sqrt(V) crosses the zero-carrying
+    # piece, so Re U of a zero there has the wrong sign; the distance reads
+    # 0.40-0.49 with it and below 0.01 with u signed by the nearer branch
+    p = params_from(rc / np.cos(theta), theta)
+    wsd = weak_star_distance(p, fz.compute_zeros(p, 300))
+    assert wsd.cdf_dist < 0.01 < measures.CDF_GATE, wsd.cdf_dist
 
 
 def test_potential_check_small_and_guarded():
