@@ -15,9 +15,8 @@ from .faber import (
     faber_oracle, faber_shifted, horner, residual, scaled_residual,
 )
 from .limitsets import (
-    ArcA, CaseClass, CaseTag, LoopArc, Region, SegmentArc, arc_A, arc_z_of_u,
-    cb_region, classify, intersection_ib, loop_points, polyline_min_dist,
-    segment_points, u_lower,
+    ArcA, CaseClass, CaseTag, LoopArc, SegmentArc, arc_A, arc_z_of_u, classify,
+    intersection_ib, loop_points, polyline_min_dist, segment_points, u_lower,
 )
 from .measures import (
     MomentVector, PredictedMeasure, WeakStarDistances,
@@ -38,11 +37,10 @@ __all__ = [
     "CaseError", "CaseTag", "ConvergenceError", "CrossCheckReport",
     "DeficitError", "DomainError", "FaberError",
     "FaberEvaluator", "LoopArc", "Method", "MismatchError", "MomentVector",
-    "ParameterError", "PolyCoeffs", "PoleError", "PredictedMeasure", "Region",
+    "ParameterError", "PolyCoeffs", "PoleError", "PredictedMeasure",
     "ResolutionError", "SeedPlan", "SegmentArc", "Sheet", "SingularityError",
     "WeakStarDistances", "ZeroSet", "arc_A", "arc_candidates", "arc_z_of_u",
-    "boundary_samples", "cb_region", "chebyshev_T", "classify",
-    "classify_zeros", "closed_moment_mp", "compute_zeros", "cross_check",
+    "boundary_samples", "chebyshev_T", "classify", "classify_zeros", "closed_moment_mp", "compute_zeros", "cross_check",
     "default_test_points", "equilibrium_moments", "faber_closed",
     "faber_coeffs_mp", "faber_oracle", "faber_shifted", "horner",
     "intersection_ib", "loop_points", "params_from", "phi", "phi_b",

@@ -120,18 +120,6 @@ class PolyCoeffs:
     def __call__(self, z):
         return horner(self.coeffs, z)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "re": [float(c.real) for c in self.coeffs],
-            "im": [float(c.imag) for c in self.coeffs],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PolyCoeffs":
-        co = np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
-        return cls(degree=int(d["degree"]), coeffs=co)
-
 
 def horner(coeffs, z):
     coeffs = np.asarray(coeffs, dtype=complex)

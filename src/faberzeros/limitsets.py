@@ -171,21 +171,6 @@ def loop_points(p: AirfoilParams, m: int = 257, which: str = "plus") -> LoopArc:
                    c_minus=complex(cm), span=float(span), which=which)
 
 
-class Region(enum.Enum):
-    INSIDE = "inside"
-    ON = "on"
-    OUTSIDE = "outside"
-
-
-def cb_region(p: AirfoilParams, z, tol: float = 1e-12) -> Region:
-    """Position of z relative to the circle |z - c| = |b|/2 (equivalently
-    |V(z)| = |b|^2; the two read identically since |V| = 2|b| |z-c|)."""
-    d = abs(complex(z) - p.c) - abs(p.b) / 2.0
-    if abs(d) <= tol:
-        return Region.ON
-    return Region.INSIDE if d < 0 else Region.OUTSIDE
-
-
 @dataclass(frozen=True)
 class SegmentArc:
     """Zero-carrying piece of the arc: U in [u_lo, 1], sampled at us."""

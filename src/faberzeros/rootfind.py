@@ -8,17 +8,19 @@ in z on its sign, one residual evaluation per step; otherwise Newton starts
 from the arc point of each bracket's middle angle. Loop zeros come from a
 unit-circle Newton in the w-plane on the exact pullback
 F_n(J(b(1-w))) = (-b/a)^n (w^n + g(w)^n - 1), g(w) = 1 - 1/(b^2 (1-w)).
-A double-precision Newton pass tightens every zero, and Newton in mpmath on
-the closed form finishes the few that double precision cannot pin down (near
-theta = pi/2 its floor is about 1e-13).
+The zeros these seeds miss (near the loop corners, just above criticality,
+and at low degree and steep rotation, where the limit set is far from the
+zeros) come from Aberth's iteration on the branch-free closed form with the
+found zeros held fixed (Maehly's implicit deflation). A double-precision
+Newton pass tightens every zero, and Newton in mpmath on the closed form
+finishes the few that double precision cannot pin down (near theta = pi/2
+its floor is about 1e-13).
 
-The simultaneous (Aberth) solver on the coefficients is the independent
-oracle, roots_simultaneous(faber_closed(p, n)), and the last fallback of the
-seeded solver. It dies of rounding around n ≈ 40 unless it escalates to
-mpmath via the provenance stored on PolyCoeffs, and it stops converging
-above n = 60. The fallback stays because at low degree and steep rotation
-the limit set is too far from the zeros for the seeds: it alone completes
-(R cos theta, theta) = (4, 1.48) at n = 6..24 and (8, 1.5) at n = 7..60.
+The simultaneous (Aberth) solver on the coefficients,
+roots_simultaneous(faber_closed(p, n)), is kept as an independent oracle for
+the tests and is never called by the seeded solver. It dies of rounding
+around n = 40 unless it escalates to mpmath via the provenance stored on
+PolyCoeffs, and it stops converging above n = 60.
 """
 
 from __future__ import annotations
@@ -33,9 +35,7 @@ import numpy as np
 
 from .conformal import AirfoilParams, phi_b_inverse
 from .errors import ConvergenceError, DeficitError, MismatchError
-from .faber import (
-    PolyCoeffs, faber_closed, faber_coeffs_mp, ipow, residual, scaled_residual,
-)
+from .faber import faber_coeffs_mp, ipow, residual, scaled_residual
 from .limitsets import arc_z_of_u, intersection_ib, loop_g, u_lower
 
 RESIDUAL_GATE = 1e-7      # ZeroSet guarantee on max scaled residual
@@ -153,10 +153,11 @@ def _backward_residuals(co, z):
     return np.abs(p) / scale
 
 
-def roots_simultaneous(poly: PolyCoeffs, max_iter: int = 120) -> ZeroSet:
-    """All roots by Aberth iteration on the coefficients, with an mpmath
-    recompute-and-polish fallback when the polynomial knows its provenance.
-    ConvergenceError (with .partial) if the residual gates can't be met."""
+def roots_simultaneous(poly, max_iter: int = 120) -> ZeroSet:
+    """All roots of poly, a faber.PolyCoeffs, by Aberth iteration on the
+    coefficients, with an mpmath recompute-and-polish fallback when the
+    polynomial knows its provenance. ConvergenceError (with .partial) if the
+    residual gates can't be met."""
     deg = poly.degree
     if deg < 1:
         raise ValueError("need degree >= 1")
@@ -244,9 +245,10 @@ def seed_plan(p: AirfoilParams, n: int) -> SeedPlan:
     )
 
 
-def _newton_w(p: AirfoilParams, n: int, w, max_iter=100, cap=0.1, accept=1e-6):
-    """Newton on h(w) = w^n + g(w)^n - 1 on/near the unit circle."""
-    b = p.b
+def _newton_w(p: AirfoilParams, n: int, w, max_iter=100):
+    """Newton on h(w) = w^n + g(w)^n - 1 on/near the unit circle, each step
+    capped at 0.1; the w with |h(w)| below 1e-6 are returned."""
+    b, cap = p.b, 0.1
     w = np.asarray(w, dtype=complex).copy()
     if not len(w):
         return w
@@ -267,14 +269,21 @@ def _newton_w(p: AirfoilParams, n: int, w, max_iter=100, cap=0.1, accept=1e-6):
             break
     g = loop_g(p, w)
     hfin = np.abs(ipow(w, n) + ipow(g, n) - 1.0)
-    return w[hfin < accept]
+    return w[hfin < 1e-6]
+
+
+def _at_floor(step, z, prev):
+    """(|step|, whether each zero has reached the rounding floor): its step is
+    below 1e-15 (1 + |z|), or below 1e-12 (1 + |z|) without halving prev."""
+    mag = np.abs(step)
+    scale = 1.0 + np.abs(z)
+    return mag, (mag < 1e-15 * scale) | ((mag < 1e-12 * scale) & (mag > 0.5 * prev))
 
 
 def _newton_z(p: AirfoilParams, n: int, z, max_iter=80, cap=0.05, accept=1e-6):
     """Newton on the zero equation in z, each zero stopped on its own once its
-    step reaches the rounding floor: below 1e-15 (1 + |z|), or below
-    1e-12 (1 + |z|) without halving the previous step (near theta = pi/2 the
-    residual's own rounding keeps the step there)."""
+    step reaches the rounding floor (_at_floor; near theta = pi/2 the
+    residual's own rounding keeps the step above 1e-15 (1 + |z|))."""
     z = np.asarray(z, dtype=complex).copy()
     if not len(z):
         return z
@@ -291,9 +300,7 @@ def _newton_z(p: AirfoilParams, n: int, z, max_iter=80, cap=0.05, accept=1e-6):
             step = np.where(mag > cap, step * (cap / mag), step)
         za = za - step
         z[active] = za
-        mag = np.abs(step)
-        scale = 1.0 + np.abs(za)
-        done = (mag < 1e-15 * scale) | ((mag < 1e-12 * scale) & (mag > 0.5 * prev))
+        mag, done = _at_floor(step, za, prev)
         active, prev = active[~done], mag[~done]
         if not len(active):
             break
@@ -395,10 +402,56 @@ def _polish_mp(p: AirfoilParams, n: int, z):
     return out
 
 
+def _deflate(p: AirfoilParams, n: int, found):
+    """The m = n - len(found) zeros the seeds missed, by Aberth's iteration
+    z <- z - N / (1 - N S) on them alone, S summing 1/(z - z_j) over the other
+    missing and the found zeros, which stay fixed (Maehly's implicit
+    deflation). N = f/f' for f = (w+s)^n + (w-s)^n - (-b)^n = a^n F_n,
+    w = z - b, s = sqrt(z-1) sqrt(z+1), single-valued in z where residual's
+    V^(-n/2) jumps across the cut of sqrt(V); each term is divided by the n-th
+    power of the largest of |w+s|, |w-s|, |b|, so none overflows. The start
+    is a circle at an irrational angular offset around the missing zeros'
+    centroid (n b/2 - sum(found)) / m, through the farthest found zero and no
+    smaller than the capacity. Each zero stops on its own (_at_floor); those
+    with scaled residual below 1e-6 are returned, real ones on the axis."""
+    m = n - len(found)
+    c0 = (0.5 * n * p.b - np.sum(found)) / m
+    r0 = np.max(np.abs(found - c0), initial=p.capacity)
+    pts = np.concatenate([c0 + r0 * np.exp(2j * np.pi * (np.arange(m) + 0.26183) / m),
+                          found])
+    active = np.arange(m)
+    prev = np.full(m, np.inf)
+    for _ in range(200):
+        z = pts[active]
+        s = np.sqrt(z - 1.0) * np.sqrt(z + 1.0)
+        xp, xm = z - p.b + s, z - p.b - s
+        with np.errstate(divide="ignore", invalid="ignore"):
+            top = np.maximum(np.maximum(np.abs(xp), np.abs(xm)), abs(p.b))
+            tp, tm = ipow(xp / top, n), ipow(xm / top, n)
+            f = tp + tm - ipow(-p.b / top, n)
+            newton = f * s / (n * (tp / xp * (s + z) + tm / xm * (s - z)))
+            diff = z[:, None] - pts[None, :]
+            diff[np.arange(len(active)), active] = np.inf
+            step = newton / (1.0 - newton * np.sum(1.0 / diff, axis=1))
+        step = np.where(np.isfinite(step), step, 0.0)
+        z = z - step
+        pts[active] = z
+        mag, done = _at_floor(step, z, prev)
+        active, prev = active[~done], mag[~done]
+        if not len(active):
+            break
+    z = pts[:m]
+    if p.is_real:
+        # zeros come in conjugate pairs, and a pair this close to the axis
+        # would be one zero to _dedup: such a zero is real
+        z = np.where(np.abs(z.imag) < 0.5 * DISTINCT_TOL, z.real + 0j, z)
+    return z[np.atleast_1d(scaled_residual(p, n, z)) < 1e-6]
+
+
 def roots_seeded(p: AirfoilParams, n: int) -> ZeroSet:
-    """Coefficient-free zero finder: all n zeros from the seed plan, with a
-    mop-up ring near the loop corners and a simultaneous-method merge as the
-    last fallback. Every zero is then tightened in double and, where its
+    """Coefficient-free zero finder: all n zeros from the seed plan, and the
+    ones the seeds miss by Aberth's iteration with the found zeros held fixed
+    (_deflate). Every zero is then tightened in double and, where its
     forward-error bound stays above POLISH_GATE, polished in mpmath.
     DeficitError when the count isn't n."""
     if n < 1:
@@ -418,36 +471,9 @@ def roots_seeded(p: AirfoilParams, n: int) -> ZeroSet:
     zs = _dedup(np.concatenate(found) if found else np.empty(0, complex))
     if len(zs) < n:
         # an arc zero Newton left loose can lie farther than DISTINCT_TOL
-        # from the same zero found again below: tighten before searching on
+        # from the same zero found again: tighten before counting the missing
         zs = _dedup(_tighten(p, n, zs)[0])
-
-    if len(zs) < n and intersection_ib(p) is not None:
-        # corners eat a few seeds; re-launch from small rings around c_±
-        ib = intersection_ib(p)
-        sq = np.sqrt(complex(ib) ** 2 - 1.0)
-        corners = [(p.b - ib - sq) / p.b, (p.b - ib + sq) / p.b]
-        angles = np.exp(2j * np.pi * np.arange(12) / 12)
-        for rad in (0.3 / n, 1.0 / n, 3.0 / n, 0.3 / np.sqrt(n)):
-            if len(zs) >= n:
-                break
-            seeds = np.concatenate([c + rad * angles for c in corners])
-            w = _newton_w(p, n, seeds, cap=0.05, accept=1e-8)
-            if len(w):
-                zs = _dedup(np.concatenate([zs, phi_b_inverse(p, w)]))
-
-    if len(zs) < n:
-        try:
-            sim = roots_simultaneous(faber_closed(p, n))
-            extra = [z for z in sim.zeros
-                     if np.min(np.abs(zs - z)) > 1e-6] if len(zs) else list(sim.zeros)
-            zs = _dedup(np.concatenate([zs, np.array(extra, dtype=complex)]))
-        except (OverflowError, ConvergenceError):
-            pass
-
-    if len(zs) > n:
-        # spurious accepts are residual-ranked out (never seen in practice)
-        r = scaled_residual(p, n, zs)
-        zs = _sorted(zs[np.argsort(r)[:n]])
+        zs = _dedup(np.concatenate([zs, _deflate(p, n, zs)]))
     if len(zs) != n:
         raise DeficitError(
             f"found {len(zs)} of {n} zeros", missing=n - len(zs))

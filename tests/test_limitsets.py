@@ -11,8 +11,8 @@ from faberzeros.conformal import (
 )
 from faberzeros.errors import CaseError
 from faberzeros.limitsets import (
-    CaseTag, Region, arc_A, arc_z_of_u, cb_region, classify, intersection_ib,
-    loop_g, loop_points, polyline_min_dist, segment_points, u_lower,
+    CaseTag, arc_A, arc_z_of_u, classify, intersection_ib, loop_g, loop_points,
+    polyline_min_dist, segment_points, u_lower,
 )
 
 
@@ -262,15 +262,6 @@ def test_loop_subcritical_and_critical():
     lp = loop_points(p, 65)
     assert len(lp.samples) == 0
     assert lp.corner == pytest.approx(-1.0, abs=1e-10)
-
-
-def test_cb_region():
-    p = params_from(2.1, 0.0)
-    # |V| = |b|^2 is a circle of radius |b|/2 centered at c
-    on = p.c + (abs(p.b) / 2) * np.exp(0.7j)
-    assert cb_region(p, on) is Region.ON
-    assert cb_region(p, p.c) is Region.INSIDE
-    assert cb_region(p, 5.0 + 0j) is Region.OUTSIDE
 
 
 def test_polyline_min_dist():

@@ -405,3 +405,25 @@ def test_segment_bisection_in_z_matches_t_reference(R, monkeypatch):
         assert new.n == old.n == n
         assert _rel_ulp_ok(p, n, new.zeros), (R, n)
         assert _rel_ulp_ok(p, n, old.zeros), (R, n)
+
+
+# just above criticality the seeds miss a few zeros: the w-plane Newton lands
+# two loop seeds on one zero, or the bisection misses a bracket
+NEAR_CRITICAL = [(1.5001, 0.0, 299), (1.5001, 0.0, 401), (1.5001, 0.0, 499),
+                 (1.501, 0.0, 99), (1.501, 0.0, 150), (1.501, -0.7, 250)]
+
+# low degree at steep rotation, where the limit set is far from the zeros and
+# the seeds find few or none of them (at (8, +-1.5) none for n <= 24). Not
+# (4, 1.48, 20): one zero there stays 5.9e-13 off, because its forward-error
+# bound is below POLISH_GATE and so the mpmath polish skips it.
+STEEP_LOW = [(8.0, th, n) for th in (1.5, -1.5) for n in (7, 12, 24, 60)] + [
+    (4.0, 1.48, n) for n in (6, 12, 24)]
+
+
+@pytest.mark.parametrize("rc,theta,n", NEAR_CRITICAL + STEEP_LOW)
+def test_missed_zeros_completed_without_coefficients(rc, theta, n, no_coefficient_route):
+    p = params_from(rc / math.cos(theta), theta)
+    zs = compute_zeros(p, n)
+    assert len(np.unique(zs.zeros)) == n
+    assert np.max(zs.residuals) <= rootfind.RESIDUAL_GATE
+    assert _rel_ulp_ok(p, n, zs.zeros), (rc, theta, n)
