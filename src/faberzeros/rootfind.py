@@ -3,10 +3,11 @@
 The production route is the seeded solver, which never touches coefficients.
 Segment zeros come from brackets whose ends are the arc points where U takes
 adjacent Chebyshev values cos(k pi/n). On a real airfoil the residual
-2 T_n(U) - (-b/sqrt(V))^n is real on the segment, so each bracket is bisected
-in z on its sign, one residual evaluation per step; otherwise Newton starts
-from the arc point of each bracket's middle angle. Loop zeros come from a
-unit-circle Newton in the w-plane on the exact pullback
+2 T_n(U) - (-b/sqrt(V))^n is real on the segment, so each bracket is solved
+in z by Newton kept inside it by the residual's sign, one residual evaluation
+per pass; otherwise Newton starts from the arc point of each bracket's middle
+angle. Loop zeros come from a unit-circle Newton in the w-plane on the exact
+pullback
 F_n(J(b(1-w))) = (-b/a)^n (w^n + g(w)^n - 1), g(w) = 1 - 1/(b^2 (1-w)).
 The zeros these seeds miss (near the loop corners, just above criticality,
 and at low degree and steep rotation, where the limit set is far from the
@@ -215,7 +216,7 @@ class SeedPlan:
 def seed_plan(p: AirfoilParams, n: int) -> SeedPlan:
     """Chebyshev-style brackets on the zero-carrying arc piece plus unit-root
     seeds on the loop-side circle arc (selected by |g(omega)| < 1). Only a
-    real airfoil's segment solve bisects in z, so only there are the
+    real airfoil's segment solve works on z-brackets, so only there are the
     t-brackets mapped to z-brackets; elsewhere segment_brackets is empty."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -310,26 +311,45 @@ def _newton_z(p: AirfoilParams, n: int, z, max_iter=80, cap=0.05, accept=1e-6):
     return z[np.abs(r) < accept]
 
 
-def _bisect_real(p: AirfoilParams, n: int, brackets):
-    """Real-axis case: bisect each (m, 2) z-bracket of the seed plan on the
-    sign of the residual, which is real on the segment. U is monotone on the
-    segment piece, so a bracket whose ends differ in sign holds one zero."""
-    def f(z):
-        return residual(p, n, z + 0j)[0].real
-
-    zlo, zhi = brackets[:, 0].real, brackets[:, 1].real
-    flo = f(zlo)
-    fhi = f(zhi)
-    good = np.sign(flo) * np.sign(fhi) < 0
-    zlo, zhi, flo = zlo[good], zhi[good], flo[good]
+def _newton_real(p: AirfoilParams, n: int, brackets):
+    """Real-axis case: safeguarded Newton in z on each (m, 2) z-bracket of the
+    seed plan. The residual is real on the segment and U is monotone there,
+    so a bracket whose ends differ in sign holds one zero. Each pass takes r
+    and r' at every unfinished zero (one residual call) and shrinks its
+    bracket so the ends still differ in sign. The next point is the Newton
+    step where it lands strictly inside the bracket, else the regula-falsi
+    point of the two ends clamped to it (zeros within rounding of an end
+    throw Newton out), else the midpoint. A zero stops at the rounding floor
+    (_at_floor), once its bracket is 4 eps (1 + |z|) wide, or where r is
+    exactly 0, keeping that point; 60 passes at most."""
+    r, _ = residual(p, n, brackets.real.ravel() + 0j)
+    f = r.real.reshape(-1, 2)
+    good = np.sign(f[:, 0]) * np.sign(f[:, 1]) < 0
+    lo, hi = brackets[good, 0].real, brackets[good, 1].real
+    flo, fhi = f[good, 0], f[good, 1]
+    z = 0.5 * (lo + hi)
+    x, idx, prev = z.copy(), np.arange(len(z)), np.full(len(z), np.inf)
     for _ in range(60):
-        zm = 0.5 * (zlo + zhi)
-        fm = f(zm)
-        left = np.sign(fm) == np.sign(flo)
-        zlo = np.where(left, zm, zlo)
-        flo = np.where(left, fm, flo)
-        zhi = np.where(left, zhi, zm)
-    z = 0.5 * (zlo + zhi) + 0j
+        if not len(idx):
+            break
+        r, dr = residual(p, n, x + 0j)
+        fx = r.real
+        left = np.sign(fx) == np.sign(flo)
+        lo, flo = np.where(left, x, lo), np.where(left, fx, flo)
+        hi, fhi = np.where(left, hi, x), np.where(left, fhi, fx)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            new = x - fx / dr.real
+            rf = np.clip((lo * fhi - hi * flo) / (fhi - flo), lo, hi)
+        rf = np.where(np.isfinite(rf), rf, 0.5 * (lo + hi))
+        new = np.where((lo < new) & (new < hi), new, rf)
+        new = np.where(fx == 0.0, x, new)    # a zero step: _at_floor stops it
+        mag, done = _at_floor(x - new, new, prev)
+        done |= hi - lo <= 4.0 * _EPS * (1.0 + np.abs(new))
+        z[idx] = new
+        keep = ~done
+        x, lo, hi, flo, fhi, prev, idx = (
+            a[keep] for a in (new, lo, hi, flo, fhi, mag, idx))
+    z = z + 0j
     return z[np.atleast_1d(scaled_residual(p, n, z)) < 1e-6]
 
 
@@ -460,7 +480,7 @@ def roots_seeded(p: AirfoilParams, n: int) -> ZeroSet:
     found = []
     if len(plan._ts):
         if p.is_real:
-            found.append(_bisect_real(p, n, plan.segment_brackets))
+            found.append(_newton_real(p, n, plan.segment_brackets))
         else:
             mid = np.cos(0.5 * (plan._ts[:, 0] + plan._ts[:, 1]))
             found.append(_newton_z(p, n, arc_z_of_u(p, mid)))

@@ -350,9 +350,9 @@ def test_high_degree_near_pole_stays_finite_and_quiet():
 
 
 def t_bisect_reference(p, n, brackets):
-    """Reference for rootfind._bisect_real: bisect t = arccos u on the seed
-    plan's t-brackets, inverting U (arc_z_of_u) at every step, as the segment
-    solve did before it bisected the z-brackets directly."""
+    """Reference for rootfind._newton_real: 60 bisection steps on t = arccos u
+    over the seed plan's t-brackets, inverting U (arc_z_of_u) at every step,
+    as the segment solve did before it worked on the z-brackets directly."""
     ts = seed_plan(p, n)._ts
     assert len(ts) == len(brackets)
 
@@ -383,28 +383,63 @@ def _rel_ulp_ok(p, n, z):
 
 
 # real airfoils from near-degenerate to far above criticality (R = 1.5 is
-# critical), degrees on both sides of 100, where ipow switches to squaring
-SEGMENT_RS = (1.001, 1.05, 1.26, 1.5, 2.1, 12.0)
-SEGMENT_NS = (1, 2, 7, 8, 61, 99, 100, 145, 500)
+# critical, and on either side of it the brackets are near-degenerate),
+# degrees on both sides of 100, where ipow switches to squaring
+SEGMENT_RS = (1.001, 1.05, 1.26, 1.4999, 1.5, 1.5001, 2.1, 12.0)
+SEGMENT_NS = (1, 2, 7, 8, 61, 99, 100, 145, 499, 500)
 
 
 @pytest.mark.parametrize("R", SEGMENT_RS)
 def test_segment_bisection_in_z_matches_t_reference(R, monkeypatch):
+    # the segment solve is bracketed Newton in z now; the name is kept from
+    # when it bisected, against the same t-bisection reference
     p = params_from(R, 0.0)
     for n in SEGMENT_NS:
         plan = seed_plan(p, n)
         assert plan.segment_brackets.shape == (len(plan._ts), 2)
-        raw = rootfind._bisect_real(p, n, plan.segment_brackets)
+        raw = rootfind._newton_real(p, n, plan.segment_brackets)
         assert len(raw) == len(t_bisect_reference(p, n, plan.segment_brackets))
         assert np.all(raw.imag == 0.0)
         assert _rel_ulp_ok(p, n, raw), (R, n)
         new = compute_zeros(p, n)
         with monkeypatch.context() as m:
-            m.setattr(rootfind, "_bisect_real", t_bisect_reference)
+            m.setattr(rootfind, "_newton_real", t_bisect_reference)
             old = compute_zeros(p, n)
         assert new.n == old.n == n
         assert _rel_ulp_ok(p, n, new.zeros), (R, n)
         assert _rel_ulp_ok(p, n, old.zeros), (R, n)
+
+
+# (1.001, 1): the residual is exactly 0 at an iterate; stepping on from it to
+# the midpoint of the shrunk bracket left the zero 5.6e5 ulp off.
+# (1.26, 8) and (1.4, 33): iterates within rounding of a zero (residual about
+# 1e-15) become bracket ends, and Newton from the other side lands on or past
+# them; the midpoint there, in place of the clamped regula-falsi point, left
+# a zero 8.6e3 ulp off at (1.4, 33).
+@pytest.mark.parametrize("R,n", [(1.001, 1), (1.26, 8), (1.4, 33)])
+def test_segment_newton_keeps_exact_zeros_and_bracket_ends(R, n):
+    p = params_from(R, 0.0)
+    raw = rootfind._newton_real(p, n, seed_plan(p, n).segment_brackets)
+    assert len(raw) and _rel_ulp_ok(p, n, raw), (R, n)
+
+
+def test_segment_newton_needs_few_residual_calls(monkeypatch):
+    # 60 fixed bisection steps plus the two bracket ends made 62 calls
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return residual(*args)
+
+    monkeypatch.setattr(rootfind, "residual", counted)
+    for R in SEGMENT_RS:
+        p = params_from(R, 0.0)
+        for n in SEGMENT_NS:
+            brackets = seed_plan(p, n).segment_brackets
+            calls = 0
+            rootfind._newton_real(p, n, brackets)
+            assert calls <= 10, (R, n, calls)
 
 
 # just above criticality the seeds miss a few zeros: the w-plane Newton lands
