@@ -25,7 +25,7 @@ from .errors import (
     SingularityError,
 )
 from .limitsets import CaseTag, arc_A, classify, intersection_ib, loop_points, segment_points
-from .measures import classify_zeros, equilibrium_moments, predicted, report
+from .measures import classify_zeros, predicted, quad_tol, report
 from .rootfind import Method, ZeroSet, compute_zeros
 from .faber import scaled_residual
 
@@ -36,6 +36,9 @@ FORMATS = {"zeros": ("csv", "json"), "predict": ("csv", "json"),
            "verify": ("json",), "plot": ("svg",)}
 # the keys a --config file may set
 CONFIG_KEYS = ("R", "theta", "n", "out", "format", "tol_quad", "paper_figure")
+
+
+CSV_UNIT = 5e-13    # relative rounding of %.12e, so of the zeros a CSV holds
 
 
 def fnum(x) -> str:
@@ -138,8 +141,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", dest="fmt", type=str, default=None,
                         help="comma-separated output formats (csv,json,svg)")
     common.add_argument("--tol-quad", type=float, default=None,
-                        help="quadrature residual gate (default 1e-6 for n <= 60, "
-                             "1e-4 above)")
+                        help="quadrature residual gate (default "
+                             "2^6 max(n, 16) eps, eps = 2^-52, or 5e-13 "
+                             "for --zeros-in)")
     common.add_argument("--paper-figure", type=int, default=None,
                         choices=sorted(FIGURE_PRESETS),
                         help="preset airfoil 1-4 (sets R and theta)")
@@ -351,10 +355,12 @@ def cmd_verify(cfg: RunConfig) -> int:
     else:
         zsets = {n: compute_zeros(p, n) for n in sorted(set(cfg.n_list))}
 
-    moments = equilibrium_moments(p, max(zsets))
     runs = []
     for n in sorted(zsets):
-        run = report(p, zsets[n], moments=moments, tol_quad=cfg.tol_quad)
+        tol = cfg.tol_quad
+        if tol is None and cfg.zeros_in is not None:
+            tol = quad_tol(n, CSV_UNIT)
+        run = report(p, zsets[n], tol_quad=tol)
         runs.append(run)
         for gname, gval in run["gates"].items():
             print(f"[n={n}] {gname}: {'PASS' if gval else 'FAIL'}")

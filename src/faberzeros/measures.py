@@ -3,17 +3,14 @@
 The predicted weak-star limit of the zero counting measures is the arcsine
 measure pulled back through U on the zero-carrying arc piece, plus (above
 criticality) the uniform angle measure on the unit-circle arc where
-|g(w)| < 1, pushed onto the loop by J(b(1-w)). The
-equilibrium-measure moments double as an n-point quadrature exactness test:
-the zero set of the degree-n polynomial integrates z^k exactly for k <= n.
+|g(w)| < 1, pushed onto the loop by J(b(1-w)).
 
-Both sides of that test are exact or error-free up to one final rounding:
-the moments come from a recurrence for the closed binomial form, run once in
-integer fixed point with enough guard bits for its cancellation, and the
-power sums of the double zeros are built in double-double, a block of
-consecutive powers at a time over all zeros, and summed by error-free
-extraction. Values are kept as mantissa and binary exponent, so the gate
-value is finite wherever the ratio it reports is.
+The limit is never the equilibrium measure omega_K, yet the n zeros of F_n
+integrate every polynomial of degree below n exactly against it. In the
+Faber basis that reads mean_j F_k(z_j) = 0 for 1 <= k <= n, and by the
+closed form a^k F_k = (w+s)^k + (w-s)^k - (-b)^k each term is at most |a|^k
+on the airfoil, so plain double checks it to a few n eps. The monomial form
+against the moments m_k of omega_K has a condition number up to 1e75.
 """
 
 from __future__ import annotations
@@ -40,6 +37,7 @@ from .rootfind import ZeroSet
 CDF_GATE = 0.12         # Kolmogorov distance of the segment zeros' U-law
 MASS_GATE = 0.06        # |segment or loop share - predicted mass|, supercritical
 POTENTIAL_GATE = 0.05   # max deviation of the zeros' log potential
+_EPS = 2.0 ** -52       # machine epsilon
 
 
 def _zeros_of(zs) -> np.ndarray:
@@ -212,150 +210,40 @@ def equilibrium_moments(p: AirfoilParams, k_max: int) -> MomentVector:
     return MomentVector(k_max, values, mant, expo)
 
 
-# Double-double arithmetic (Dekker, Knuth) on numpy arrays, and error-free
-# vector summation by extraction (Rump, Ogita, Oishi, "Accurate floating-point
-# summation", SIAM J. Sci. Comput. 31, 2008; the compensated sums of Ogita,
-# Rump, Oishi, SIAM J. Sci. Comput. 26, 2005).
-
-_SPLIT = 134217729.0    # 2^27 + 1: Veltkamp's split into two 26-bit halves
-_BLOCK = 8              # consecutive powers z^k built and summed together;
-                        # 16 or 32 hold more memory and are no faster at n <= 500
+_ROWS = 8    # consecutive powers built and summed together: one at a time
+             # is about twice as slow, 16 at a time hardly faster
 
 
-def _split(a):
-    t = _SPLIT * a
-    hi = t - (t - a)
-    return hi, a - hi
+def _power_sums(x: np.ndarray, n: int) -> np.ndarray:
+    """sum_j x_j^k for k = 1..n, _ROWS consecutive powers at a time: the
+    first block by running products, each later one as the block before
+    times x^_ROWS."""
+    block = np.cumprod(np.broadcast_to(x, (min(_ROWS, n), len(x))), axis=0)
+    step = block[-1].copy()
+    sums = np.empty(n, dtype=complex)
+    for k0 in range(0, n, len(block)):
+        if k0:
+            block *= step
+        sums[k0:k0 + len(block)] = block.sum(axis=1)[:n - k0]
+    return sums
 
 
-def _two_sum(a, b):
-    """s + e == a + b exactly, s = fl(a + b)."""
-    s = a + b
-    bv = s - a
-    return s, (a - (s - bv)) + (b - bv)
-
-
-def _product_error(a, a_hi, a_lo, b_hi, b_lo, p):
-    """a*b - p exactly for p = fl(a*b), a and b given with their splits."""
-    return ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-
-
-def _exact_sums(hi, lo):
-    """Sums over the last axis of hi + lo, as (t1, t2, rest) whose total is
-    within about n^2 eps^2 max|hi| of the true sum.
-
-    Two extractions split every hi into parts on a grid fixed by
-    sigma = 2^m 2^ceil(log2 max|hi|), 2^m >= n + 2; those parts add up
-    without rounding in any order (t1, t2), and what is left over is below
-    eps^2 sigma and is summed plainly with lo.
-    """
-    n = hi.shape[-1]
-    m = math.ceil(math.log2(n + 2))
-    _, e = np.frexp(np.max(np.abs(hi), axis=-1, keepdims=True))
-    sigma = np.ldexp(1.0, e + m)
-    sums = []
-    for _ in range(2):
-        q = (sigma + hi) - sigma
-        hi = hi - q
-        sums.append(q.sum(axis=-1))
-        sigma = np.ldexp(sigma, m - 53)
-    return sums[0], sums[1], hi.sum(axis=-1) + lo.sum(axis=-1)
-
-
-def _factor(hi, lo):
-    """A complex double-double multiplier w = hi + lo, (Re, Im) on axis 0,
-    as _dd_mul takes it: Re w and w' = (-Im w, Im w), each with its Veltkamp
-    split and its low part."""
-    re, sw = hi[0], np.stack([-hi[1], hi[1]])
-    return (re, *_split(re), lo[0]), (sw, *_split(sw), np.stack([-lo[1], lo[1]]))
-
-
-def _dd_mul(H, L, w):
-    """(H + L) w in double-double, (Re, Im) of H + L on axis -2, w from
-    _factor. With H' = H with Re and Im swapped, H w = H Re w + H' w'; both
-    products are exact by TwoProduct, the low parts enter in double, and
-    only L times w's low part is dropped."""
-    (re, re_hi, re_lo, re_tail), (sw, sw_hi, sw_lo, sw_tail) = w
-    Hs, Ls = H[..., ::-1, :], L[..., ::-1, :]
-    H_hi, H_lo = _split(H)
-    p1 = H * re
-    p2 = Hs * sw
-    err = (_product_error(H, H_hi, H_lo, re_hi, re_lo, p1)
-           + _product_error(Hs, H_hi[..., ::-1, :], H_lo[..., ::-1, :], sw_hi, sw_lo, p2))
-    s, e = _two_sum(p1, p2)
-    return _two_sum(s, (e + err) + ((L * re + Ls * sw) + (H * re_tail + Hs * sw_tail)))
-
-
-def _power_blocks(z: np.ndarray):
-    """(k0, hi, lo) per block of up to _BLOCK consecutive powers: hi + lo of
-    shape (rows, 2, n) holds (Re, Im) of z_j^k, k = k0+1..k0+rows, in
-    double-double. The first block is built one k at a time, each later one
-    as the block before it times z^_BLOCK, all of it in one product."""
+def quadrature_residuals(p: AirfoilParams, zs: ZeroSet | np.ndarray) -> np.ndarray:
+    """|mean_j F_k(z_j)| for k = 1..n, the quadrature identity in the Faber
+    basis: F_k = A^k + B^k - c^k, A, B = (w +- s)/a, c = -b/a, w = z - b,
+    s = sqrt(z-1) sqrt(z+1) (either branch), all at most 1 in modulus on
+    the airfoil, as running products over all zeros at once."""
+    z = _zeros_of(zs)
     n = len(z)
-    zero = np.zeros((2, n))
-    w = _factor(np.stack([z.real, z.imag]), zero)
-    rows = min(_BLOCK, n)
-    hi = np.empty((rows, 2, n))
-    lo = np.empty((rows, 2, n))
-    H, L = zero.copy(), zero
-    H[0] = 1.0
-    for j in range(rows):
-        H, L = _dd_mul(H, L, w)
-        hi[j] = H
-        lo[j] = L
-    yield 0, hi, lo
-    w = _factor(H, L)                   # z^_BLOCK
-    for k0 in range(_BLOCK, n, _BLOCK):
-        rows = min(_BLOCK, n - k0)
-        hi, lo = _dd_mul(hi[:rows], lo[:rows], w)
-        yield k0, hi, lo
+    w, s = z - p.b, np.sqrt(z - 1.0) * np.sqrt(z + 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = _power_sums(np.concatenate([(w + s) / p.a, (w - s) / p.a]), n)
+        return np.abs(sums / n - np.cumprod(np.full(n, -p.b / p.a)))
 
 
-def quadrature_residuals(p: AirfoilParams, zs: ZeroSet | np.ndarray,
-                         moments: MomentVector | None = None) -> np.ndarray:
-    """|mean(z_j^k) - m_k| / max(1, |m_k|) for k = 1..n, the zero-set
-    quadrature exactness check.
-
-    The powers z_j^k are carried in double-double and summed error-free by
-    extraction, so the residual of the given double zeros comes out to about
-    n^2 eps^2 max_j |z_j|^k. The zeros are scaled by 2^-E, E >= 0 the binary
-    exponent of their largest component, and m_k by 2^-kE, so no power
-    passes 2^(k/2) and the result is finite wherever the ratio is.
-    """
-    zarr = _zeros_of(zs)
-    n = len(zarr)
-    if moments is None:
-        moments = equilibrium_moments(p, n)
-    if moments.k_max < n:
-        raise ValueError("need moments up to k = n")
-    E = max(0, int(np.frexp(np.max(np.abs([zarr.real, zarr.imag])))[1]))
-    ks = np.arange(1, n + 1)
-    mant, expo = moments.mantissas[:n], moments.exponents[:n]
-    # n m_k 2^-kE = nm + nm_err exactly, as (Re, Im) per k
-    m = np.stack([np.ldexp(mant.real, expo - ks * E),
-                  np.ldexp(mant.imag, expo - ks * E)], axis=-1)
-    nm = n * m
-    nm_err = _product_error(float(n), *_split(float(n)), *_split(m), nm)
-    num = np.empty(n)
-    for k0, hi, lo in _power_blocks(np.ldexp(zarr.real, -E) + 1j * np.ldexp(zarr.imag, -E)):
-        k1 = k0 + len(hi)
-        t1, t2, rest = _exact_sums(hi, lo)
-        d, e = _two_sum(t1, -nm[k0:k1])
-        d = d + (((e + t2) - nm_err[k0:k1]) + rest)
-        num[k0:k1] = np.hypot(d[:, 0], d[:, 1]) / n
-    # divide by max(1, |m_k|) = |mantissa| 2^exponent where that is >= 1
-    mag = np.abs(mant)
-    with np.errstate(divide="ignore"):
-        big = np.log2(mag) + expo >= 0
-    with np.errstate(over="ignore"):
-        return np.ldexp(num / np.where(big, mag, 1.0), ks * E - np.where(big, expo, 0))
-
-
-def quadrature_gate(p: AirfoilParams, zs: ZeroSet | np.ndarray,
-                    moments: MomentVector | None = None) -> float:
-    """The value verify gates on: max_k |mean(z_j^k) - m_k| / max(1, |m_k|)
-    over k = 1..n (inf when it overflows a double)."""
-    return float(np.max(quadrature_residuals(p, zs, moments=moments)))
+def quadrature_gate(p: AirfoilParams, zs: ZeroSet | np.ndarray) -> float:
+    """The value verify gates on: max_k |mean_j F_k(z_j)| over k = 1..n."""
+    return float(np.max(quadrature_residuals(p, zs)))
 
 
 def classify_zeros(p: AirfoilParams, zs: ZeroSet | np.ndarray,
@@ -553,22 +441,25 @@ def potential_check(p: AirfoilParams, zs: ZeroSet | np.ndarray, points=None,
     return devs
 
 
+def quad_tol(n: int, unit: float = _EPS) -> float:
+    """verify's quadrature threshold for n zeros known to relative unit."""
+    return 2.0 ** 6 * max(n, 16) * unit
+
+
 def report(p: AirfoilParams, zs: ZeroSet | np.ndarray,
-           moments: MomentVector | None = None,
            tol_quad: float | None = None) -> dict:
     """Everything the verify command gates on, the gates and the verdict, as
     one plain dict in the key order of a run in verify_report.json.
-    moments, if given, are equilibrium_moments up to at least k = n;
-    tol_quad defaults to 1e-6 for n <= 60 and 1e-4 above."""
+    tol_quad defaults to quad_tol(n)."""
     zarr = _zeros_of(zs)
     n = len(zarr)
     if tol_quad is None:
-        tol_quad = 1e-6 if n <= 60 else 1e-4
+        tol_quad = quad_tol(n)
     case = classify(p)
     pred = predicted(p)
     labels = classify_zeros(p, zarr)
     wsd = weak_star_distance(p, zarr, labels=labels)
-    quad_rel = quadrature_gate(p, zarr, moments=moments)
+    quad_rel = quadrature_gate(p, zarr)
     pot = float(np.max(potential_check(p, zarr)))
     counts = {lab: labels.count(lab) for lab in ("segment", "loop", "other")}
     gates = {"quadrature": quad_rel < tol_quad,

@@ -493,7 +493,9 @@ def roots_seeded(p: AirfoilParams, n: int) -> ZeroSet:
         # an arc zero Newton left loose can lie farther than DISTINCT_TOL
         # from the same zero found again: tighten before counting the missing
         zs = _dedup(_tighten(p, n, zs)[0])
-        zs = _dedup(np.concatenate([zs, _deflate(p, n, zs)]))
+        # not deduplicated against the found zeros: deflation comes back to
+        # a found zero only where that zero is multiple
+        zs = np.concatenate([zs, _deflate(p, n, zs)])
     if len(zs) != n:
         raise DeficitError(
             f"found {len(zs)} of {n} zeros", missing=n - len(zs))

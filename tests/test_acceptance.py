@@ -19,8 +19,10 @@ from faberzeros.measures import (
     classify_zeros, equilibrium_moments, potential_check, pullback_density,
     quadrature_residuals, ullman_density, weak_star_distance,
 )
+from test_measures import mpmath_quadrature_gate
 
 PRESETS3 = [(1.26, 0.0), (2.1, 0.0), (2.1, 0.2)]
+EPS = 2.0 ** -52
 
 
 def test_criterion_1_oracle_equivalence():
@@ -55,6 +57,8 @@ def test_criterion_2_real_zeros():
 
 
 def test_criterion_3_quadrature_identity():
+    # the monomial form against the exact equilibrium moments, by the mpmath
+    # power sums, and the Faber form verify gates on
     t0 = time.monotonic()
     worst = 0.0
     for R, theta in PRESETS3:
@@ -63,9 +67,10 @@ def test_criterion_3_quadrature_identity():
         for n in (10, 20, 40):
             zs = fz.compute_zeros(p, n)
             # residuals come relative to max(1, |m_k|)
-            rel = float(np.max(quadrature_residuals(p, zs, moments=mom)))
+            rel = mpmath_quadrature_gate(zs.zeros, mom)
             worst = max(worst, rel)
             assert rel < 1e-6, (R, theta, n, rel)
+            assert np.max(quadrature_residuals(p, zs)) < 2.0 ** 6 * max(n, 16) * EPS
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
     print(f"\n[criterion 3] PASS quadrature identity: worst rel residual "

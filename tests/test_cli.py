@@ -124,6 +124,19 @@ def test_verify_zeros_in_roundtrip(tmp_path, capsys):
                 str(tmp_path / "vz")])
     capsys.readouterr()
     assert code == 0
+    # the default gate is scaled to the file's 13 significant digits, and
+    # still fails a file whose zero 20 is a copy of zero 21
+    assert _report_runs(tmp_path / "vz" / "verify_report.json")[0]["quad_tol"] \
+        == float("%.12e" % (2.0 ** 6 * 40 * 5e-13))
+    lines = (zdir / "zeros_n40.csv").read_text().splitlines()
+    lines[21] = "40,20," + lines[22].split(",", 2)[2]
+    (zdir / "dup.csv").write_text("\n".join(lines) + "\n")
+    code = run(["verify", "--R", "2.1", "--theta", "0.0", "--n", "40",
+                "--zeros-in", str(zdir / "dup.csv"), "--out", str(tmp_path / "vd")])
+    capsys.readouterr()
+    assert code == 1
+    assert _report_runs(tmp_path / "vd" / "verify_report.json")[0]["gates"][
+        "quadrature"] is False
 
 
 def _report_runs(path):
@@ -156,8 +169,11 @@ def test_verify_zeros_in_writes_report_dict(tmp_path, capsys):
     run(["verify", "--R", "2.1", "--theta", "0.2", "--n", "45", "--zeros-in", str(csv),
          "--out", str(out)])
     capsys.readouterr()
+    # the file holds 13 significant digits, and the default gate scales to
+    # their rounding, 5e-13, in place of eps
     assert _report_runs(out / "verify_report.json") == [
-        _as_written(report(p, _read_zeros_csv(str(csv), p)))]
+        _as_written(report(p, _read_zeros_csv(str(csv), p),
+                           tol_quad=2.0 ** 6 * 45 * 5e-13))]
 
 
 def test_verify_quad_tol_follows_each_degree(tmp_path, capsys):
@@ -169,7 +185,8 @@ def test_verify_quad_tol_follows_each_degree(tmp_path, capsys):
         tols[degrees] = {r["n"]: r["quad_tol"] for r in _report_runs(
             out / "verify_report.json")}
     capsys.readouterr()
-    assert tols == {"40": {40: 1e-6}, "40,100": {40: 1e-6, 100: 1e-4}}
+    tol = {n: float("%.12e" % (2.0 ** 6 * n * 2.0 ** -52)) for n in (40, 100)}
+    assert tols == {"40": {40: tol[40]}, "40,100": tol}
 
 
 def _reject_constant(name):
@@ -177,20 +194,21 @@ def _reject_constant(name):
 
 
 @pytest.mark.parametrize("R,theta,n", [(7.6485, 1.4, 400), (3.0, 0.5, 500)])
-def test_verify_far_out_fails_quietly_with_valid_json(R, theta, n, tmp_path, capsys):
-    # the quadrature gate fails at both (residual ~1e107 and ~1e127, past
-    # double range before scaling) without any RuntimeWarning, and the
-    # report is strict JSON
+def test_verify_far_out_passes_quietly_with_valid_json(R, theta, n, tmp_path, capsys):
+    # z_j^k passes double range at both (the monomial residual read ~1e107
+    # and ~1e127); the Faber-basis gate passes, like every other gate,
+    # without any RuntimeWarning, and the report is strict JSON
     out = tmp_path / "far"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = run(["verify", "--R", str(R), "--theta", str(theta), "--n", str(n),
                     "--out", str(out)])
     capsys.readouterr()
-    assert code == 1
+    assert code == 0
     doc = json.loads((out / "verify_report.json").read_text(),
                      parse_constant=_reject_constant)
-    assert doc["runs"][0]["gates"]["quadrature"] is False
+    assert doc["pass"] is True
+    assert all(doc["runs"][0]["gates"].values())
 
 
 def test_json_text_writes_non_finite_as_null():

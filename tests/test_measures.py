@@ -25,6 +25,7 @@ from faberzeros.measures import (
 )
 
 PRESETS = [(1.26, 0.0), (2.1, 0.0), (2.1, 0.2), (1.45, 0.2)]
+EPS = 2.0 ** -52
 
 
 # ---------------------------------------------------------------- moments
@@ -182,16 +183,15 @@ def test_quadrature_identity_small_n():
     assert np.max(res) < 1e-12
 
 
-def test_quadrature_rejects_short_moments():
-    p = params_from(1.26, 0.0)
-    zs = fz.compute_zeros(p, 10)
-    with pytest.raises(ValueError):
-        quadrature_residuals(p, zs, moments=equilibrium_moments(p, 5))
+def gate_tol(n):
+    """verify's default quadrature threshold, 2^6 max(n, 16) eps."""
+    return 2.0 ** 6 * max(n, 16) * EPS
 
 
 def mpmath_quadrature_gate(zeros, moments):
-    """Reference gate value: the power sums of the double zeros summed
-    exactly in mpmath, O(n^2) products at 30 + n/4 digits."""
+    """Reference for the monomial form of the identity: the power sums of
+    the double zeros summed exactly in mpmath, O(n^2) products at 30 + n/4
+    digits, as max_k |mean(z_j^k) - m_k| / max(1, |m_k|)."""
     n = len(zeros)
     out = np.empty(n)
     with mp.workdps(30 + n // 4):
@@ -207,8 +207,29 @@ def mpmath_quadrature_gate(zeros, moments):
     return float(np.max(out / np.maximum(1.0, np.abs(moments.values[:n]))))
 
 
-# the verify benchmark's round of seed 1, three of them failing the gate on
-# accurate zeros, and the presets from n = 60 to 500
+def mpmath_faber_means(p, zeros, ks):
+    """Reference for quadrature_residuals at the degrees ks (ascending):
+    |mean_j F_k(z_j)| of the double zeros at 30 digits, F_k = A^k + B^k - c^k
+    with A, B = (w +- s)/a, c = -b/a, carried as running products from one
+    k of ks to the next."""
+    out = {}
+    with mp.workdps(30):
+        a, b = mp.mpc(p.a), mp.mpc(p.b)
+        x = []
+        for v in zeros:
+            z = mp.mpc(v)
+            s = mp.sqrt(z - 1) * mp.sqrt(z + 1)
+            x += [(z - b + s) / a, (z - b - s) / a]
+        pw = [mp.mpc(1)] * len(x)
+        k0 = 0
+        for k in ks:
+            pw = [u * v ** (k - k0) for u, v in zip(pw, x)]
+            k0 = k
+            out[k] = float(abs(mp.fsum(pw) / len(zeros) - (-b / a) ** k))
+    return out
+
+
+# the verify benchmark's round of seed 1 and the presets from n = 60 to 500
 GATE_CASES = list(dict.fromkeys([
     (1.26, 0.0, 120), (2.1, 0.2, 100), (2.1, 0.0, 150), (1.45, 0.2, 140),
     (1.26, 0.0, 300), (1.45, 0.2, 200), (1.689162, 0.9, 100),
@@ -224,66 +245,51 @@ def gate_zeros(R, theta, n):
 
 @pytest.mark.parametrize("R,theta,n", GATE_CASES)
 def test_quadrature_gate_matches_mpmath(R, theta, n):
+    # the first, last and middle degrees: the plain-double running products
+    # lose at most a small fraction of n eps, and the exact means of the
+    # accurate zeros are far below the threshold
     p = params_from(R, theta)
     zs = gate_zeros(R, theta, n)
-    mv = equilibrium_moments(p, n)
-    got = quadrature_gate(p, zs, moments=mv)
-    want = mpmath_quadrature_gate(zs.zeros, mv)
-    assert abs(got - want) <= max(1e-6 * want, 4 * 2.0 ** -52), (got, want)
+    got = quadrature_residuals(p, zs)
+    want = mpmath_faber_means(p, zs.zeros, sorted({1, 2, 3, n // 2, n - 1, n}))
+    for k, v in want.items():
+        assert abs(got[k - 1] - v) <= n * EPS / 4, (k, got[k - 1], v)
+        assert v < gate_tol(n) / 8, (k, v)
 
 
-def stepwise_power_blocks(z):
-    """Reference for measures._power_blocks: every power z^(k+1) is z^k times
-    the double z in double-double, one k at a time over all zeros."""
-    n = len(z)
-    zr = z.real
-    zs = np.stack([-z.imag, z.imag])
-    zr_hi, zr_lo = measures._split(zr)
-    zs_hi, zs_lo = measures._split(zs)
-    H = np.zeros((2, n))
-    H[0] = 1.0
-    L = np.zeros((2, n))
-    block = measures._BLOCK
-    hi = np.empty((block, 2, n))
-    lo = np.empty((block, 2, n))
-    for k0 in range(0, n, block):
-        rows = min(block, n - k0)
-        for j in range(rows):
-            H_hi, H_lo = measures._split(H)
-            p1 = H * zr
-            p2 = H[::-1] * zs
-            err = (measures._product_error(H, H_hi, H_lo, zr_hi, zr_lo, p1)
-                   + measures._product_error(H[::-1], H_hi[::-1], H_lo[::-1],
-                                             zs_hi, zs_lo, p2))
-            s, e = measures._two_sum(p1, p2)
-            H, L = measures._two_sum(s, (e + err) + (L * zr + L[::-1] * zs))
-            hi[j] = H
-            lo[j] = L
-        yield k0, hi[:rows], lo[:rows]
+def stepwise_power_sums(x, n):
+    """Reference for measures._power_sums: every power x^(k+1) is x^k times
+    x, one k at a time."""
+    pw = x.copy()
+    sums = np.empty(n, dtype=complex)
+    for k in range(n):
+        if k:
+            pw *= x
+        sums[k] = pw.sum()
+    return sums
 
 
 @pytest.mark.parametrize("R,theta,n", GATE_CASES + [
     (R, theta, n) for R, theta in PRESETS for n in (1, 7, 8, 9, 33, 499)])
 def test_blocked_power_sums_match_stepwise(R, theta, n, monkeypatch):
-    # later blocks are the block before times z^_BLOCK; n = 1..499 is not a
+    # later blocks are the block before times x^_ROWS; n = 1..499 is not a
     # multiple of the block length, so the last block is partial
     p = params_from(R, theta)
     zs = gate_zeros(R, theta, n)
-    mv = equilibrium_moments(p, n)
-    got = quadrature_gate(p, zs, moments=mv)
-    monkeypatch.setattr(measures, "_power_blocks", stepwise_power_blocks)
-    want = quadrature_gate(p, zs, moments=mv)
-    assert abs(got - want) <= max(1e-6 * want, 4 * 2.0 ** -52), (got, want)
+    got = quadrature_residuals(p, zs)
+    monkeypatch.setattr(measures, "_power_sums", stepwise_power_sums)
+    want = quadrature_residuals(p, zs)
+    assert len(got) == n
+    assert np.max(np.abs(got - want)) <= n * EPS / 4
 
 
 def test_quadrature_residuals_memory_stays_small():
-    # the blocks of powers are (_BLOCK, 2, n) arrays, never n x n
+    # the blocks of powers are (_ROWS, 2n) arrays, never n x n
     p = params_from(1.26, 0.0)
     zs = gate_zeros(1.26, 0.0, 500)
-    mv = equilibrium_moments(p, 500)
     tracemalloc.start()
     try:
-        quadrature_residuals(p, zs, moments=mv)
+        quadrature_residuals(p, zs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -291,13 +297,41 @@ def test_quadrature_residuals_memory_stays_small():
 
 
 def test_quadrature_gate_finite_past_double_range():
-    # m_k and z_j^k pass 1e308 here (|b| = 11); the ratio does not
+    # m_k and z_j^k pass 1e308 here (|b| = 11); the Faber terms stay below 1
     p = params_from(12.0, 0.0)
     zs = fz.compute_zeros(p, 500)
     assert np.isinf(equilibrium_moments(p, 500).values[-1])
     res = quadrature_residuals(p, zs)
     assert np.all(np.isfinite(res))
-    assert quadrature_gate(p, zs) == np.max(res)
+    assert quadrature_gate(p, zs) == np.max(res) < gate_tol(500)
+
+
+def planted_defects(R, theta, n):
+    """Four wrong zero sets of the airfoil (R, theta) and degree n."""
+    p = params_from(R, theta)
+    zs = gate_zeros(R, theta, n).zeros
+    short = gate_zeros(R, theta, n - 1).zeros
+    moved, dup = zs.copy(), zs.copy()
+    i = n // 2
+    moved[i] += 1e-8 * max(1.0, abs(zs[i]))
+    dup[i] = zs[i + 1]
+    return {
+        "other airfoil": fz.compute_zeros(params_from(R * (1 + 1e-6), theta), n).zeros,
+        # the extra zero keeps the mean at b/2, so F_1 still averages to 0
+        "F_(n-1) and one more": np.append(short, 0.5 * n * p.b - np.sum(short)),
+        "one zero moved": moved,
+        "one zero doubled": dup,
+    }
+
+
+@pytest.mark.parametrize("n", [40, 150, 500])
+@pytest.mark.parametrize("R,theta", PRESETS)
+def test_quadrature_gate_catches_planted_defects(R, theta, n):
+    p = params_from(R, theta)
+    assert report(p, gate_zeros(R, theta, n))["gates"]["quadrature"] is True
+    for name, zeros in planted_defects(R, theta, n).items():
+        rep = report(p, zeros)
+        assert rep["gates"]["quadrature"] is False, (name, rep["quad_max_residual"])
 
 
 # ---------------------------------------------------------------- densities
@@ -591,18 +625,19 @@ def test_report_shape():
                          "quad_max_residual", "quad_tol", "potential_max_dev",
                          "counts", "gates", "pass"]
     assert rep["n"] == 30
-    assert rep["quad_tol"] == 1e-6
+    assert rep["quad_tol"] == 2.0 ** 6 * 30 * EPS
     assert list(rep["gates"]) == ["quadrature", "cdf", "potential", "unclassified",
                                   "mass_split"]
     assert rep["pass"] is all(rep["gates"].values())
     assert rep["counts"]["segment"] + rep["counts"]["loop"] \
         + rep["counts"]["other"] == 30
-    assert rep["quad_max_residual"] < 1e-6
+    assert rep["quad_max_residual"] < rep["quad_tol"]
     # plain arrays work too (the CSV re-verification path)
     rep2 = report(p, zs.zeros)
     assert rep2["counts"] == rep["counts"]
     # the tolerance defaults from n and can be overridden
-    assert report(p, fz.compute_zeros(p, 61))["quad_tol"] == 1e-4
+    assert report(p, fz.compute_zeros(p, 61))["quad_tol"] == 2.0 ** 6 * 61 * EPS
+    assert report(p, fz.compute_zeros(p, 10))["quad_tol"] == 2.0 ** 6 * 16 * EPS
     strict = report(p, zs, tol_quad=1e-30)
     assert strict["quad_tol"] == 1e-30
     assert strict["gates"]["quadrature"] is False and strict["pass"] is False

@@ -462,3 +462,13 @@ def test_missed_zeros_completed_without_coefficients(rc, theta, n, no_coefficien
     assert len(np.unique(zs.zeros)) == n
     assert np.max(zs.residuals) <= rootfind.RESIDUAL_GATE
     assert _rel_ulp_ok(p, n, zs.zeros), (rc, theta, n)
+
+
+@pytest.mark.parametrize("n", [5, 11, 101, 497])
+def test_double_zero_at_ib_kept_twice(n):
+    # at R = 2, theta = 0, b = -1 and F_n has a double zero at i_b = -1/2
+    # for n = 5 (mod 6); deflation finds its second copy, which must not be
+    # merged into the first
+    zs = compute_zeros(params_from(2.0, 0.0), n)
+    assert zs.n == n == len(zs.zeros)
+    assert np.sum(np.abs(zs.zeros + 0.5) < 1e-7) == 2
