@@ -3,21 +3,21 @@
 The airfoil boundary is the image of the unit circle under Psi(w) = J(a*w + b),
 J(zeta) = (zeta + 1/zeta)/2, with a = R*exp(i*theta) and b = 1 - a chosen so a
 cusp sits at z = 1.  Everything else in the package is built on the exterior
-map Phi (inverse of Psi), the square-root pair (U, V, W) with U = (z-b)/sqrt(V),
-and the two-sheeted interior map phi_b.
+map Phi (inverse of Psi), the triple (U, V, W) with U = (z-b)/sqrt(V), and the
+two-sheeted interior map phi_b.  sqrt(V) is the principal root of -2b(z - c);
+no zero equation sits on its cut, and its callers read only |U|, |Re U| or
+|sqrt(V)|, which are the same on both branches.
 """
 
 from __future__ import annotations
 
 import cmath
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BranchError, DomainError, ParameterError, PoleError, SingularityError
-
-_ARC_PROBE = 513  # samples used to place the branch cut of sqrt(V)
 
 
 class Sheet(enum.Enum):
@@ -41,11 +41,6 @@ class AirfoilParams:
     b: complex
     c: complex          # (b + 1/b)/2, the sqrt(V) branch point
     capacity: float     # logarithmic capacity |a|/2
-    cut_angle: float    # direction of the sqrt(V) cut ray out of c
-    # phase bookkeeping for the sqrt(V) branch (see _sqrt_v)
-    _rot: complex = field(repr=False, default=1.0 + 0j)
-    _pref: complex = field(repr=False, default=1.0 + 0j)
-    _sigma: complex = field(repr=False, default=1.0 + 0j)
 
     @property
     def rcos(self) -> float:
@@ -54,20 +49,6 @@ class AirfoilParams:
     @property
     def is_real(self) -> bool:
         return self.theta == 0.0
-
-
-def _cut_angle(b: complex, c: complex) -> float:
-    # place the cut ray from c inside the largest angular gap left free by the
-    # limit arc *and* by 1/b (U' must be well-defined at 1/b)
-    if abs(b.imag) < 1e-14:
-        return np.pi
-    rho = np.linspace(0.0, 1.0, _ARC_PROBE)
-    zp, zm = arc_candidates_raw(b, rho)
-    pts = np.concatenate([zp, zm, [1.0 / b]])
-    ang = np.sort(np.angle(pts - c) % (2 * np.pi))
-    gaps = np.diff(np.concatenate([ang, [ang[0] + 2 * np.pi]]))
-    i = int(np.argmax(gaps))
-    return float((ang[i] + gaps[i] / 2) % (2 * np.pi))
 
 
 def params_from(R: float, theta: float = 0.0) -> AirfoilParams:
@@ -90,15 +71,9 @@ def params_from(R: float, theta: float = 0.0) -> AirfoilParams:
     a = R * np.exp(1j * theta)
     b = 1.0 - a
     c = (b + 1.0 / b) / 2.0
-    delta = _cut_angle(b, c)
-    rot = np.exp(1j * (delta - np.pi))
-    pref = np.sqrt(-2.0 * b * rot)
-    # normalize so sqrt(V)(1) = 1 - b exactly; |sigma| = 1 since -2b(1-c) = (1-b)^2
-    sigma = (1.0 - b) / (pref * np.sqrt((1.0 - c) / rot))
     return AirfoilParams(
         R=R, theta=theta, a=complex(a), b=complex(b), c=complex(c),
-        capacity=abs(a) / 2.0, cut_angle=delta,
-        _rot=complex(rot), _pref=complex(pref), _sigma=complex(sigma),
+        capacity=abs(a) / 2.0,
     )
 
 
@@ -137,25 +112,20 @@ def phi(p: AirfoilParams, z):
     return _maybe_scalar(w, scalar)
 
 
-def _sqrt_v(p: AirfoilParams, z):
-    # branch of sqrt(V) = sqrt(-2b (z - c)) cut along the ray angle cut_angle
-    # from c, normalized so sqrt(V)(1) = 1 - b
-    return p._sigma * p._pref * np.sqrt((z - p.c) / p._rot)
-
-
 def uvw(p: AirfoilParams, z):
-    """Return (U, V, W): V = b^2+1-2bz, W = z-b, U = W/sqrt(V) with U(1) = 1."""
+    """Return (U, V, W): V = b^2+1-2bz, W = z-b, U = W/sqrt(V). U(1) = 1, as
+    the principal sqrt(V(1)) = sqrt((1-b)^2) is 1 - b = a, Re a > 0."""
     u, v, w, _ = uvw4(p, z)
     return u, v, w
 
 
 def uvw4(p: AirfoilParams, z):
-    """Like uvw() but also returns the branch-consistent sqrt(V)."""
+    """Like uvw() but also returns sqrt(V), the principal root of -2b(z - c)."""
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
     if np.any(np.abs(z - p.c) < 1e-14 * (1.0 + abs(p.c))):
         raise SingularityError(f"U is singular at z = c = {p.c}")
-    sv = _sqrt_v(p, z)
+    sv = np.sqrt(-2.0 * p.b * (z - p.c))
     v = p.b * p.b + 1.0 - 2.0 * p.b * z
     w = z - p.b
     u = w / sv

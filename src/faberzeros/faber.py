@@ -3,8 +3,10 @@
 faber_closed builds coefficients from the power-sum recurrence
 S_m = 2(z-b) S_{m-1} - V S_{m-2}; faber_oracle extracts them from an FFT of
 Phi^n on a circle; FaberEvaluator evaluates the closed form pointwise.  The
-zero equation lives here too: residual() is 2 T_n(U) - (-b/sqrt(V))^n together
-with its derivative.
+zero equation lives here too, on the paper's branch-free closed form
+a^n F_n = (w+s)^n + (w-s)^n - (-b)^n, w = z - b, s^2 = z^2 - 1: residual()
+returns it and its derivative, each divided by the n-th power of the largest
+of |w+s|, |w-s| and |b|, so neither overflows.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 import mpmath as mp
 import numpy as np
 
-from .conformal import AirfoilParams, boundary_samples, phi, uvw4
+from .conformal import AirfoilParams, boundary_samples, phi
 from .errors import ResolutionError
 
 _CHEB_BAND = 1.0 + 1e-3
@@ -52,31 +54,6 @@ def ipow(x, n: int):
     return out
 
 
-def _cheb_x(u):
-    # the |x| >= 1 branch of x = u ± sqrt(u^2-1), so T_n(u) = (x^n + x^-n)/2
-    s = np.sqrt(u * u - 1.0)
-    return np.where(np.abs(u + s) >= 1.0, u + s, u - s)
-
-
-def _cheb_power_pair(n: int, u):
-    # T_n and T_n' from x^n + x^{-n}. The derivative denominator must be
-    # x - 1/x of the *selected* x (it is -2s when the minus branch wins), else
-    # Newton walks uphill. Where |x|^n passes the double range (U near its
-    # pole at z = c) both come out infinite, without a floating-point warning.
-    u = np.asarray(u, dtype=complex)
-    x = _cheb_x(u)
-    xn = ipow(x, n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = 0.5 * (xn + 1.0 / xn)
-        d = x - 1.0 / x
-        tiny = np.abs(d) < 1e-12
-        dsafe = np.where(tiny, 1.0, d)
-        # limit at u -> ±1: T_n'(±1) = (±1)^{n+1} n^2
-        sign = np.where(u.real >= 0, 1.0, (-1.0) ** ((n + 1) % 2))
-        dt = np.where(tiny, n * n * sign + 0j, n * (xn - 1.0 / xn) / dsafe)
-    return t, dt
-
-
 def chebyshev_T(n: int, u):
     """Chebyshev polynomial T_n: three-term recurrence for |u| <= 1+1e-3,
     dominant-branch power form outside the band."""
@@ -100,7 +77,12 @@ def chebyshev_T(n: int, u):
                 t0, t1 = t1, 2.0 * ub * t1 - t0
             out[band] = t1
     if np.any(~band):
-        out[~band] = _cheb_power_pair(n, u[~band])[0]
+        # the |x| >= 1 branch of x = u +- sqrt(u^2-1): T_n(u) = (x^n + x^-n)/2
+        uo = u[~band]
+        s = np.sqrt(uo * uo - 1.0)
+        xn = ipow(np.where(np.abs(uo + s) >= 1.0, uo + s, uo - s), n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[~band] = 0.5 * (xn + 1.0 / xn)
     return complex(out[0]) if scalar else out
 
 
@@ -240,36 +222,32 @@ class FaberEvaluator:
         return complex(val[()]) if scalar else val
 
 
+def _closed_terms(p: AirfoilParams, n: int, z):
+    """(t+, t-, tb, d+, d-, s) at z: the three terms of a^n F_n =
+    (w+s)^n + (w-s)^n - (-b)^n, w = z - b, s = sqrt(z-1) sqrt(z+1), each
+    divided by top^n, top = max(|w+s|, |w-s|, |b|) so none overflows, and
+    d+- = (w +- s)^(n-1) / top^n, which carry the derivative. Single-valued
+    in z: the two terms swap across the cut of s."""
+    z = np.asarray(z, dtype=complex)
+    s = np.sqrt(z - 1.0) * np.sqrt(z + 1.0)
+    xp, xm = z - p.b + s, z - p.b - s
+    top = np.maximum(np.maximum(np.abs(xp), np.abs(xm)), abs(p.b))
+    dp, dm = ipow(xp / top, n - 1) / top, ipow(xm / top, n - 1) / top
+    return dp * xp, dm * xm, ipow(-p.b / top, n), dp, dm, s
+
+
 def residual(p: AirfoilParams, n: int, z):
-    """Zero-equation residual r(z) = 2 T_n(U(z)) - (-b/sqrt(V))^n and its
-    z-derivative; r = a^n V^{-n/2} F_n(z), so r = 0 exactly at the zeros of
-    F_n. The pair feeds Newton in rootfind. SingularityError at z = c."""
-    u, v, _w, sv = uvw4(p, z)
-    t, dt = _cheb_power_pair(n, u)
-    # as an array even for scalar z: a Python complex power raises on overflow
-    rhs = ipow(-p.b / np.asarray(sv), n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = 2.0 * t - rhs
-        du = (1.0 - p.b * np.asarray(z, dtype=complex)) / sv ** 3
-        dr = 2.0 * dt * du - rhs * (n * p.b / v)
-    return r, dr
+    """(r, r'): a^n F_n(z) and its z-derivative, both divided by top^n
+    (_closed_terms), so r = 0 exactly at the zeros of F_n and r/r' is
+    Newton's step for F_n. r' is not the derivative of r, as top varies
+    with z. r' is NaN where s = 0 (z = +-1)."""
+    tp, tm, tb, dp, dm, s = _closed_terms(p, n, z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return tp + tm - tb, n * (dp * (s + z) + dm * (s - z)) / s
 
 
 def scaled_residual(p: AirfoilParams, n: int, z):
-    """|r| / (2 + |(-b/sqrt(V))^n|): O(eps) at true zeros on every component.
-    Where x^n or (-b/sqrt(V))^n passes the double range, the three terms of r
-    are divided by the largest of them in log form, so the result is finite."""
-    u, v, _w, sv = uvw4(p, z)
-    t, _ = _cheb_power_pair(n, u)
-    q = -p.b / np.asarray(sv)
-    rhs = ipow(q, n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.abs(2.0 * t - rhs) / (2.0 + np.abs(rhs))
-    huge = ~np.isfinite(out)
-    if np.any(huge):
-        lx = n * np.log(_cheb_x(np.asarray(u, dtype=complex)))
-        lq = n * np.log(q)
-        top = np.maximum(lx.real, lq.real)
-        num = np.abs(np.exp(lx - top) + np.exp(-lx - top) - np.exp(lq - top))
-        out = np.where(huge, num / (2.0 * np.exp(-top) + np.exp(lq.real - top)), out)[()]
-    return out
+    """|a^n F_n| / (|t+| + |t-| + |tb|), the residual relative to its three
+    terms (_closed_terms): O(eps) at true zeros on every component."""
+    tp, tm, tb, *_ = _closed_terms(p, n, z)
+    return np.abs(tp + tm - tb) / (np.abs(tp) + np.abs(tm) + np.abs(tb))

@@ -1,21 +1,24 @@
 """Locating all n zeros of the degree-n Faber polynomial.
 
 The production route is the seeded solver, which never touches coefficients.
+Its one zero equation in z is the paper's branch-free closed form
+a^n F_n = (w+s)^n + (w-s)^n - (-b)^n, w = z - b, s^2 = z^2 - 1 (faber.residual).
 Segment zeros come from brackets whose ends are the arc points where U takes
-adjacent Chebyshev values cos(k pi/n). On a real airfoil the residual
-2 T_n(U) - (-b/sqrt(V))^n is real on the segment, so each bracket is solved
-in z by Newton kept inside it by the residual's sign, one residual evaluation
-per pass; otherwise Newton starts from the arc point of each bracket's middle
-angle. Loop zeros come from a unit-circle Newton in the w-plane on the exact
-pullback
+adjacent Chebyshev values cos(k pi/n). On a real airfoil the closed form is
+real on the segment, so each bracket is solved in z by Newton kept inside it
+by the residual's sign, one residual evaluation per pass; otherwise Newton
+starts from the arc point of each bracket's middle angle. Both step on
+f V^(-n/2), V = b^2 + 1 - 2bz, which on the arc is 2 T_n(U) - (-b/sqrt(V))^n
+and so stays bounded there (_newton_step). Loop zeros come from a unit-circle
+Newton in the w-plane on the exact pullback
 F_n(J(b(1-w))) = (-b/a)^n (w^n + g(w)^n - 1), g(w) = 1 - 1/(b^2 (1-w)).
 The zeros these seeds miss (near the loop corners, just above criticality,
 and at low degree and steep rotation, where the limit set is far from the
 zeros) come from Aberth's iteration on the branch-free closed form with the
 found zeros held fixed (Maehly's implicit deflation). A double-precision
 Newton pass tightens every zero, and Newton in mpmath on the closed form
-finishes the few that double precision cannot pin down (near theta = pi/2
-its floor is about 1e-13).
+finishes the few whose error bound stays above the closed form's rounding
+floor in double (near theta = pi/2 that floor is about 1e-13).
 
 The simultaneous (Aberth) solver on the coefficients,
 roots_simultaneous(faber_closed(p, n)), is kept as an independent oracle for
@@ -36,7 +39,7 @@ import numpy as np
 
 from .conformal import AirfoilParams, phi_b_inverse
 from .errors import ConvergenceError, DeficitError, MismatchError
-from .faber import faber_coeffs_mp, ipow, residual, scaled_residual
+from .faber import _closed_terms, faber_coeffs_mp, ipow, residual, scaled_residual
 from .limitsets import arc_z_of_u, intersection_ib, loop_g, u_lower
 
 RESIDUAL_GATE = 1e-7      # ZeroSet guarantee on max scaled residual
@@ -281,10 +284,20 @@ def _at_floor(step, z, prev):
     return mag, (mag < 1e-15 * scale) | ((mag < 1e-12 * scale) & (mag > 0.5 * prev))
 
 
+def _newton_step(p: AirfoilParams, n: int, z):
+    """(r, step) from one residual call: Newton's step for f V^(-n/2),
+    f = a^n F_n, V = b^2 + 1 - 2bz, which is r / (r' + n b r / V). It has
+    the zeros of f but stays bounded on the arc, where f V^(-n/2) is
+    2 T_n(U) - (-b/sqrt(V))^n; Newton on f alone needs more passes."""
+    r, dr = residual(p, n, z)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return r, r / (dr + n * p.b * r / (p.b * p.b + 1.0 - 2.0 * p.b * z))
+
+
 def _newton_z(p: AirfoilParams, n: int, z, max_iter=80, cap=0.05, accept=1e-6):
-    """Newton on the zero equation in z, each zero stopped on its own once its
-    step reaches the rounding floor (_at_floor; near theta = pi/2 the
-    residual's own rounding keeps the step above 1e-15 (1 + |z|))."""
+    """Newton in z (_newton_step), each zero stopped on its own once its step
+    reaches the rounding floor (_at_floor; near theta = pi/2 the residual's
+    own rounding keeps the step above 1e-15 (1 + |z|))."""
     z = np.asarray(z, dtype=complex).copy()
     if not len(z):
         return z
@@ -292,12 +305,10 @@ def _newton_z(p: AirfoilParams, n: int, z, max_iter=80, cap=0.05, accept=1e-6):
     prev = np.full(len(z), np.inf)
     for _ in range(max_iter):
         za = z[active]
-        r, dr = residual(p, n, za)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            dr = np.where(np.abs(dr) < 1e-300, 1e-300, dr)
-            step = r / dr
-            step = np.where(np.isfinite(step), step, cap)
-            mag = np.abs(step)
+        step = _newton_step(p, n, za)[1]
+        step = np.where(np.isfinite(step), step, cap)
+        mag = np.abs(step)
+        with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(mag > cap, step * (cap / mag), step)
         za = za - step
         z[active] = za
@@ -312,10 +323,10 @@ def _newton_z(p: AirfoilParams, n: int, z, max_iter=80, cap=0.05, accept=1e-6):
 
 
 def _newton_real(p: AirfoilParams, n: int, brackets):
-    """Real-axis case: safeguarded Newton in z on each (m, 2) z-bracket of the
-    seed plan. The residual is real on the segment and U is monotone there,
-    so a bracket whose ends differ in sign holds one zero. Each pass takes r
-    and r' at every unfinished zero (one residual call) and shrinks its
+    """Real-axis case: safeguarded Newton in z (_newton_step) on each (m, 2)
+    z-bracket of the seed plan. The residual is real on the segment and U is
+    monotone there, so a bracket whose ends differ in sign holds one zero.
+    Each pass takes r and the step at every unfinished zero and shrinks its
     bracket so the ends still differ in sign. The next point is the Newton
     step where it lands strictly inside the bracket, else the regula-falsi
     point of the two ends clamped to it (zeros within rounding of an end
@@ -332,13 +343,13 @@ def _newton_real(p: AirfoilParams, n: int, brackets):
     for _ in range(60):
         if not len(idx):
             break
-        r, dr = residual(p, n, x + 0j)
+        r, step = _newton_step(p, n, x + 0j)
         fx = r.real
         left = np.sign(fx) == np.sign(flo)
         lo, flo = np.where(left, x, lo), np.where(left, fx, flo)
         hi, fhi = np.where(left, hi, x), np.where(left, fhi, fx)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            new = x - fx / dr.real
+            new = x - step.real
             rf = np.clip((lo * fhi - hi * flo) / (fhi - flo), lo, hi)
         rf = np.where(np.isfinite(rf), rf, 0.5 * (lo + hi))
         new = np.where((lo < new) & (new < hi), new, rf)
@@ -376,15 +387,16 @@ def _tighten(p: AirfoilParams, n: int, zs):
 
 
 def _forward_error_bound(p: AirfoilParams, n: int, z):
-    """The larger of Newton's estimate |r/r'| and the rounding floor of U,
-    eps |U/U'| = eps |W V / (1 - b z)|: below that floor a double-precision
-    residual cannot see the error (it reaches 1e-13 near theta = pi/2)."""
-    r, dr = residual(p, n, z)
+    """The larger of Newton's estimate |f/f'| and the closed form's rounding
+    floor n eps (|w| + |s|) (|t+/(w+s)| + |t-/(w-s)|) / |f'|, the error of
+    the two powers over the slope (_closed_terms): below that floor a
+    double-precision residual cannot see the error (it reaches 1e-13 near
+    theta = pi/2)."""
+    tp, tm, tb, dp, dm, s = _closed_terms(p, n, z)
     with np.errstate(divide="ignore", invalid="ignore"):
-        est = np.abs(r / dr)
-        floor = _EPS * np.abs((z - p.b) * (p.b * p.b + 1.0 - 2.0 * p.b * z)
-                              / (1.0 - p.b * z))
-    return np.maximum(est, floor)
+        df = np.abs(n * (dp * (s + z) + dm * (s - z)) / s)
+        floor = n * _EPS * (np.abs(z - p.b) + np.abs(s)) * (np.abs(dp) + np.abs(dm))
+        return np.maximum(np.abs(tp + tm - tb), floor) / df
 
 
 def _polish_mp(p: AirfoilParams, n: int, z):
@@ -426,10 +438,8 @@ def _deflate(p: AirfoilParams, n: int, found):
     """The m = n - len(found) zeros the seeds missed, by Aberth's iteration
     z <- z - N / (1 - N S) on them alone, S summing 1/(z - z_j) over the other
     missing and the found zeros, which stay fixed (Maehly's implicit
-    deflation). N = f/f' for f = (w+s)^n + (w-s)^n - (-b)^n = a^n F_n,
-    w = z - b, s = sqrt(z-1) sqrt(z+1), single-valued in z where residual's
-    V^(-n/2) jumps across the cut of sqrt(V); each term is divided by the n-th
-    power of the largest of |w+s|, |w-s|, |b|, so none overflows. The start
+    deflation). N = r/r' = f/f' for f = a^n F_n (residual); Maehly's
+    correction needs Newton's step on f itself, not _newton_step's. The start
     is a circle at an irrational angular offset around the missing zeros'
     centroid (n b/2 - sum(found)) / m, through the farthest found zero and no
     smaller than the capacity. Each zero stops on its own (_at_floor); those
@@ -443,13 +453,9 @@ def _deflate(p: AirfoilParams, n: int, found):
     prev = np.full(m, np.inf)
     for _ in range(200):
         z = pts[active]
-        s = np.sqrt(z - 1.0) * np.sqrt(z + 1.0)
-        xp, xm = z - p.b + s, z - p.b - s
+        r, dr = residual(p, n, z)
         with np.errstate(divide="ignore", invalid="ignore"):
-            top = np.maximum(np.maximum(np.abs(xp), np.abs(xm)), abs(p.b))
-            tp, tm = ipow(xp / top, n), ipow(xm / top, n)
-            f = tp + tm - ipow(-p.b / top, n)
-            newton = f * s / (n * (tp / xp * (s + z) + tm / xm * (s - z)))
+            newton = r / dr
             diff = z[:, None] - pts[None, :]
             diff[np.arange(len(active)), active] = np.inf
             step = newton / (1.0 - newton * np.sum(1.0 / diff, axis=1))

@@ -1,13 +1,20 @@
-"""Completion sweep of the seeded solver over the admissible range (slow).
+"""Sweeps of the seeded solver over the admissible range (slow).
 
 Run with `python -m pytest -m slow -s tests/test_completion_sweep.py`; the
-default run deselects it. Every call must return n distinct zeros with
+default run deselects them.
+
+The completion sweep: every call must return n distinct zeros with
 scaled residual at most RESIDUAL_GATE, none may reach the coefficient
 route, and every zero set must pass verify's quadrature gate,
 max_k |mean_j F_k(z_j)| < 2^6 max(n, 16) eps. The table gives, per
 R cos theta, the calls, failures, mean and longest call, the calls and
 longest time of the deflation stage, and the largest quadrature residual
 in units of n eps.
+
+The accuracy sweep on grid G (R cos theta x theta x n, 240 points): every
+zero must lie within 2^9 ulp of max(1, |z|) by its forward error
+|F_n / F_n'| in mpmath. The table gives, per (R cos theta, theta), the
+worst zero in ulp and how many zeros went to the mpmath polish.
 """
 
 import math
@@ -21,6 +28,7 @@ from faberzeros import rootfind
 from faberzeros.conformal import params_from
 from faberzeros.errors import FaberError
 from faberzeros.measures import quadrature_gate
+from test_rootfind import closed_form_forward_errors
 
 EPS = 2.0 ** -52
 
@@ -79,3 +87,37 @@ def test_seeded_solver_completes_everywhere(no_coefficient_route, monkeypatch):
               f"{1e3 * max(t):>8.2f} {len(d):>8} {1e3 * max(d, default=0.0):>14.2f} "
               f"{quad[rc]:>12.2f}")
     assert not failures, failures[:10]
+
+
+GRID_G = [(rc, th, n)
+          for rc in (1.001, 1.2, 1.4999, 1.5001, 1.6, 2.0, 4.0, 8.0)
+          for th in (0.0, 0.5, 1.0, 1.3, 1.5, -1.5)
+          for n in (7, 60, 99, 300, 500)]
+
+
+@pytest.mark.slow
+def test_every_zero_within_512_ulp_on_grid_g(monkeypatch):
+    assert len(GRID_G) == 240
+    polish = rootfind._polish_mp
+    polished, worst = defaultdict(int), defaultdict(float)
+    row = None
+
+    def counted_polish(p, n, z):
+        polished[row] += len(z)
+        return polish(p, n, z)
+
+    monkeypatch.setattr(rootfind, "_polish_mp", counted_polish)
+    failures = []
+    for rc, theta, n in GRID_G:
+        row = (rc, theta)
+        p = params_from(rc / math.cos(theta), theta)
+        z = rootfind.compute_zeros(p, n).zeros
+        ulp = float(np.max(closed_form_forward_errors(p, n, z)
+                           / np.maximum(1.0, np.abs(z)))) / EPS
+        worst[row] = max(worst[row], ulp)
+        if not ulp <= 512:
+            failures.append((rc, theta, n, ulp))
+    print(f"\n{'R cos theta':>11} {'theta':>6} {'worst ulp':>10} {'polished':>8}")
+    for rc, theta in worst:
+        print(f"{rc:>11} {theta:>6} {worst[rc, theta]:>10.1f} {polished[rc, theta]:>8}")
+    assert not failures, failures

@@ -23,8 +23,6 @@ def test_params_basic_real():
     assert p.c == pytest.approx(-2.053076923076923, abs=1e-15)
     assert p.capacity == pytest.approx(0.63)
     assert p.is_real
-    # real b: the U branch cut leaves along the negative ray from c
-    assert p.cut_angle == pytest.approx(np.pi)
 
 
 def test_params_supercritical_real():
@@ -129,10 +127,10 @@ def test_uvw4_matches_uvw_and_rejects_center():
         uvw4(p, p.c)
 
 
-def test_sqrt_v_cut_runs_away_from_arc():
-    # V = -2b(z-c): the square-root cut is the ray from c in direction cut_angle.
-    # Crossing it flips the sign; staying off it keeps U continuous on a loop
-    # around the airfoil region.
+def test_u_flips_sign_once_around_c():
+    # V = -2b(z-c), and sqrt(V) is its principal root, so its cut is one ray
+    # out of c: U changes sign where a circle around c crosses that ray and
+    # is continuous everywhere else on it.
     p = params_from(2.1, 0.2)
     t = np.linspace(0, 2 * np.pi, 2001)
     z = p.c + 3.0 * np.exp(1j * t)

@@ -227,11 +227,13 @@ def test_cross_check_mismatch():
     assert ei.value.unmatched == [(0j, -3 + 0j)]
 
 
-# the last four, given as (R cos theta, theta, n), need the seed plan's u_lo
-# sign and loop arc to agree at steep rotations
+# the next four, given as (R cos theta, theta, n), need the seed plan's u_lo
+# sign and loop arc to agree at steep rotations; at (8, -1.5, 99) Newton on
+# the Chebyshev form 2 T_n(U) - (-b/sqrt(V))^n left a zero 556 ulp off
 STEEP = [(5.428131, 1.09256, 292), (4.679281, 1.081578, 281)] + [
     (rc / np.cos(theta), theta, n)
-    for rc, theta, n in [(1.8, 1.5, 99), (1.8, -1.5, 99), (4.0, 1.4, 150), (8.0, 1.3, 99)]]
+    for rc, theta, n in [(1.8, 1.5, 99), (1.8, -1.5, 99), (4.0, 1.4, 150), (8.0, 1.3, 99),
+                         (8.0, -1.5, 99)]]
 
 
 def test_newton_z_stops_each_zero_at_the_rounding_floor(monkeypatch):
@@ -448,11 +450,9 @@ NEAR_CRITICAL = [(1.5001, 0.0, 299), (1.5001, 0.0, 401), (1.5001, 0.0, 499),
                  (1.501, 0.0, 99), (1.501, 0.0, 150), (1.501, -0.7, 250)]
 
 # low degree at steep rotation, where the limit set is far from the zeros and
-# the seeds find few or none of them (at (8, +-1.5) none for n <= 24). Not
-# (4, 1.48, 20): one zero there stays 5.9e-13 off, because its forward-error
-# bound is below POLISH_GATE and so the mpmath polish skips it.
+# the seeds find few or none of them (at (8, +-1.5) none for n <= 24)
 STEEP_LOW = [(8.0, th, n) for th in (1.5, -1.5) for n in (7, 12, 24, 60)] + [
-    (4.0, 1.48, n) for n in (6, 12, 24)]
+    (4.0, 1.48, n) for n in (6, 12, 20, 24)]
 
 
 @pytest.mark.parametrize("rc,theta,n", NEAR_CRITICAL + STEEP_LOW)
