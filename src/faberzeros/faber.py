@@ -41,8 +41,8 @@ def ipow(x, n: int):
     to powers below 100. Powers of two stay with x ** n: there n log x is
     exact and exp/log is the more accurate (0.31 n eps). Entries whose result
     overflows, is not finite or falls below the normal range are recomputed
-    with x ** n, so they are exactly numpy's. Below n = 100 the result is
-    x ** n bit for bit."""
+    with x ** n, those entries alone, so they are exactly numpy's. Below
+    n = 100 the result is x ** n bit for bit."""
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         if n < _POW_DIRECT or n & (n - 1) == 0:
             return x ** n
@@ -50,7 +50,10 @@ def ipow(x, n: int):
         mag = np.abs(out)
         redo = ~((mag >= _TINY) & (mag < np.inf))
         if np.any(redo):
-            out = np.where(redo, x ** n, out)
+            if np.ndim(out):
+                out[redo] = x[redo] ** n
+            else:
+                out = x ** n
     return out
 
 
@@ -246,8 +249,12 @@ def residual(p: AirfoilParams, n: int, z):
         return tp + tm - tb, n * (dp * (s + z) + dm * (s - z)) / s
 
 
+def _scaled(tp, tm, tb):
+    """scaled_residual from the three terms of _closed_terms."""
+    return np.abs(tp + tm - tb) / (np.abs(tp) + np.abs(tm) + np.abs(tb))
+
+
 def scaled_residual(p: AirfoilParams, n: int, z):
     """|a^n F_n| / (|t+| + |t-| + |tb|), the residual relative to its three
     terms (_closed_terms): O(eps) at true zeros on every component."""
-    tp, tm, tb, *_ = _closed_terms(p, n, z)
-    return np.abs(tp + tm - tb) / (np.abs(tp) + np.abs(tm) + np.abs(tb))
+    return _scaled(*_closed_terms(p, n, z)[:3])

@@ -4,10 +4,11 @@ The production route is the seeded solver, which never touches coefficients.
 Its one zero equation in z is the paper's branch-free closed form
 a^n F_n = (w+s)^n + (w-s)^n - (-b)^n, w = z - b, s^2 = z^2 - 1 (faber.residual).
 Segment zeros come from brackets whose ends are the arc points where U takes
-adjacent Chebyshev values cos(k pi/n). On a real airfoil the closed form is
-real on the segment, so each bracket is solved in z by Newton kept inside it
-by the residual's sign, one residual evaluation per pass; otherwise Newton
-starts from the arc point of each bracket's middle angle. Both step on
+adjacent Chebyshev values cos(k pi/n). Newton starts each from its node, the
+arc point where U = cos((k + 1/2) pi/n), within an exponentially small term
+of a zero. On a real airfoil the closed form is real on the segment, so each
+bracket is solved in z by Newton kept inside it by the residual's sign, one
+residual evaluation per pass (about 4.5 in all, ends included). Both step on
 f V^(-n/2), V = b^2 + 1 - 2bz, which on the arc is 2 T_n(U) - (-b/sqrt(V))^n
 and so stays bounded there (_newton_step). Loop zeros come from a unit-circle
 Newton in the w-plane on the exact pullback
@@ -18,7 +19,9 @@ zeros) come from Aberth's iteration on the branch-free closed form with the
 found zeros held fixed (Maehly's implicit deflation). A double-precision
 Newton pass tightens every zero, and Newton in mpmath on the closed form
 finishes the few whose error bound stays above the closed form's rounding
-floor in double (near theta = pi/2 that floor is about 1e-13).
+floor in double (near theta = pi/2 that floor is about 1e-13). One
+evaluation of the closed form gives each zero's scaled residual and error
+bound (_grade); only the zeros the Newton pass moves are evaluated again.
 
 The simultaneous (Aberth) solver on the coefficients,
 roots_simultaneous(faber_closed(p, n)), is kept as an independent oracle for
@@ -39,7 +42,9 @@ import numpy as np
 
 from .conformal import AirfoilParams, phi_b_inverse
 from .errors import ConvergenceError, DeficitError, MismatchError
-from .faber import _closed_terms, faber_coeffs_mp, ipow, residual, scaled_residual
+from .faber import (
+    _closed_terms, _scaled, faber_coeffs_mp, ipow, residual, scaled_residual,
+)
 from .limitsets import arc_z_of_u, intersection_ib, loop_g, u_lower
 
 RESIDUAL_GATE = 1e-7      # ZeroSet guarantee on max scaled residual
@@ -75,14 +80,22 @@ def _sorted(z):
 
 def _dedup(z, tol=DISTINCT_TOL):
     """Greedy in (Re, Im) order: drop each zero within tol of one kept before
-    it. Only zeros whose real parts lie within 2 tol after a kept one (a
-    margin over rounding) are compared with it."""
+    it. Each zero is compared, all at once, with those after it whose real
+    parts lie within 2 tol (a margin over rounding); only the pairs within
+    tol are walked in order, since a zero drops its partner only if it is
+    itself kept."""
     z = _sorted(z)
     hi = np.searchsorted(z.real, z.real + 2.0 * tol, side="right")
+    cnt = hi - np.arange(1, len(z) + 1)     # >= 0: z.real is sorted
+    i = np.repeat(np.arange(len(z)), cnt)
+    if not len(i):
+        return z
+    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    near = ~(np.abs(z[j] - z[i]) > tol)
     keep = np.ones(len(z), dtype=bool)
-    for i in np.nonzero(hi > np.arange(1, len(z) + 1))[0]:
-        if keep[i]:
-            keep[i + 1:hi[i]] &= np.abs(z[i + 1:hi[i]] - z[i]) > tol
+    for a, b in zip(i[near].tolist(), j[near].tolist()):
+        if keep[a]:
+            keep[b] = False
     return z[keep]
 
 
@@ -205,7 +218,7 @@ class SeedPlan:
     roots-of-unity images for loop zeros."""
 
     n: int
-    segment_brackets: np.ndarray  # (m, 2): arc points at the low/high u ends (real b only)
+    segment_brackets: np.ndarray  # (m, 3): arc points at low u end, node, high u end (real b only)
     loop_seeds: np.ndarray        # J(b(1-omega_k)) for on-arc omega_k
     u_lo: float
     _ts: np.ndarray = field(repr=False, default=None)       # t-brackets, t = arccos u
@@ -220,7 +233,9 @@ def seed_plan(p: AirfoilParams, n: int) -> SeedPlan:
     """Chebyshev-style brackets on the zero-carrying arc piece plus unit-root
     seeds on the loop-side circle arc (selected by |g(omega)| < 1). Only a
     real airfoil's segment solve works on z-brackets, so only there are the
-    t-brackets mapped to z-brackets; elsewhere segment_brackets is empty."""
+    t-brackets mapped to z-brackets, with the arc point of each one's middle
+    angle, the Chebyshev node cos((k + 1/2) pi/n) where the bracket is not
+    cut at u_lo; elsewhere segment_brackets is empty."""
     if n < 1:
         raise ValueError("n must be >= 1")
     u_lo = u_lower(p)
@@ -231,10 +246,11 @@ def seed_plan(p: AirfoilParams, n: int) -> SeedPlan:
     keep = tlo < s_max - 1e-15
     tlo, thi = tlo[keep], np.minimum(thi[keep], s_max)
     ts = np.stack([tlo, thi], axis=1)
-    brackets = np.empty((0, 2), complex)
+    brackets = np.empty((0, 3), complex)
     if len(ts) and p.is_real:
-        # one call for both ends: column 0 is the lower u end
-        brackets = arc_z_of_u(p, np.cos(ts[:, ::-1]).ravel()).reshape(-1, 2)
+        # one call for the ends and the node: column 0 is the lower u end
+        t3 = np.stack([thi, 0.5 * (tlo + thi), tlo], axis=1)
+        brackets = arc_z_of_u(p, np.cos(t3).ravel()).reshape(-1, 3)
     if intersection_ib(p) is not None:
         om = np.exp(2j * np.pi * np.arange(n) / n)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -323,22 +339,26 @@ def _newton_z(p: AirfoilParams, n: int, z, max_iter=80, cap=0.05, accept=1e-6):
 
 
 def _newton_real(p: AirfoilParams, n: int, brackets):
-    """Real-axis case: safeguarded Newton in z (_newton_step) on each (m, 2)
-    z-bracket of the seed plan. The residual is real on the segment and U is
-    monotone there, so a bracket whose ends differ in sign holds one zero.
-    Each pass takes r and the step at every unfinished zero and shrinks its
-    bracket so the ends still differ in sign. The next point is the Newton
-    step where it lands strictly inside the bracket, else the regula-falsi
-    point of the two ends clamped to it (zeros within rounding of an end
-    throw Newton out), else the midpoint. A zero stops at the rounding floor
-    (_at_floor), once its bracket is 4 eps (1 + |z|) wide, or where r is
-    exactly 0, keeping that point; 60 passes at most."""
-    r, _ = residual(p, n, brackets.real.ravel() + 0j)
+    """Real-axis case: safeguarded Newton in z (_newton_step) on each (m, 3)
+    z-bracket of the seed plan (low end, node, high end). The residual is
+    real on the segment and U is monotone there, so a bracket whose ends
+    differ in sign holds one zero. Newton starts at the node, clamped into
+    the bracket: there f V^(-n/2) = 2 T_n(U) - (-b/sqrt(V))^n is within an
+    exponentially small term of a zero. Each pass takes r and the step at
+    every unfinished zero and shrinks its bracket so the ends still differ in
+    sign. The next point is the Newton step where it lands strictly inside
+    the bracket, else the regula-falsi point of the two ends clamped to it
+    (zeros within rounding of an end throw Newton out), else the midpoint. A
+    zero stops at the rounding floor (_at_floor), once its bracket is
+    4 eps (1 + |z|) wide, or where r is exactly 0, keeping that point;
+    60 passes at most."""
+    ends = brackets[:, ::2].real
+    r, _ = residual(p, n, ends.ravel() + 0j)
     f = r.real.reshape(-1, 2)
     good = np.sign(f[:, 0]) * np.sign(f[:, 1]) < 0
-    lo, hi = brackets[good, 0].real, brackets[good, 1].real
+    lo, hi = ends[good, 0], ends[good, 1]
     flo, fhi = f[good, 0], f[good, 1]
-    z = 0.5 * (lo + hi)
+    z = np.clip(brackets[good, 1].real, lo, hi)
     x, idx, prev = z.copy(), np.arange(len(z)), np.full(len(z), np.inf)
     for _ in range(60):
         if not len(idx):
@@ -364,39 +384,49 @@ def _newton_real(p: AirfoilParams, n: int, brackets):
     return z[np.atleast_1d(scaled_residual(p, n, z)) < 1e-6]
 
 
-def _tighten(p: AirfoilParams, n: int, zs):
-    """(zeros, scaled residuals) after double-precision Newton on every zero
-    whose scaled residual is above TIGHTEN_GATE (NaN counts as above). A zero
-    takes its new value only where the residual dropped; real zeros of a real
-    airfoil stay on the axis."""
-    res = np.atleast_1d(scaled_residual(p, n, zs))
-    bad = ~(res <= TIGHTEN_GATE)
-    if not np.any(bad):
-        return zs, res
-    old = zs[bad]
-    new = _newton_z(p, n, old, max_iter=8, cap=1e-3, accept=None)
-    if p.is_real:
-        new = np.where(old.imag == 0.0, new.real + 0j, new)
-    new_res = np.atleast_1d(scaled_residual(p, n, new))
-    better = new_res < np.where(np.isnan(res[bad]), np.inf, res[bad])
-    zs, res = zs.copy(), res.copy()
-    idx = np.nonzero(bad)[0][better]
-    zs[idx] = new[better]
-    res[idx] = new_res[better]
-    return zs, res
-
-
-def _forward_error_bound(p: AirfoilParams, n: int, z):
+def _forward_error_bound(p: AirfoilParams, n: int, z, terms):
     """The larger of Newton's estimate |f/f'| and the closed form's rounding
     floor n eps (|w| + |s|) (|t+/(w+s)| + |t-/(w-s)|) / |f'|, the error of
-    the two powers over the slope (_closed_terms): below that floor a
-    double-precision residual cannot see the error (it reaches 1e-13 near
-    theta = pi/2)."""
-    tp, tm, tb, dp, dm, s = _closed_terms(p, n, z)
+    the two powers over the slope, from terms = _closed_terms(p, n, z):
+    below that floor a double-precision residual cannot see the error (it
+    reaches 1e-13 near theta = pi/2)."""
+    tp, tm, tb, dp, dm, s = terms
     with np.errstate(divide="ignore", invalid="ignore"):
         df = np.abs(n * (dp * (s + z) + dm * (s - z)) / s)
         floor = n * _EPS * (np.abs(z - p.b) + np.abs(s)) * (np.abs(dp) + np.abs(dm))
         return np.maximum(np.abs(tp + tm - tb), floor) / df
+
+
+def _grade(p: AirfoilParams, n: int, z):
+    """(scaled residual, forward-error bound) at each z from one
+    _closed_terms call."""
+    terms = _closed_terms(p, n, z)
+    return (np.atleast_1d(_scaled(*terms[:3])),
+            np.atleast_1d(_forward_error_bound(p, n, z, terms)))
+
+
+def _tighten(p: AirfoilParams, n: int, zs):
+    """(zeros, scaled residuals, forward-error bounds) after double-precision
+    Newton on every zero whose scaled residual is above TIGHTEN_GATE (NaN
+    counts as above). A zero takes its new value only where the residual
+    dropped; real zeros of a real airfoil stay on the axis. One _grade call
+    covers all zeros, and one more the points Newton moved them to."""
+    res, bound = _grade(p, n, zs)
+    bad = ~(res <= TIGHTEN_GATE)
+    if not np.any(bad):
+        return zs, res, bound
+    old = zs[bad]
+    new = _newton_z(p, n, old, max_iter=8, cap=1e-3, accept=None)
+    if p.is_real:
+        new = np.where(old.imag == 0.0, new.real + 0j, new)
+    new_res, new_bound = _grade(p, n, new)
+    better = new_res < np.where(np.isnan(res[bad]), np.inf, res[bad])
+    zs = zs.copy()
+    idx = np.nonzero(bad)[0][better]
+    zs[idx] = new[better]
+    res[idx] = new_res[better]
+    bound[idx] = new_bound[better]
+    return zs, res, bound
 
 
 def _polish_mp(p: AirfoilParams, n: int, z):
@@ -506,8 +536,8 @@ def roots_seeded(p: AirfoilParams, n: int) -> ZeroSet:
         raise DeficitError(
             f"found {len(zs)} of {n} zeros", missing=n - len(zs))
 
-    zs, res = _tighten(p, n, zs)
-    ill = ~(_forward_error_bound(p, n, zs) <= POLISH_GATE * np.maximum(1.0, np.abs(zs)))
+    zs, res, bound = _tighten(p, n, zs)
+    ill = ~(bound <= POLISH_GATE * np.maximum(1.0, np.abs(zs)))
     if np.any(ill):
         zs[ill] = _polish_mp(p, n, zs[ill])
         res[ill] = scaled_residual(p, n, zs[ill])

@@ -8,8 +8,9 @@ scaled residual at most RESIDUAL_GATE, none may reach the coefficient
 route, and every zero set must pass verify's quadrature gate,
 max_k |mean_j F_k(z_j)| < 2^6 max(n, 16) eps. The table gives, per
 R cos theta, the calls, failures, mean and longest call, the calls and
-longest time of the deflation stage, and the largest quadrature residual
-in units of n eps.
+longest time of the deflation stage, the largest quadrature residual in
+units of n eps, and the points evaluated through faber._closed_terms per
+returned zero (evals/zero; it only prints).
 
 The accuracy sweep on grid G (R cos theta x theta x n, 240 points): every
 zero must lie within 2^9 ulp of max(1, |z|) by its forward error
@@ -24,7 +25,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from faberzeros import rootfind
+from faberzeros import faber, rootfind
 from faberzeros.conformal import params_from
 from faberzeros.errors import FaberError
 from faberzeros.measures import quadrature_gate
@@ -54,16 +55,30 @@ def test_seeded_solver_completes_everywhere(no_coefficient_route, monkeypatch):
         return out
 
     monkeypatch.setattr(rootfind, "_deflate", timed_deflate)
+    closed_terms = faber._closed_terms
+    points = [0]
+
+    def counted_terms(p, n, z):
+        points[0] += np.size(z)
+        return closed_terms(p, n, z)
+
+    # residual and scaled_residual look it up in faber, the final stage in rootfind
+    monkeypatch.setattr(faber, "_closed_terms", counted_terms)
+    monkeypatch.setattr(rootfind, "_closed_terms", counted_terms)
     calls, deflations = defaultdict(list), defaultdict(list)
     quad = defaultdict(float)
+    evals, returned = defaultdict(int), defaultdict(int)
     failures = []
     for rc, theta, n in GRID:
         p = params_from(rc / math.cos(theta), theta)
         current.clear()
+        points[0] = 0
         t0 = time.perf_counter()
         try:
             zs = rootfind.compute_zeros(p, n)
             elapsed = time.perf_counter() - t0
+            evals[rc] += points[0]
+            returned[rc] += len(zs.zeros)
             ok = (len(np.unique(zs.zeros)) == n
                   and np.max(zs.residuals) <= rootfind.RESIDUAL_GATE)
             why = "duplicate zeros or residual above the gate"
@@ -79,13 +94,14 @@ def test_seeded_solver_completes_everywhere(no_coefficient_route, monkeypatch):
         if not ok:
             failures.append((rc, theta, n, why))
     print(f"\n{'R cos theta':>11} {'calls':>6} {'failed':>6} {'mean ms':>8} "
-          f"{'max ms':>8} {'deflated':>8} {'max deflate ms':>14} {'quad / n eps':>12}")
+          f"{'max ms':>8} {'deflated':>8} {'max deflate ms':>14} {'quad / n eps':>12} "
+          f"{'evals/zero':>10}")
     for rc in sorted(calls):
         t, d = calls[rc], deflations[rc]
         bad = sum(f[0] == rc for f in failures)
         print(f"{rc:>11} {len(t):>6} {bad:>6} {1e3 * np.mean(t):>8.2f} "
               f"{1e3 * max(t):>8.2f} {len(d):>8} {1e3 * max(d, default=0.0):>14.2f} "
-              f"{quad[rc]:>12.2f}")
+              f"{quad[rc]:>12.2f} {evals[rc] / max(returned[rc], 1):>10.2f}")
     assert not failures, failures[:10]
 
 

@@ -229,3 +229,29 @@ def test_ipow_overflow_and_underflow_match_numpy_quietly():
         assert not np.any(np.isfinite(got[:k]) & (np.abs(got[:k]) > 1.0)), n
         np.testing.assert_array_equal(got[:k].view(float), want[:k].view(float))
         assert np.all(np.isfinite(got[k:]))
+
+
+@pytest.mark.parametrize("n", [101, 127, 255, 499])
+def test_ipow_recomputes_only_flagged_entries_bitwise(n):
+    # ipow recomputes x ** n on the entries that leave the normal range
+    # only; the result must be the whole-array np.where form bit for bit
+    from faberzeros.faber import _TINY, _square_chain
+
+    rng = np.random.default_rng(n)
+    mags = np.concatenate([rng.uniform(0.5, 1.5, 40),      # normal
+                           rng.uniform(1e-5, 1e-3, 20),    # underflowing
+                           rng.uniform(1e3, 1e5, 20)])     # overflowing
+    x = mags * np.exp(2j * np.pi * rng.uniform(size=len(mags)))
+    x = np.concatenate([x, [0.0, np.inf, complex(np.nan, 1.0)]])
+    rng.shuffle(x)
+    for y in (x, x.real.copy()):
+        with np.errstate(all="ignore"):
+            whole = _square_chain(y, n)
+            mag = np.abs(whole)
+            want = np.where(~((mag >= _TINY) & (mag < np.inf)), y ** n, whole)
+        got = ipow(y, n)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+    # a 0-d input is recomputed whole
+    with np.errstate(all="ignore"):
+        assert ipow(np.asarray(1e4 + 0j), n) == np.asarray(1e4 + 0j) ** n
