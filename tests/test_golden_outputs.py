@@ -1,9 +1,11 @@
-"""Golden bytes: SHA-256 digests of predict's and plot's files for the four
---paper-figure presets.
+"""Golden bytes: SHA-256 digests of predict's, plot's and verify's files for
+the four --paper-figure presets.
 
-The digests were generated before the arc walk, the nearest-polyline search
-and the arc Newton's stopping rule were rewritten for speed, and hold the
-rewritten code to the same output bytes. They depend on the
+The predict and plot digests were generated before the arc walk, the
+nearest-polyline search and the arc Newton's stopping rule were rewritten for
+speed, and the verify digests before the zero labels and the probe ring were
+decided from distance bounds; they hold the rewritten code to the same
+output bytes. They depend on the
 floating-point results of numpy and the platform libm as well as on the code:
 regenerate them with `PYTHONPATH=src python tests/test_golden_outputs.py`
 only for a change that is meant to alter the output, and say so.
@@ -54,6 +56,18 @@ GOLDEN = {
     },
 }
 
+# verify_report.json of `verify --paper-figure <fig> --n <n>`, by (fig, n)
+GOLDEN_VERIFY = {
+    (1, 100): "64bc00972cdf5ca475e1103e2206728edd5847fa898836c46e3ddcbf3b0e80b9",
+    (1, 500): "56e45f35769f34662f891c86c3cb395177025f24e0238fea5a76601da9b92682",
+    (2, 100): "9e141d6a2d08f8589c0c6ccdd855dc3c20be0e2484778723c78a12fb4b139d3b",
+    (2, 500): "95c4b505fd8718d625817d1f9a60dcac8232f92032a59a633a70687a75484ac5",
+    (3, 100): "88cea0ce04c429e7d35f3c5a60b764c1220b2a59db390a46f4155c980cba62da",
+    (3, 500): "171dba352da53b0885dbdd0d0187c0dddcbe8dd2ee9af0ec54606594a3cfc7d9",
+    (4, 100): "880b0abc36bc3633600390e5b8b649d494840619cd3ece88df5c4bf8e5ff61f4",
+    (4, 500): "82b0b5fb10fd0c37962a42032fb31ef2d69be4ff76a49419ab03d774b8f740b2",
+}
+
 
 def figure_digests(fig: int, out: str) -> dict[str, str]:
     """Run predict and plot --n 100 for one preset into out; digest each file."""
@@ -67,13 +81,30 @@ def figure_digests(fig: int, out: str) -> dict[str, str]:
     return digests
 
 
+def verify_digest(fig: int, n: int, out: str) -> str:
+    """Run verify --n n for one preset into out; digest verify_report.json."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--paper-figure", str(fig), "--n", str(n),
+                         "--out", out]) == 0
+    with open(os.path.join(out, "verify_report.json"), "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
 def test_paper_figure_outputs_match_golden_digests(tmp_path):
     for fig, want in GOLDEN.items():
         assert figure_digests(fig, str(tmp_path / f"fig{fig}")) == want, fig
+
+
+def test_paper_figure_verify_reports_match_golden_digests(tmp_path):
+    for (fig, n), want in GOLDEN_VERIFY.items():
+        assert verify_digest(fig, n, str(tmp_path / f"fig{fig}_n{n}")) == want, (fig, n)
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         json.dump({fig: figure_digests(fig, os.path.join(tmp, f"fig{fig}"))
                    for fig in sorted(cli.FIGURE_PRESETS)}, sys.stdout, indent=4)
+        print()
+        json.dump({f"{fig}, {n}": verify_digest(fig, n, os.path.join(tmp, f"verify{fig}_{n}"))
+                   for fig, n in sorted(GOLDEN_VERIFY)}, sys.stdout, indent=4)
         print()
