@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import mpmath as mp
 import numpy as np
 
 from .conformal import AirfoilParams, boundary_samples, phi
@@ -147,6 +146,8 @@ def faber_closed(p: AirfoilParams, n: int) -> PolyCoeffs:
 
 def faber_coeffs_mp(p: AirfoilParams, n: int, dps: int | None = None) -> list:
     """Same coefficients as faber_closed but in mpmath (list of mpc, ascending)."""
+    import mpmath as mp
+
     if dps is None:
         dps = 40 + int(0.7 * n)
     with mp.workdps(dps):

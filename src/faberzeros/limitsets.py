@@ -204,18 +204,32 @@ _BLK_GROUP = 8      # consecutive blocks that share one bounding box
 _DENSE_BOUNDS = 4096  # up to this many (point, block) pairs every block is bounded
 
 
-def _box_dist(x, y, box):
-    """Distance from (x, y) to the boxes box = (xmin, xmax, ymin, ymax)."""
+def _bounds(x, y, box, first):
+    """Bounds on the distance from the points (x, y) to the parts of a
+    polyline along axis 0: (squared distance to each part's box = (xmin,
+    xmax, ymin, ymax), which bounds the distance to what the box holds from
+    below; distance to the nearest of the vertices first, which bounds the
+    polyline's from above). box[i] and first broadcast against x and y."""
     dx = np.maximum(np.maximum(box[0] - x, x - box[1]), 0.0)
     dy = np.maximum(np.maximum(box[2] - y, y - box[3]), 0.0)
-    return np.hypot(dx, dy)
+    vx, vy = x - first.real, y - first.imag
+    return dx * dx + dy * dy, np.sqrt(np.min(vx * vx + vy * vy, axis=0))
+
+
+def _slack(poly: "_Polyline", z, d):
+    """Rounding slack of distances near d from z to poly: the box, vertex and
+    projection distances round differently (a strict bound dropped every
+    block for some points), each off by a few ulps of the coordinates, not
+    of the distance."""
+    return 1e-12 * (d + np.abs(z) + poly.reach)
 
 
 @dataclass(frozen=True)
 class _Polyline:
     """A polyline cut into blocks of _SEG_BLOCK segments (the last one padded
-    by repeating the last segment), as polyline_min_dist searches it; built
-    once by _prepare_polyline for any number of _polyline_query calls."""
+    by repeating the last segment) and groups of _BLK_GROUP blocks (the last
+    one padded by repeating the last block), as polyline_min_dist searches
+    it; built once by _prepare_polyline for any number of queries."""
 
     pts: np.ndarray
     seg: np.ndarray         # pts[1:] - pts[:-1]
@@ -223,24 +237,39 @@ class _Polyline:
     idx: np.ndarray         # (blocks, _SEG_BLOCK) segment indices
     box: np.ndarray         # (4, blocks): xmin, xmax, ymin, ymax per block
     first: np.ndarray       # first vertex of each block
+    grp: np.ndarray         # (groups, _BLK_GROUP) block indices
+    gbox: np.ndarray        # (4, groups): the box of each group's blocks
     reach: float            # max |pts|
 
 
 def _prepare_polyline(pts) -> _Polyline:
-    """Cut the polyline through pts into polyline_min_dist's blocks."""
+    """Cut the polyline through pts into polyline_min_dist's blocks and
+    groups."""
     pts = np.asarray(pts, dtype=complex)
     if len(pts) == 1:                       # no segments: the query is |z - pts[0]|
         none = np.empty(0)
-        return _Polyline(pts, none, none, none, none, none, 0.0)
+        return _Polyline(pts, none, none, none, none, none, none, none, 0.0)
     seg = pts[1:] - pts[:-1]
     L2 = np.abs(seg) ** 2
     L2 = np.where(L2 > 0, L2, 1.0)
     nblk = -(-len(seg) // _SEG_BLOCK)
     idx = np.minimum(np.arange(nblk * _SEG_BLOCK), len(seg) - 1).reshape(nblk, _SEG_BLOCK)
-    verts = pts[np.concatenate([idx, idx[:, -1:] + 1], axis=1)]
-    box = np.stack([verts.real.min(axis=1), verts.real.max(axis=1),
-                    verts.imag.min(axis=1), verts.imag.max(axis=1)])
-    return _Polyline(pts, seg, L2, idx, box, verts[:, 0], float(np.max(np.abs(pts))))
+    # block k holds vertices 16k ... min(16k + 16, last), its end shared with
+    # block k + 1: reduce each run without its end, then take the end in
+    starts = np.arange(0, nblk * _SEG_BLOCK, _SEG_BLOCK)
+    ends = np.minimum(starts + _SEG_BLOCK, len(seg))
+    x, y = pts.real, pts.imag
+    box = np.stack([np.minimum(np.minimum.reduceat(x, starts), x[ends]),
+                    np.maximum(np.maximum.reduceat(x, starts), x[ends]),
+                    np.minimum(np.minimum.reduceat(y, starts), y[ends]),
+                    np.maximum(np.maximum.reduceat(y, starts), y[ends])])
+    ngrp = -(-nblk // _BLK_GROUP)
+    grp = np.minimum(np.arange(ngrp * _BLK_GROUP), nblk - 1).reshape(ngrp, _BLK_GROUP)
+    gs = np.arange(0, nblk, _BLK_GROUP)
+    gbox = np.stack([np.minimum.reduceat(box[0], gs), np.maximum.reduceat(box[1], gs),
+                     np.minimum.reduceat(box[2], gs), np.maximum.reduceat(box[3], gs)])
+    return _Polyline(pts, seg, L2, idx, box, pts[starts], grp, gbox,
+                     float(np.sqrt(np.max(x * x + y * y))))
 
 
 def polyline_min_dist(z, pts: np.ndarray):
@@ -266,43 +295,53 @@ def polyline_min_dist(z, pts: np.ndarray):
     return _polyline_query(_prepare_polyline(pts), z)
 
 
+def _first_bounds(poly: _Polyline, z: np.ndarray):
+    """(box distances^2, upper bound, grp) of polyline_min_dist's first
+    stage, with one row per block for few points (grp None) and one per
+    group of blocks grp for many."""
+    if len(z) * len(poly.idx) <= _DENSE_BOUNDS:
+        box, first, grp = poly.box, poly.first, None
+    else:
+        box, first, grp = poly.gbox, poly.first[poly.grp[:, 0]], poly.grp
+    return (*_bounds(z.real, z.imag, box[:, :, None], first[:, None]), grp)
+
+
+def _distance_range(poly: _Polyline, z: np.ndarray):
+    """(lo, hi) with lo <= _polyline_query(poly, z) <= hi at each point, from
+    the first stage's bounds alone; both NaN at a NaN point."""
+    if len(poly.pts) == 1:
+        d = np.abs(z - poly.pts[0])
+        return d, d
+    box2, upper, _ = _first_bounds(poly, z)
+    slack = _slack(poly, z, upper)
+    return np.sqrt(np.min(box2, axis=0)) - slack, upper + slack
+
+
 def _polyline_query(poly: _Polyline, z):
     """polyline_min_dist(z, poly.pts) on a prepared polyline."""
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
-    pts, seg, L2, idx, box, first = poly.pts, poly.seg, poly.L2, poly.idx, poly.box, poly.first
+    pts = poly.pts
     if len(pts) == 1:
         d = np.abs(z - pts[0])
         return float(d[0]) if scalar else d
-    nblk = len(idx)
-    x, y = z.real[:, None], z.imag[:, None]
-    # Slack for rounding: the box and vertex distances round differently (a
-    # strict bound dropped every block for some points), and a computed
-    # projection distance is off by a few ulps of the coordinates, not of
-    # the distance. A NaN bound keeps every block, as the dense min is NaN.
-    size = np.abs(z) + poly.reach
-    if len(z) * nblk <= _DENSE_BOUNDS:
-        upper = np.min(np.abs(z[:, None] - first), axis=1)
-        ip, ib = np.nonzero(~(_box_dist(x, y, box) > (upper + 1e-12 * (upper + size))[:, None]))
-    else:
-        ngrp = -(-nblk // _BLK_GROUP)
-        grp = np.minimum(np.arange(ngrp * _BLK_GROUP), nblk - 1).reshape(ngrp, _BLK_GROUP)
-        gbox = np.stack([box[0][grp].min(axis=1), box[1][grp].max(axis=1),
-                         box[2][grp].min(axis=1), box[3][grp].max(axis=1)])
-        upper = np.min(np.abs(z[:, None] - first[grp[:, 0]]), axis=1)
-        ip, ig = np.nonzero(~(_box_dist(x, y, gbox) > (upper + 1e-12 * (upper + size))[:, None]))
-        ib = grp[ig]
-        vd = np.min(np.abs(z[ip][:, None] - first[ib]), axis=1)
-        upper = np.minimum(upper, np.minimum.reduceat(vd, np.searchsorted(ip, np.arange(len(z)))))
-        lower = _box_dist(x[ip], y[ip], box[:, ib])
-        jp, jb = np.nonzero(~(lower > (upper + 1e-12 * (upper + size))[ip][:, None]))
-        ip, ib = ip[jp], ib[jp, jb]
+    # a NaN bound keeps every block, as the dense min is NaN
+    box2, upper, grp = _first_bounds(poly, z)
+    ip, ib = np.nonzero(~(box2 > (upper + _slack(poly, z, upper)) ** 2).T)
+    at = np.searchsorted(ip, np.arange(len(z)))
+    if grp is not None:                     # ib are groups: bound their blocks
+        ib = grp[ib].T                      # (_BLK_GROUP, pairs)
+        box2, vd = _bounds(z.real[ip], z.imag[ip], poly.box[:, ib], poly.first[ib])
+        upper = np.minimum(upper, np.minimum.reduceat(vd, at))
+        jp, jb = np.nonzero(~(box2 > ((upper + _slack(poly, z, upper)) ** 2)[ip]).T)
+        ip, ib = ip[jp], ib[jb, jp]
+        at = np.searchsorted(ip, np.arange(len(z)))
     zk = z[ip][:, None]
-    k = idx[ib]
-    a, s = pts[k], seg[k]
-    t = ((zk - a) * np.conj(s)).real / L2[k]
+    k = poly.idx[ib]
+    a, s = pts[k], poly.seg[k]
+    t = ((zk - a) * np.conj(s)).real / poly.L2[k]
     t = np.clip(t, 0.0, 1.0)
     dk = np.min(np.abs(zk - (a + t * s)), axis=1)
-    d = np.minimum.reduceat(dk, np.searchsorted(ip, np.arange(len(z))))
+    d = np.minimum.reduceat(dk, at)
     return float(d[0]) if scalar else d

@@ -19,7 +19,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .conformal import (
@@ -28,8 +27,8 @@ from .conformal import (
 )
 from .errors import DomainError, ParameterError
 from .limitsets import (
-    CaseClass, CaseTag, _polyline_query, _prepare_polyline, arc_z_of_u,
-    classify, loop_points, polyline_min_dist, segment_points, u_lower,
+    CaseClass, CaseTag, _distance_range, _polyline_query, _prepare_polyline,
+    arc_z_of_u, classify, loop_points, segment_points, u_lower,
 )
 from .rootfind import ZeroSet
 
@@ -141,6 +140,8 @@ def closed_moment_mp(b: complex, k: int, dps: int = 80) -> complex:
     """Exact equilibrium moment 2^-k sum_j C(k,j) b^(k-2j) (binomial mean of
     the boundary parametrization, all negative powers average to zero); the
     term-by-term reference for equilibrium_moments."""
+    import mpmath as mp
+
     with mp.workdps(dps):
         b2 = mp.mpc(b) ** 2
         term = mp.mpc(b) ** (k % 2)          # b^(k-2j) from j = k//2 down
@@ -249,19 +250,40 @@ def quadrature_gate(p: AirfoilParams, zs: ZeroSet | np.ndarray) -> float:
 def classify_zeros(p: AirfoilParams, zs: ZeroSet | np.ndarray,
                    m: int = 2048) -> list[str]:
     """Label each zero 'segment', 'loop', or 'other' by distance (< 5/sqrt(n))
-    to the predicted component polylines; ties go to the closer one."""
+    to the predicted component polylines; ties go to the segment.
+
+    The rule needs only comparisons, so each distance is first bracketed
+    by the bounds that prune the nearest-segment search (box distances
+    below, nearest block vertex above; limitsets._distance_range): a zero is
+    'segment' when its segment distance is surely below the radius and
+    below its loop distance, 'loop' in the mirror case, and 'other' when
+    both are surely at least the radius. Only the zeros the brackets leave
+    open (near the radius, about equidistant, or NaN) get exact distances,
+    so the labels are those of the exact rule."""
     zarr = _zeros_of(zs)
     radius = 5.0 / np.sqrt(len(zarr))
-    seg = segment_points(p, m).samples
-    dseg = polyline_min_dist(zarr, seg)
+    seg = _prepare_polyline(segment_points(p, m).samples)
+    s_lo, s_hi = _distance_range(seg, zarr)
     case = classify(p)
     if case.has_loop and case.tag is not CaseTag.CRITICAL:
-        dloop = polyline_min_dist(zarr, loop_points(p, m).samples)
+        loop = _prepare_polyline(loop_points(p, m).samples)
+        l_lo, l_hi = _distance_range(loop, zarr)
     else:
-        dloop = np.full(len(zarr), np.inf)
-    near = np.where(dloop < dseg, dloop, dseg)     # min(ds, dl), NaN as min() takes it
-    labels = np.where(dseg <= dloop, "segment", "loop")
-    return np.where(near >= radius, "other", labels).tolist()
+        loop = None
+        l_lo = l_hi = np.full(len(zarr), np.inf)
+    is_seg = (s_hi < radius) & (s_hi < l_lo)
+    is_loop = (l_hi < radius) & (l_hi < s_lo)
+    is_other = (s_lo >= radius) & (l_lo >= radius)
+    labels = np.where(is_loop, "loop", np.where(is_other, "other", "segment"))
+    open_ = ~(is_seg | is_loop | is_other)
+    if np.any(open_):
+        z = zarr[open_]
+        ds = _polyline_query(seg, z)
+        dl = _polyline_query(loop, z) if loop is not None else np.full(len(z), np.inf)
+        near = np.where(dl < ds, dl, ds)           # min(ds, dl), NaN as min() takes it
+        labels[open_] = np.where(near >= radius, "other",
+                                 np.where(ds <= dl, "segment", "loop"))
+    return labels.tolist()
 
 
 def _legendre_and_slope(n: int, theta: np.ndarray):
@@ -397,47 +419,79 @@ def default_test_points(p: AirfoilParams, count: int = 8,
                         margin: float = 0.2) -> np.ndarray:
     """Exterior probe ring: psi(r_k e^{i theta_k}), each radius starting at
     1.05 and grown by 6 % until the boundary clearance reaches 1.02 margin
-    (or r reaches 50). All directions still growing are measured in one
-    distance query per step."""
-    return _probe_ring(p, _boundary_polyline(p), count, margin)
+    (or r reaches 50)."""
+    return _probe_ring(p, _boundary_polyline(p), count, margin)[0]
 
 
-def _probe_ring(p: AirfoilParams, boundary, count: int, margin: float) -> np.ndarray:
-    """default_test_points against an already prepared boundary."""
+_LOOKAHEAD = 4  # radii tested per growing direction and pass: fewer take
+                # more passes, every radius at once measures many unused ones
+
+
+def _clears(boundary, z: np.ndarray, clearance: float) -> np.ndarray:
+    """Whether each z is not closer than clearance to the prepared boundary
+    (NaN counts as clear), from the distance bounds where they decide it
+    and from the exact distance elsewhere."""
+    lo, hi = _distance_range(boundary, z)
+    clear = lo >= clearance
+    open_ = ~(clear | (hi < clearance))
+    if np.any(open_):
+        clear[open_] = ~(_polyline_query(boundary, z[open_]) < clearance)
+    return clear
+
+
+def _probe_ring(p: AirfoilParams, boundary, count: int, margin: float):
+    """(probes, cleared): default_test_points against an already prepared
+    boundary, and whether each probe clears 1.02 margin (False where r
+    reached 50 first). Each pass tests the next _LOOKAHEAD radii of every
+    direction still growing, formed by the same repeated 6 % steps, and
+    stops a direction at the first that clears or reaches 50."""
     # one direction at a time: the array form of this complex arithmetic
     # rounds differently when count is not a power of two
     w0 = np.array([np.exp(2j * np.pi * (k + 0.5) / count) for k in range(count)])
     r = np.full(count, 1.05)
-    z = psi(p, r * w0)
+    z = np.empty(count, dtype=complex)
+    cleared = np.empty(count, dtype=bool)
     grow = np.arange(count)
-    while True:
-        near = _polyline_query(boundary, z[grow]) < margin * 1.02
-        grow = grow[near & (r[grow] < 50.0)]
-        if not len(grow):
-            return z
-        r[grow] *= 1.06
-        z[grow] = psi(p, r[grow] * w0[grow])
+    while len(grow):
+        rk = np.empty((len(grow), _LOOKAHEAD))
+        rk[:, 0] = r[grow]
+        for j in range(1, _LOOKAHEAD):
+            rk[:, j] = rk[:, j - 1] * 1.06
+        zk = psi(p, rk * w0[grow, None])
+        clear = _clears(boundary, zk.ravel(), margin * 1.02).reshape(zk.shape)
+        stop = clear | ~(rk < 50.0)
+        done = np.any(stop, axis=1)
+        at = np.argmax(stop[done], axis=1)
+        z[grow[done]] = zk[done, at]
+        cleared[grow[done]] = clear[done, at]
+        r[grow[~done]] = rk[~done, -1] * 1.06
+        grow = grow[~done]
+    return z, cleared
 
 
 def potential_check(p: AirfoilParams, zs: ZeroSet | np.ndarray, points=None,
                     margin: float = 0.2) -> np.ndarray:
     """| (1/n) sum log|z - z_j| - log(capacity) - log|Phi(z)| | at exterior
-    points; DomainError if any point is closer than margin to the boundary."""
+    points; DomainError if any point is closer than margin to the boundary.
+    The default probes that cleared 1.02 margin are not measured again."""
     zarr = _zeros_of(zs)
     boundary = _boundary_polyline(p)
     if points is None:
-        points = _probe_ring(p, boundary, 8, margin)
-    points = np.atleast_1d(np.asarray(points, dtype=complex))
-    d = _polyline_query(boundary, points)
-    if np.any(d < margin - 1e-9):
-        raise DomainError(
-            f"test point too close to the boundary (clearance {np.min(d):.3f} "
-            f"< margin {margin})")
+        points, cleared = _probe_ring(p, boundary, 8, margin)
+        unsure = points[~cleared]
+    else:
+        points = unsure = np.atleast_1d(np.asarray(points, dtype=complex))
+    if len(unsure):
+        d = _polyline_query(boundary, unsure)
+        if np.any(d < margin - 1e-9):
+            raise DomainError(
+                f"test point too close to the boundary (clearance {np.min(d):.3f} "
+                f"< margin {margin})")
+    lhs = np.mean(np.log(np.abs(points[:, None] - zarr)), axis=1)
     devs = np.empty(len(points))
     for i, z in enumerate(points):
-        lhs = float(np.mean(np.log(np.abs(z - zarr))))
         rhs = float(np.log(p.capacity) + np.log(abs(phi(p, z))))
-        devs[i] = abs(lhs - rhs)
+        devs[i] = abs(float(lhs[i]) - rhs)
     return devs
 
 

@@ -37,7 +37,6 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-import mpmath as mp
 import numpy as np
 
 from .conformal import AirfoilParams, phi_b_inverse
@@ -133,6 +132,8 @@ def _aberth_double(co, max_iter=120):
 
 
 def _aberth_polish_mp(co_mp, z0, dps, max_iter=60):
+    import mpmath as mp
+
     with mp.workdps(dps):
         zs = [mp.mpc(v) for v in z0]
         deg = len(zs)
@@ -175,6 +176,8 @@ def roots_simultaneous(poly, max_iter: int = 120) -> ZeroSet:
     coefficients, with an mpmath recompute-and-polish fallback when the
     polynomial knows its provenance. ConvergenceError (with .partial) if the
     residual gates can't be met."""
+    import mpmath as mp
+
     deg = poly.degree
     if deg < 1:
         raise ValueError("need degree >= 1")
@@ -218,7 +221,8 @@ class SeedPlan:
     roots-of-unity images for loop zeros."""
 
     n: int
-    segment_brackets: np.ndarray  # (m, 3): arc points at low u end, node, high u end (real b only)
+    segment_brackets: np.ndarray  # (m, 3): arc points at low u end, node, high u end (real b only);
+                                  # row k's low end is row k + 1's high end
     loop_seeds: np.ndarray        # J(b(1-omega_k)) for on-arc omega_k
     u_lo: float
     _ts: np.ndarray = field(repr=False, default=None)       # t-brackets, t = arccos u
@@ -313,26 +317,38 @@ def _newton_step(p: AirfoilParams, n: int, z):
 def _newton_z(p: AirfoilParams, n: int, z, max_iter=80, cap=0.05, accept=1e-6):
     """Newton in z (_newton_step), each zero stopped on its own once its step
     reaches the rounding floor (_at_floor; near theta = pi/2 the residual's
-    own rounding keeps the step above 1e-15 (1 + |z|))."""
+    own rounding keeps the step above 1e-15 (1 + |z|)). A seed whose Newton
+    step is longer than cap times the passes left cannot reach a zero at the
+    capped speed: it stops there, the accept test drops it, and _deflate
+    finds the zero it missed (at low degree and steep rotation the arc
+    seeds crawl off; counting capped passes instead drops thousands of slow
+    seeds that do converge, and deflation pays for them)."""
     z = np.asarray(z, dtype=complex).copy()
     if not len(z):
         return z
     active = np.arange(len(z))
     prev = np.full(len(z), np.inf)
-    for _ in range(max_iter):
+    lost = np.zeros(len(z), dtype=bool)
+    for left in range(max_iter, 0, -1):
         za = z[active]
         step = _newton_step(p, n, za)[1]
         step = np.where(np.isfinite(step), step, cap)
         mag = np.abs(step)
+        far = mag > cap * left
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(mag > cap, step * (cap / mag), step)
         za = za - step
         z[active] = za
         mag, done = _at_floor(step, za, prev)
+        lost[active[far]] = True
+        done |= far
         active, prev = active[~done], mag[~done]
         if not len(active):
             break
     if accept is None:
+        return z
+    z = z[~lost]
+    if not len(z):
         return z
     r, _ = residual(p, n, z)
     return z[np.abs(r) < accept]
@@ -352,12 +368,13 @@ def _newton_real(p: AirfoilParams, n: int, brackets):
     zero stops at the rounding floor (_at_floor), once its bracket is
     4 eps (1 + |z|) wide, or where r is exactly 0, keeping that point;
     60 passes at most."""
-    ends = brackets[:, ::2].real
-    r, _ = residual(p, n, ends.ravel() + 0j)
-    f = r.real.reshape(-1, 2)
-    good = np.sign(f[:, 0]) * np.sign(f[:, 1]) < 0
-    lo, hi = ends[good, 0], ends[good, 1]
-    flo, fhi = f[good, 0], f[good, 1]
+    # bracket k's low end is bracket k + 1's high end, bit for bit (the
+    # same angle through the same arc_z_of_u call): m + 1 distinct ends
+    ends = np.concatenate([brackets[:, 2], brackets[-1:, 0]]).real
+    f = residual(p, n, ends + 0j)[0].real
+    good = np.sign(f[1:]) * np.sign(f[:-1]) < 0
+    lo, hi = ends[1:][good], ends[:-1][good]
+    flo, fhi = f[1:][good], f[:-1][good]
     z = np.clip(brackets[good, 1].real, lo, hi)
     x, idx, prev = z.copy(), np.arange(len(z)), np.full(len(z), np.inf)
     for _ in range(60):
@@ -434,6 +451,8 @@ def _polish_mp(p: AirfoilParams, n: int, z):
     s^2 = z^2 - 1, for the zeros double precision cannot pin down. The
     working precision covers the cancellation between the three terms:
     30 digits plus the decades by which |b|^n exceeds max |w +- s|^n."""
+    import mpmath as mp
+
     out = np.array(z, dtype=complex)
     for i, zi in enumerate(out):
         zi = complex(zi)

@@ -526,6 +526,101 @@ def test_classify_zeros_labels_follow_the_distance_rule():
         assert labels[-2:] == ["loop", "other"]
 
 
+def distance_rule_labels(p, z):
+    """The labels of the exact distance rule: 'other' at 5/sqrt(n) or more
+    from both polylines, else the closer one, ties to the segment."""
+    from faberzeros.limitsets import loop_points, polyline_min_dist, segment_points
+    ds = polyline_min_dist(z, segment_points(p, 2048).samples)
+    if fz.classify(p).tag is fz.CaseTag.SUPERCRITICAL:
+        dl = polyline_min_dist(z, loop_points(p, 2048).samples)
+    else:
+        dl = np.full(len(z), np.inf)
+    radius = 5.0 / np.sqrt(len(z))
+    return ["other" if min(a, b) >= radius else "segment" if a <= b else "loop"
+            for a, b in zip(ds, dl)]
+
+
+def bounds_left_open(p, z):
+    """Whether the distance bounds alone cannot label each z: its segment
+    bracket straddles the radius or overlaps its loop bracket."""
+    from faberzeros.limitsets import (
+        _distance_range, _prepare_polyline, loop_points, segment_points)
+    radius = 5.0 / np.sqrt(len(z))
+    s_lo, s_hi = _distance_range(_prepare_polyline(segment_points(p, 2048).samples), z)
+    l_lo, l_hi = _distance_range(_prepare_polyline(loop_points(p, 2048).samples), z)
+    return (s_lo < radius) & (l_lo < radius) & (s_hi >= l_lo) & (l_hi >= s_lo)
+
+
+def test_classify_zeros_decides_planted_ties_by_the_exact_rule():
+    from faberzeros.limitsets import (
+        _distance_range, _prepare_polyline, intersection_ib, loop_points,
+        polyline_min_dist, segment_points)
+    # 100 zeros: radius 5/sqrt(100) = 0.5. The segment of (1.26, 0) is
+    # [-1, 1] on the real axis, so 0.3 + 0.5i lies exactly at the radius
+    # ('other', as near >= radius reads it) and the next double below
+    # inside it; the bounds bracket the radius and leave both to the
+    # exact distance
+    p = params_from(1.26, 0.0)
+    seg = segment_points(p, 2048).samples
+    at = np.array([0.3 + 0.5j, complex(0.3, np.nextafter(0.5, 0.0))])
+    assert polyline_min_dist(at[0], seg) == 0.5
+    z = np.concatenate([fz.compute_zeros(p, 98).zeros, at])
+    lo, hi = _distance_range(_prepare_polyline(seg), at)
+    assert np.all((lo < 0.5) & (0.5 <= hi))
+    labels = classify_zeros(p, z)
+    assert labels[-2:] == ["other", "segment"]
+    assert labels == distance_rule_labels(p, z)
+
+    # near i_b of (2.1, 0) both polylines are within the radius: walk a
+    # small circle around i_b to where the segment and the loop distances
+    # cross, down to adjacent doubles, so the two points are equidistant
+    # to rounding and on either side of the tie
+    p = params_from(2.1, 0.0)
+    ib = intersection_ib(p)
+    seg, loop = segment_points(p, 2048).samples, loop_points(p, 2048).samples
+
+    def gap(t):
+        zt = ib + 0.01 * np.exp(1j * t)
+        return polyline_min_dist(zt, seg) - polyline_min_dist(zt, loop)
+
+    a, b = 0.0, np.pi / 2
+    assert gap(a) < 0 < gap(b)
+    while np.nextafter(a, b) < b:
+        mid = 0.5 * (a + b)
+        if mid in (a, b):
+            break
+        a, b = (mid, b) if gap(mid) <= 0 else (a, mid)
+    tie = ib + 0.01 * np.exp(1j * np.array([a, b]))
+    z = np.concatenate([fz.compute_zeros(p, 97).zeros, tie, [np.nan + 0j]])
+    assert np.all(bounds_left_open(p, tie))
+    labels = classify_zeros(p, z)
+    assert labels[-3:] == ["segment", "loop", "loop"]    # a NaN zero is 'loop'
+    assert labels == distance_rule_labels(p, z)
+
+
+@pytest.mark.parametrize("R,theta", [(1.5, 0.0), (2.1, 0.2)])
+def test_classify_zeros_at_criticality_and_one_zero(R, theta):
+    # the critical airfoil has no loop polyline; at n = 1 the radius is 5
+    p = params_from(R, theta)
+    for n in (1, 2, 40):
+        z = fz.compute_zeros(p, n).zeros
+        for pts in (z, z + 0.3, z + 6.0):
+            assert classify_zeros(p, pts) == distance_rule_labels(p, pts), (n, pts)
+
+
+@pytest.mark.slow
+def test_bound_decisions_match_the_exact_rules_on_grid_g():
+    # labels against the distance rule and the probe ring against the walk
+    # one radius at a time, on R cos theta x theta x n, 240 points
+    for rc in (1.001, 1.2, 1.4999, 1.5001, 1.6, 2.0, 4.0, 8.0):
+        for theta in (0.0, 0.5, 1.0, 1.3, 1.5, -1.5):
+            p = params_from(rc / np.cos(theta), theta)
+            assert np.array_equal(default_test_points(p), scalar_test_points(p))
+            for n in (7, 60, 99, 300, 500):
+                z = fz.compute_zeros(p, n).zeros
+                assert classify_zeros(p, z) == distance_rule_labels(p, z), (rc, theta, n)
+
+
 def test_loop_fraction_matches_mass_with_sqrt_slack():
     # the near-loop count may miss the loop mass by O(sqrt n), never more:
     # |fraction - mass| <= 2/sqrt(n), on a loop through w = -1 longer than

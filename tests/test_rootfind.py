@@ -1,6 +1,9 @@
 """Root finders: simultaneous iteration, seeded pipeline, cross checks."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import mpmath as mp
@@ -551,6 +554,51 @@ def test_segment_newton_needs_few_residual_calls(monkeypatch):
             counts.append(calls)
     assert np.mean(counts) <= 5.0, np.mean(counts)
     assert found == 8983
+
+
+def test_segment_bracket_ends_are_shared_bit_for_bit():
+    # _newton_real evaluates the m + 1 distinct bracket ends, not all 2m:
+    # bracket k's low end is bracket k + 1's high end, the same angle through
+    # the same arc_z_of_u call
+    for R in SEGMENT_RS:
+        p = params_from(R, 0.0)
+        for n in SEGMENT_NS:
+            brackets = seed_plan(p, n).segment_brackets
+            assert np.array_equal(brackets[:-1, 0], brackets[1:, 2]), (R, n)
+
+
+def test_newton_z_drops_a_seed_that_cannot_arrive(monkeypatch):
+    # at (R cos theta, theta, n) = (2.1, 1.48, 1) the arc seed's Newton step
+    # is about 23, 460 times the cap: it crawled 0.05 a pass through all 80
+    # passes and drifted off (|r| 0.93) before _deflate found the zero; now
+    # it is dropped on the first pass
+    calls = 0
+    newton_step = rootfind._newton_step
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return newton_step(*args)
+
+    monkeypatch.setattr(rootfind, "_newton_step", counted)
+    p = params_from(2.1 / math.cos(1.48), 1.48)
+    zs = compute_zeros(p, 1)
+    assert calls == 1
+    assert _rel_ulp_ok(p, 1, zs.zeros)
+
+
+def test_import_and_verify_leave_mpmath_unloaded():
+    # mpmath serves the polish and the test oracles only; a preset's zeros
+    # and report need none of it, and importing it costs about 34 ms
+    code = ("import sys, faberzeros as fz\n"
+            "p = fz.params_from(2.1, 0.2)\n"
+            "fz.report(p, fz.compute_zeros(p, 100))\n"
+            "assert 'mpmath' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(fz.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
 
 
 # just above criticality the seeds miss a few zeros: the w-plane Newton lands
