@@ -340,8 +340,9 @@ def _newton_z(p: AirfoilParams, n: int, z, max_iter=80, cap=0.05, accept=1e-6):
         za = za - step
         z[active] = za
         mag, done = _at_floor(step, za, prev)
-        lost[active[far]] = True
-        done |= far
+        if far.any():
+            lost[active[far]] = True
+            done |= far
         active, prev = active[~done], mag[~done]
         if not len(active):
             break
