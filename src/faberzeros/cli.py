@@ -3,6 +3,17 @@
 Outputs are byte-deterministic: floats go through one %.12e formatter, the
 degrees are computed and written in ascending order, and nothing timestamps
 itself.
+
+The CSV and SVG writers format their numbers in bulk: one numpy call turns
+every float of a file (of a whole command, for predict's curves and plot's
+polylines and dots) into text that is byte for byte "%.12e" % x, or
+"%.4f" % x for SVG coordinates. An entry the vectorised digits cannot settle
+is formatted by Python's % on its own and spliced in: a non-finite value, a
+nonzero %.12e value below 1e-32 or of 1e35 and more, a %.4f value of 1e9 and
+more, a value that scaled to its last digit lands exactly on a half-integer
+(a decimal tie, or next to one; within 2^-7 of one for a %.12e value below
+1e-10), and a %.12e value whose decimal exponent the logarithm misjudges or
+that rounds up to the next power of ten.
 Exit codes: 0 ok, 1 verification gate failed, 2 bad parameters, 3 numerical
 non-convergence.
 """
@@ -14,7 +25,6 @@ import functools
 import os
 import sys
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -43,6 +53,142 @@ CSV_UNIT = 5e-13    # relative rounding of %.12e, so of the zeros a CSV holds
 
 def fnum(x) -> str:
     return "%.12e" % float(x)
+
+
+# ---------------------------------------------------------------- numbers in bulk
+#
+# A number becomes one row of a uint8 array, NUL-padded to a fixed width; the
+# writers lay these cells side by side with their fixed text and drop the NULs.
+# Scaled by an exact power of ten (10^k, |k| <= 22), y = fl(|x| 10^k) is
+# rounded once, and rounding is monotone. Every half-integer below 2^52 is a
+# double, so y lies strictly between the same two half-integers as the exact
+# product unless it is one itself: where frac(y) != 1/2, rint(y) is the
+# correctly rounded last digit, the one Python's % writes. A %.12e value
+# from 1e-32 to 1e-10 (residuals, say) needs 10^k with 22 < k <= 44, so is
+# scaled twice; y is then at most 2^-8 off below 10^13, and taken only where
+# frac(y) is more than 2^-7 from 1/2.
+
+
+def _digit_words() -> np.ndarray:
+    """Word i holds the 4 ASCII digits of i < 10^4. Built in place: a
+    meshgrid's temporaries raised the peak memory of every process that
+    imports the CLI by 0.13 MB."""
+    table = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for place in range(4):
+        table[..., place] = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8).reshape(
+            (10,) + (1,) * (3 - place))
+    return table.view(np.uint32).ravel()
+
+
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+# _QUADS[i]: the 4 ASCII digits of i < 10^4 as one 4-byte word; _PAIRS[i]: the
+# last 2 digits of i < 100 as one 2-byte word
+_QUADS = _digit_words()
+_PAIRS = np.ascontiguousarray(_QUADS[:100, None].view(np.uint8)[:, 2:]).view(np.uint16).ravel()
+# of 12 whole-part digits, digit i is padding where whole < 10^(11-i)
+_WHOLE_PAD = np.array([10 ** k for k in range(11, 0, -1)])
+_MINUS, _PLUS = ord("-"), ord("+")
+
+
+def _quads(*groups: np.ndarray) -> np.ndarray:
+    """(m, 4k) ASCII digits of the k arrays of m groups, each below 10^4."""
+    return _QUADS[np.stack(groups, axis=1)].view(np.uint8)
+
+
+def _fast_numbers(x: np.ndarray, spec: str) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of the flat float array x under spec ("%.12e" or "%.4f"),
+    and where they are exact; rows where they are not hold no promise."""
+    a = np.abs(x)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if spec == "%.12e":
+            zero = a == 0
+            e = np.floor(np.log10(a))
+            ok = ((e >= -32) & (e <= 34)) | zero    # false for nan and inf
+            e[~ok | zero] = 0
+            a[~ok] = 0.0
+            e = e.astype(np.int64)
+            k = 12 - e
+            scale = _POW10[np.abs(np.minimum(k, 22))]
+            y = a * scale
+            np.divide(a, scale, out=y, where=k < 0)
+            twice = k > 22
+            y[twice] *= _POW10[k[twice] - 22]
+            del a, scale
+        else:
+            y = a
+            y *= 1e4
+            ok = y < 1e13                             # false for nan and inf
+            y[~ok] = 0.0
+    m = np.rint(y)
+    frac = y - np.floor(y)
+    ok &= frac != 0.5                               # a tie, or next to one
+    if spec == "%.12e":
+        ok &= ~twice | (np.abs(frac - 0.5) > 2.0 ** -7)
+        # y below 1e12: log10 came out one too high (an accurate log10 does
+        # that only where the value rounds to 1e12 anyway)
+        ok &= (y >= 1e12) | zero
+    ok &= m < 1e13          # rounded up a decade (%.12e) or past 9 whole digits
+    del y
+    m = m.astype(np.int64)
+    if spec == "%.12e":
+        lead, rest = np.divmod(m, 10 ** 12)
+        out = np.empty((len(x), 19), np.uint8)   # -d.dddddddddddde+dd
+        out[:, 1] = ord("0") + lead
+        out[:, 2] = ord(".")
+        out[:, 3:15] = _quads(rest // 10 ** 8, rest // 10 ** 4 % 10 ** 4, rest % 10 ** 4)
+        out[:, 15] = ord("e")
+        out[:, 16] = np.where(e < 0, _MINUS, _PLUS)
+        out[:, 17:] = _PAIRS[np.abs(e)][:, None].view(np.uint8)
+    else:
+        whole, frac = np.divmod(m, 10 ** 4)         # whole < 10^9
+        digits = _quads(whole // 10 ** 8, whole // 10 ** 4 % 10 ** 4, whole % 10 ** 4, frac)
+        # as many whole digits as the largest entry needs: NULs are slow to drop
+        w = len(str(whole.max())) if len(x) else 1
+        out = np.empty((len(x), w + 6), np.uint8)   # -d.dddd, w whole digits
+        out[:, 1:w + 1] = digits[:, 12 - w:12]
+        out[:, w + 1] = ord(".")
+        out[:, w + 2:] = digits[:, 12:]
+        # every leading zero of the whole part but its units digit is padding
+        np.copyto(out[:, 1:w], 0, where=whole[:, None] < _WHOLE_PAD[12 - w:])
+    out[:, 0] = np.where(np.signbit(x), _MINUS, 0)
+    return out, ok
+
+
+def _numbers(x, spec: str) -> np.ndarray:
+    """x as text cells: shape x.shape + (width,), uint8, NUL-padded, each byte
+    for byte spec % x. Entries the fast digits cannot settle go through %."""
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    out, ok = _fast_numbers(flat, spec)
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        text = np.array([(spec % v).encode() for v in flat[bad].tolist()])
+        if text.itemsize > out.shape[1]:
+            out = np.pad(out, ((0, 0), (0, text.itemsize - out.shape[1])))
+        out[bad] = text.astype(f"S{out.shape[1]}").view(np.uint8).reshape(bad.size, -1)
+    return out.reshape(x.shape + out.shape[1:])
+
+
+def _join(*cols) -> str:
+    """Lay the columns side by side, row by row, and drop the NUL padding.
+    A column is bytes (the same in every row), an array of bytes (one per row)
+    or an (m, w) uint8 array of cells."""
+    cells = []
+    for col in cols:
+        if isinstance(col, bytes):
+            col = np.frombuffer(col, np.uint8)[None, :]
+        elif col.dtype.kind == "S":
+            col = np.ascontiguousarray(col).view(np.uint8).reshape(len(col), col.itemsize)
+        cells.append(col)
+    rows = next(len(col) for col in cols if not isinstance(col, bytes))
+    width = sum(c.shape[1] for c in cells)
+    text = bytearray(rows * width)      # filled in place: no copy out of numpy
+    out = np.frombuffer(text, np.uint8).reshape(rows, width)
+    at = 0
+    for c in cells:
+        out[:, at:at + c.shape[1]] = c
+        at += c.shape[1]
+    return text.replace(b"\0", b"").decode("ascii")
 
 
 def _json_text(obj, indent: int = 0) -> str:
@@ -215,10 +361,10 @@ def _zeros_by_degree(p: AirfoilParams, cfg: RunConfig) -> dict:
 # ---------------------------------------------------------------- zeros
 
 def _zeros_csv(n: int, zs: ZeroSet, labels: list[str]) -> str:
-    cols = zip(range(len(labels)), zs.zeros.real.tolist(), zs.zeros.imag.tolist(),
-               zs.residuals.tolist(), labels)
-    return "n,index,re,im,residual,class\n" + (
-        f"{n},%d,%.12e,%.12e,%.12e,%s\n" * len(labels) % tuple(chain.from_iterable(cols)))
+    num = _numbers(np.column_stack([zs.zeros.real, zs.zeros.imag, zs.residuals]), "%.12e")
+    return "n,index,re,im,residual,class\n" + _join(
+        b"%d," % n, np.arange(len(labels)).astype("S"), b",", num[:, 0], b",",
+        num[:, 1], b",", num[:, 2], b",", np.array(labels, dtype="S"), b"\n")
 
 
 def _zeros_json(n: int, zs: ZeroSet, labels: list[str]) -> str:
@@ -249,11 +395,14 @@ def cmd_zeros(cfg: RunConfig) -> int:
 
 # ---------------------------------------------------------------- predict
 
-def _curve_rows(component: str, param: np.ndarray, z: np.ndarray) -> str:
-    """One CSV row per sample, each ending in a newline."""
+def _curve_rows(components, param: np.ndarray, z: np.ndarray) -> str:
+    """One CSV row per sample, each ending in a newline; components holds
+    each sample's curve name."""
     z = np.asarray(z, dtype=complex)
-    vals = np.column_stack([np.asarray(param, dtype=float), z.real, z.imag])
-    return f"{component},%.12e,%.12e,%.12e\n" * len(z) % tuple(vals.ravel().tolist())
+    num = _numbers(np.column_stack([np.asarray(param, dtype=float), z.real, z.imag]),
+                   "%.12e")
+    return _join(np.asarray(components, dtype="S"), b",", num[:, 0], b",", num[:, 1], b",",
+                 num[:, 2], b"\n")
 
 
 def _curves(p: AirfoilParams) -> list[tuple[str, np.ndarray, np.ndarray]]:
@@ -286,11 +435,14 @@ def cmd_predict(cfg: RunConfig) -> int:
     formats = cfg.formats or ("csv", "json")
     pred = predicted(p)
     case = pred.case
-    rows = ["component,param,re,im\n"]
-    rows += [_curve_rows(name, param, z) for name, param, z in _curves(p)]
+    curves = _curves(p)
     ib = intersection_ib(p)
     if ib is not None:
-        rows.append(_curve_rows("corner_ib", np.zeros(1), np.array([ib], dtype=complex)))
+        curves.append(("corner_ib", np.zeros(1), np.array([ib], dtype=complex)))
+    # every curve's rows in one formatting call
+    names, params, zs = zip(*curves)
+    rows = _curve_rows(np.repeat(np.array(names, dtype="S"), [len(z) for z in zs]),
+                       np.concatenate(params), np.concatenate(zs))
     doc = {
         "case": case.tag.value,
         "rcos": p.rcos,
@@ -306,7 +458,7 @@ def cmd_predict(cfg: RunConfig) -> int:
     }
     os.makedirs(cfg.out, exist_ok=True)
     if "csv" in formats:
-        _write(os.path.join(cfg.out, "curves.csv"), "".join(rows))
+        _write(os.path.join(cfg.out, "curves.csv"), "component,param,re,im\n" + rows)
     if "json" in formats:
         _write(os.path.join(cfg.out, "predicted.json"), _json_text(doc) + "\n")
     print(f"case={case.tag.value} masses: segment {pred.mass_segment:.6f} "
@@ -391,24 +543,25 @@ _CURVE_STYLE = {
 _DOT_STYLE = {"segment": "#1f77b4", "loop": "#d62728", "other": "#333333"}
 
 
-def _svg_xy(z: np.ndarray) -> tuple:
-    """(x0, y0, x1, y1, ...) of the points z in SVG coordinates (y down)."""
+def _svg_xy(z: np.ndarray) -> np.ndarray:
+    """(len(z), 2, w) text cells of x, y = Re z, -Im z (SVG's y points down)."""
     z = np.asarray(z, dtype=complex)
-    return tuple(np.column_stack([z.real, -z.imag]).ravel().tolist())
+    return _numbers(np.column_stack([z.real, -z.imag]), "%.4f")
 
 
-def _svg_poly(z: np.ndarray, color: str) -> str:
-    pts = " ".join(["%.4f,%.4f"] * len(z)) % _svg_xy(z)
+def _svg_poly(xy: np.ndarray, color: str) -> str:
+    """A polyline through the points whose cells _svg_xy made."""
+    pts = _join(xy[:, 0], b",", xy[:, 1], b" ")[:-1]
     return (f'<polyline fill="none" stroke="{color}" stroke-width="0.012" '
             f'points="{pts}"/>')
 
 
-def _svg_dots(z: np.ndarray, labels: list[str]) -> str:
-    """One filled circle per zero, coloured by its class, one per line."""
-    xy = _svg_xy(z)
-    cols = zip(xy[0::2], xy[1::2], [_DOT_STYLE[lab] for lab in labels])
-    return "\n".join(['<circle cx="%.4f" cy="%.4f" r="0.012" fill="%s"/>']
-                     * len(labels)) % tuple(chain.from_iterable(cols))
+def _svg_dots(xy: np.ndarray, labels: list[str]) -> str:
+    """One filled circle per zero (cells from _svg_xy), coloured by its class,
+    one per line."""
+    colors = np.array([_DOT_STYLE[lab] for lab in labels], dtype="S")
+    return _join(b'<circle cx="', xy[:, 0], b'" cy="', xy[:, 1], b'" r="0.012" fill="',
+                 colors, b'"/>\n')[:-1]
 
 
 def _runs_within(z: np.ndarray, bound: float) -> list[np.ndarray]:
@@ -419,19 +572,11 @@ def _runs_within(z: np.ndarray, bound: float) -> list[np.ndarray]:
             if k[0] and len(run) > 1]
 
 
-def _svg_text(p: AirfoilParams, zs: ZeroSet, labels: list[str]) -> str:
-    curves = []
-    clipped = []   # drawn but excluded from the frame: the minus loop runs
-    for name, _, z in _curves(p):
-        if name == "loop_minus":
-            # the complement arc maps through w = 1 where the image is
-            # unbounded; keep only the pieces near the figure
-            clipped += [(name, run) for run in _runs_within(z, 4.0)]
-        else:
-            curves.append((name, z))
-    allz = np.concatenate([z for _, z in curves] + [zs.zeros])
-    x0, x1 = np.min(allz.real), np.max(allz.real)
-    y0, y1 = np.min(-allz.imag), np.max(-allz.imag)
+def _svg_text(framed: np.ndarray, lines: list[str], dots: str) -> str:
+    """The SVG document: its viewBox holds the points framed; lines are the
+    drawn curves and marks, dots the zeros."""
+    x0, x1 = np.min(framed.real), np.max(framed.real)
+    y0, y1 = np.min(-framed.imag), np.max(-framed.imag)
     padx, pady = 0.06 * (x1 - x0) + 0.05, 0.06 * (y1 - y0) + 0.05
     # snap the viewBox so reruns can't wobble it
     vx = np.floor((x0 - padx) * 10) / 10
@@ -446,26 +591,37 @@ def _svg_text(p: AirfoilParams, zs: ZeroSet, labels: list[str]) -> str:
         f'<rect x="{vx:.4f}" y="{vy:.4f}" width="{vw:.4f}" height="{vh:.4f}" '
         f'fill="#ffffff"/>',
     ]
-    for name, z in curves:
-        parts.append(_svg_poly(z, _CURVE_STYLE[name]))
-    for name, z in clipped:
-        parts.append(_svg_poly(z, _CURVE_STYLE[name]))
-    ib = intersection_ib(p)
-    if ib is not None:
-        parts.append(f'<circle cx="{ib.real:.4f}" cy="{-ib.imag:.4f}" r="0.02" '
-                     f'fill="none" stroke="#000000" stroke-width="0.012"/>')
-    parts.append(_svg_dots(zs.zeros, labels))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return "\n".join(parts + lines + [dots, "</svg>"]) + "\n"
 
 
 def cmd_plot(cfg: RunConfig) -> int:
     p = params_from(cfg.R, cfg.theta)
 
     results = _zeros_by_degree(p, cfg)
+    # the curves, the minus loop's runs and i_b do not depend on n
+    curves = []
+    clipped = []   # drawn but excluded from the frame: the minus loop runs
+    for name, _, z in _curves(p):
+        if name == "loop_minus":
+            # the complement arc maps through w = 1 where the image is
+            # unbounded; keep only the pieces near the figure
+            clipped += [(name, run) for run in _runs_within(z, 4.0)]
+        else:
+            curves.append((name, z))
+    drawn = curves + clipped
+    # every polyline's and every degree's dots' coordinates in one formatting call
+    pieces = [z for _, z in drawn] + [zs.zeros for zs, _ in results.values()]
+    xy = np.split(_svg_xy(np.concatenate(pieces)), np.cumsum([len(z) for z in pieces])[:-1])
+    lines = [_svg_poly(c, _CURVE_STYLE[name]) for (name, _), c in zip(drawn, xy)]
+    ib = intersection_ib(p)
+    if ib is not None:
+        lines.append(f'<circle cx="{ib.real:.4f}" cy="{-ib.imag:.4f}" r="0.02" '
+                     f'fill="none" stroke="#000000" stroke-width="0.012"/>')
+    framed = np.concatenate([z for _, z in curves])
     os.makedirs(cfg.out, exist_ok=True)
-    for n, (zs, labels) in results.items():
-        _write(os.path.join(cfg.out, f"plot_n{n}.svg"), _svg_text(p, zs, labels))
+    for (n, (zs, labels)), dots in zip(results.items(), xy[len(drawn):]):
+        svg = _svg_text(np.concatenate([framed, zs.zeros]), lines, _svg_dots(dots, labels))
+        _write(os.path.join(cfg.out, f"plot_n{n}.svg"), svg)
         print(f"n={n}: wrote plot_n{n}.svg")
     return 0
 

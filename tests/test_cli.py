@@ -9,8 +9,9 @@ import pytest
 
 from faberzeros import cli
 from faberzeros.cli import (
-    FIGURE_PRESETS, _DOT_STYLE, _curve_rows, _json_text, _read_zeros_csv,
-    _svg_dots, _svg_poly, _zeros_csv, fnum, main,
+    FIGURE_PRESETS, _DOT_STYLE, _curve_rows, _curves, _fast_numbers, _join,
+    _json_text, _numbers, _read_zeros_csv, _svg_dots, _svg_poly, _svg_xy, _zeros_csv,
+    fnum, main,
 )
 from faberzeros.conformal import params_from
 from faberzeros.measures import report
@@ -252,6 +253,18 @@ def test_verify_passes_where_the_loop_is_short(tmp_path, capsys):
     assert "VERIFY PASS" in capsys.readouterr().out
 
 
+def test_plot_several_degrees_match_single_degree_runs(tmp_path):
+    # the curves, minus-loop runs and i_b are built once per command and
+    # shared by every degree
+    assert run(["plot", "--paper-figure", "3", "--n", "100,200,300",
+                "--out", str(tmp_path / "all")]) == 0
+    for n in (100, 200, 300):
+        assert run(["plot", "--paper-figure", "3", "--n", str(n),
+                    "--out", str(tmp_path / f"n{n}")]) == 0
+        name = f"plot_n{n}.svg"
+        assert (tmp_path / "all" / name).read_bytes() == (tmp_path / f"n{n}" / name).read_bytes()
+
+
 def test_plot_reruns_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     run(["plot", "--paper-figure", "3", "--n", "25", "--out", str(a)])
@@ -415,8 +428,8 @@ def test_batched_csv_rows_match_per_number_formatting():
     param = np.resize(_EDGE, len(z))
     want = "".join(f"curve,{fnum(t)},{fnum(v.real)},{fnum(v.imag)}\n"
                    for t, v in zip(param, z))
-    assert _curve_rows("curve", param, z) == want
-    assert _curve_rows("curve", np.zeros(0), np.zeros(0, complex)) == ""
+    assert _curve_rows(["curve"] * len(z), param, z) == want
+    assert _curve_rows([], np.zeros(0), np.zeros(0, complex)) == ""
     res = np.abs(np.resize(_EDGE, len(z)))
     labels = [("segment", "loop", "other")[i % 3] for i in range(len(z))]
     zs = ZeroSet(len(z), z, res, Method.SEEDED)
@@ -429,10 +442,74 @@ def test_batched_csv_rows_match_per_number_formatting():
 def test_batched_svg_matches_per_number_formatting():
     z = _edge_points()
     pts = " ".join(f"{v.real:.4f},{-v.imag:.4f}" for v in z)
-    assert _svg_poly(z, "#123456") == (
+    assert _svg_poly(_svg_xy(z), "#123456") == (
         f'<polyline fill="none" stroke="#123456" stroke-width="0.012" '
         f'points="{pts}"/>')
     labels = [("segment", "loop", "other")[i % 3] for i in range(len(z))]
     dots = [f'<circle cx="{v.real:.4f}" cy="{-v.imag:.4f}" r="0.012" '
             f'fill="{_DOT_STYLE[lab]}"/>' for v, lab in zip(z, labels)]
-    assert _svg_dots(z, labels) == "\n".join(dots)
+    assert _svg_dots(_svg_xy(z), labels) == "\n".join(dots)
+
+
+def _texts(x, spec):
+    """Each entry of x through the bulk formatter, as a list of str."""
+    return _join(_numbers(x, spec), b"\n").split("\n")[:-1]
+
+
+def _assert_like_percent(x, spec):
+    x = np.asarray(x, dtype=float)
+    for start in range(0, len(x), 10_000):   # long %.4f fallbacks: keep buffers small
+        chunk = x[start:start + 10_000]
+        want = [spec % v for v in chunk.tolist()]
+        got = _texts(chunk, spec)
+        bad = [(v, g, w) for v, g, w in zip(chunk.tolist(), got, want) if g != w]
+        assert len(got) == len(want) and not bad, (spec, bad[:5])
+
+
+def _dyadic_ties():
+    """Doubles m 2^-j whose exact decimal expansion m 5^j / 10^j ends in a 5
+    at the 14th significant digit, or at the 5th decimal: exact ties for
+    %.12e and for %.4f."""
+    ties_e = [m * 2.0 ** -j for j in range(15, 45) for m in range(1, 400, 2)
+              if len(str(m * 5 ** j)) == 14]
+    ties_f = [m / 32 for m in range(1, 640, 2)] + [12345 + 1 / 32, -(7 + 3 / 32)]
+    return ties_e, ties_f
+
+
+@pytest.mark.parametrize("spec", ["%.12e", "%.4f"])
+def test_bulk_numbers_match_percent_formatting_byte_for_byte(spec):
+    rng = np.random.default_rng(20)
+    # random doubles with decimal exponents from -320 to 308, both signs
+    x = 10.0 ** rng.uniform(-320, 308, 100_000) * rng.choice([-1.0, 1.0], 100_000)
+    ties_e, ties_f = _dyadic_ties()
+    # decimal near-ties (M + 1/2) 10^(e-12): rounded once for e >= -10, twice below
+    decimal = (rng.integers(10 ** 12, 10 ** 13, 2000) + 0.5) * 10.0 ** rng.integers(-44, 23, 2000)
+    ties = np.concatenate([ties_e, ties_f, decimal, (rng.integers(0, 10 ** 9, 500) + 0.5) / 1e4])
+    near = np.concatenate([ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf),
+                           np.nextafter(np.nextafter(ties, np.inf), np.inf)])
+    decade = 10.0 ** np.arange(-30, 31)
+    edges = [9.9999999999996, 99999.99995, 999999999.99995, 9.99999999999995e34,
+             -0.00004, 0.00005, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+             0.0, -0.0, np.nan, np.inf, -np.inf, 1e308, -1.7976931348623157e308]
+    for values in (x, near, -near, decade, np.nextafter(decade, 0), -decade, edges):
+        _assert_like_percent(values, spec)
+    assert _texts(np.array([-0.00004, -0.0, 0.0]), "%.4f") == ["-0.0000", "-0.0000", "0.0000"]
+    # an exact tie is left to Python's %, which rounds it half to even
+    tie = np.array(ties_e if spec == "%.12e" else ties_f)
+    assert not _fast_numbers(tie, spec)[1].any()
+    assert _texts(np.array([2.0 ** -20]), "%.12e") == ["9.536743164062e-07"]
+    assert _texts(np.array([1 / 32, 3 / 32]), "%.4f") == ["0.0312", "0.0938"]
+    # empty and multi-dimensional input keep their shape
+    assert _numbers(np.zeros((0, 3)), spec).shape[:2] == (0, 3)
+    assert _numbers(np.ones((4, 3)), spec).shape[:2] == (4, 3)
+
+
+@pytest.mark.parametrize("fig", sorted(FIGURE_PRESETS))
+def test_bulk_numbers_fast_path_covers_the_preset_curves(fig):
+    # a formatter that quietly sent everything to Python's % would pass the
+    # byte tests above; this one fails it
+    curves = _curves(params_from(*FIGURE_PRESETS[fig]))
+    csv = np.concatenate([np.column_stack([t, z.real, z.imag]).ravel() for _, t, z in curves])
+    svg = np.concatenate([np.column_stack([z.real, -z.imag]).ravel() for _, _, z in curves])
+    for values, spec in ((csv, "%.12e"), (svg, "%.4f")):
+        assert _fast_numbers(values, spec)[1].mean() >= 0.99, spec

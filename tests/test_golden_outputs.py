@@ -1,11 +1,12 @@
-"""Golden bytes: SHA-256 digests of predict's, plot's and verify's files for
-the four --paper-figure presets.
+"""Golden bytes: SHA-256 digests of zeros', predict's, plot's and verify's
+files for the four --paper-figure presets.
 
-The predict and plot digests were generated before the arc walk, the
+The predict and plot --n 100 digests were generated before the arc walk, the
 nearest-polyline search and the arc Newton's stopping rule were rewritten for
-speed, and the verify digests before the zero labels and the probe ring were
-decided from distance bounds; they hold the rewritten code to the same
-output bytes. They depend on the
+speed, the verify digests before the zero labels and the probe ring were
+decided from distance bounds, and the plot --n 500 and zeros CSV digests
+before the CSV and SVG writers formatted their numbers in bulk; they hold the
+rewritten code to the same output bytes. They depend on the
 floating-point results of numpy and the platform libm as well as on the code:
 regenerate them with `PYTHONPATH=src python tests/test_golden_outputs.py`
 only for a change that is meant to alter the output, and say so.
@@ -69,6 +70,27 @@ GOLDEN_VERIFY = {
 }
 
 
+# plot_n500.svg of `plot --paper-figure <fig> --n 500`, by fig
+GOLDEN_PLOT_500 = {
+    1: "c9a991c2a9768a58ecc5aa9fbbba832b103d7c9907b27dd58142a68340bb455f",
+    2: "77a279d11ef27bf4583c771a87af3ce305fbd59e009bfce90042cf81c988bf75",
+    3: "5edc8bdaa5889427fe723e21d757e33cd67b83df2d14b4465e5fc630e6048b6f",
+    4: "fdcfc75cb4fcac45dc0e86bf430ae971f75a0d07673e43894c310266f354ed81",
+}
+
+# zeros_n<n>.csv of `zeros --paper-figure <fig> --n 100,500 --format csv`, by (fig, n)
+GOLDEN_ZEROS = {
+    (1, 100): "04f4edd5730093d70bd8fede01a35b81d3be0533d7ce20afbe71c5b295a30c89",
+    (1, 500): "64b20f0604326350ec43307eca467e8afa598463405c1286fbec877bcc7b2ad7",
+    (2, 100): "1c06579726a8dd660deb2a2db9a026145ed11574f36073ccfb2275717eedd9cb",
+    (2, 500): "e243d1b9283c55a5259633cde82d18ec00fb0616ad37c894d1fbffe37fd6bdef",
+    (3, 100): "5caf1f6758a02f793395c82d02038c9f6a6d29955e4d287a5b1c2ac5ab3a65b1",
+    (3, 500): "8aae51ead8cba783984fe15ae3f14e3b88075a28ed894124f9071d8f6d1ed7e2",
+    (4, 100): "483aee0b77a626e76e9ca9621f9699ae5963c8c54d579dfd53848602198ce769",
+    (4, 500): "ed2345bd098b3f8a55458849149ddfc74523f5665f5a142704797a44d06df4c9",
+}
+
+
 def figure_digests(fig: int, out: str) -> dict[str, str]:
     """Run predict and plot --n 100 for one preset into out; digest each file."""
     with contextlib.redirect_stdout(io.StringIO()):
@@ -90,6 +112,28 @@ def verify_digest(fig: int, n: int, out: str) -> str:
         return hashlib.sha256(f.read()).hexdigest()
 
 
+def file_digests(argv: list[str], out: str, names: list[str]) -> list[str]:
+    """Run one command into out; digest the named files."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv + ["--out", out]) == 0
+    digests = []
+    for name in names:
+        with open(os.path.join(out, name), "rb") as f:
+            digests.append(hashlib.sha256(f.read()).hexdigest())
+    return digests
+
+
+def plot_500_digest(fig: int, out: str) -> str:
+    return file_digests(["plot", "--paper-figure", str(fig), "--n", "500"], out,
+                        ["plot_n500.svg"])[0]
+
+
+def zeros_digests(fig: int, out: str) -> dict[int, str]:
+    got = file_digests(["zeros", "--paper-figure", str(fig), "--n", "100,500",
+                        "--format", "csv"], out, ["zeros_n100.csv", "zeros_n500.csv"])
+    return dict(zip((100, 500), got))
+
+
 def test_paper_figure_outputs_match_golden_digests(tmp_path):
     for fig, want in GOLDEN.items():
         assert figure_digests(fig, str(tmp_path / f"fig{fig}")) == want, fig
@@ -100,6 +144,18 @@ def test_paper_figure_verify_reports_match_golden_digests(tmp_path):
         assert verify_digest(fig, n, str(tmp_path / f"fig{fig}_n{n}")) == want, (fig, n)
 
 
+
+def test_paper_figure_plot_n500_matches_golden_digests(tmp_path):
+    for fig, want in GOLDEN_PLOT_500.items():
+        assert plot_500_digest(fig, str(tmp_path / f"fig{fig}")) == want, fig
+
+
+def test_paper_figure_zeros_csv_match_golden_digests(tmp_path):
+    for fig in sorted(cli.FIGURE_PRESETS):
+        got = zeros_digests(fig, str(tmp_path / f"fig{fig}"))
+        assert got == {n: GOLDEN_ZEROS[(fig, n)] for n in (100, 500)}, fig
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         json.dump({fig: figure_digests(fig, os.path.join(tmp, f"fig{fig}"))
@@ -107,4 +163,12 @@ if __name__ == "__main__":
         print()
         json.dump({f"{fig}, {n}": verify_digest(fig, n, os.path.join(tmp, f"verify{fig}_{n}"))
                    for fig, n in sorted(GOLDEN_VERIFY)}, sys.stdout, indent=4)
+        print()
+        json.dump({fig: plot_500_digest(fig, os.path.join(tmp, f"plot500_{fig}"))
+                   for fig in sorted(GOLDEN_PLOT_500)}, sys.stdout, indent=4)
+        print()
+        json.dump({f"{fig}, {n}": digest
+                   for fig in sorted(cli.FIGURE_PRESETS)
+                   for n, digest in zeros_digests(fig, os.path.join(tmp, f"zeros{fig}")).items()},
+                  sys.stdout, indent=4)
         print()
