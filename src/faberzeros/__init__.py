@@ -2,7 +2,7 @@
 numerics of their limit behavior."""
 
 from .conformal import (
-    AirfoilParams, BranchedValue, Sheet, arc_candidates, boundary_samples,
+    AirfoilParams, arc_candidates, boundary_samples,
     params_from, phi, phi_b, phi_b_inverse, psi, uvw, uvw4,
 )
 from .errors import (
@@ -33,12 +33,12 @@ from .rootfind import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AirfoilParams", "ArcA", "BranchedValue", "BranchError", "CaseClass",
+    "AirfoilParams", "ArcA", "BranchError", "CaseClass",
     "CaseError", "CaseTag", "ConvergenceError", "CrossCheckReport",
     "DeficitError", "DomainError", "FaberError",
     "FaberEvaluator", "LoopArc", "Method", "MismatchError", "MomentVector",
     "ParameterError", "PolyCoeffs", "PoleError", "PredictedMeasure",
-    "ResolutionError", "SeedPlan", "SegmentArc", "Sheet", "SingularityError",
+    "ResolutionError", "SeedPlan", "SegmentArc", "SingularityError",
     "WeakStarDistances", "ZeroSet", "arc_A", "arc_candidates", "arc_z_of_u",
     "boundary_samples", "chebyshev_T", "classify", "classify_zeros", "closed_moment_mp", "compute_zeros", "cross_check",
     "default_test_points", "equilibrium_moments", "faber_closed",

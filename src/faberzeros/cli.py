@@ -34,8 +34,8 @@ from .errors import (
     FaberError, MismatchError, ParameterError, PoleError, ResolutionError,
     SingularityError,
 )
-from .limitsets import CaseTag, arc_A, classify, intersection_ib, loop_points, segment_points
-from .measures import classify_zeros, predicted, quad_tol, report
+from .limitsets import CaseTag, arc_A, classify, loop_points, segment_points
+from .measures import classify_zeros, quad_tol, report
 from .rootfind import Method, ZeroSet, compute_zeros
 from .faber import scaled_residual
 
@@ -247,6 +247,8 @@ class RunConfig:
             for n in self.n_list:
                 if not 1 <= n <= 500:
                     raise ParameterError(f"n must be in [1, 500], got {n}")
+        if self.tol_quad is not None and not 0.0 < self.tol_quad < np.inf:
+            raise ParameterError(f"--tol-quad must be finite and > 0, got {self.tol_quad}")
         known = FORMATS[self.command]
         for fmt in self.formats:
             if fmt not in known:
@@ -323,6 +325,9 @@ def _resolve(ns: argparse.Namespace) -> RunConfig:
     R = pick(ns.R, "R", float, None)
     theta = pick(ns.theta, "theta", float, None)
     if fig is not None:
+        if fig not in FIGURE_PRESETS:
+            raise ParameterError(f"no paper figure {fig} (choose from "
+                                 f"{','.join(map(str, FIGURE_PRESETS))})")
         pr, pt = FIGURE_PRESETS[fig]
         R = pr if R is None else R
         theta = pt if theta is None else theta
@@ -422,8 +427,7 @@ def _curves(p: AirfoilParams) -> list[tuple[str, np.ndarray, np.ndarray]]:
     if arc.has_circle_component:
         curves.append(("circle_cb_tilde", t, p.c + abs(p.c - p.b) * np.exp(1j * t)))
     curves.append(("segment", seg.us, seg.samples))
-    case = classify(p)
-    if case.has_loop and case.tag is not CaseTag.CRITICAL:
+    if classify(p).tag is CaseTag.SUPERCRITICAL:
         for which, name in (("plus", "loop"), ("minus", "loop_minus")):
             lp = loop_points(p, 257, which=which)
             curves.append((name, np.linspace(0.0, lp.span, 257), lp.samples))
@@ -433,10 +437,10 @@ def _curves(p: AirfoilParams) -> list[tuple[str, np.ndarray, np.ndarray]]:
 def cmd_predict(cfg: RunConfig) -> int:
     p = params_from(cfg.R, cfg.theta)
     formats = cfg.formats or ("csv", "json")
-    pred = predicted(p)
-    case = pred.case
+    case = classify(p)
+    mass_seg, mass_loop = case.masses
     curves = _curves(p)
-    ib = intersection_ib(p)
+    ib = case.i_b
     if ib is not None:
         curves.append(("corner_ib", np.zeros(1), np.array([ib], dtype=complex)))
     # every curve's rows in one formatting call
@@ -447,22 +451,22 @@ def cmd_predict(cfg: RunConfig) -> int:
         "case": case.tag.value,
         "rcos": p.rcos,
         "capacity": p.capacity,
-        "masses": {"segment": pred.mass_segment, "loop": pred.mass_loop},
-        "u_lo": pred.u_lo,
+        "masses": {"segment": mass_seg, "loop": mass_loop},
+        "u_lo": case.u_lo,
         "i_b": None if ib is None else {"re": ib.real, "im": ib.imag},
-        "c_plus": None if pred.c_plus is None else
-            {"re": pred.c_plus.real, "im": pred.c_plus.imag},
-        "c_minus": None if pred.c_minus is None else
-            {"re": pred.c_minus.real, "im": pred.c_minus.imag},
-        "span": pred.span,
+        "c_plus": None if case.c_plus is None else
+            {"re": case.c_plus.real, "im": case.c_plus.imag},
+        "c_minus": None if case.c_minus is None else
+            {"re": case.c_minus.real, "im": case.c_minus.imag},
+        "span": case.span,
     }
     os.makedirs(cfg.out, exist_ok=True)
     if "csv" in formats:
         _write(os.path.join(cfg.out, "curves.csv"), "component,param,re,im\n" + rows)
     if "json" in formats:
         _write(os.path.join(cfg.out, "predicted.json"), _json_text(doc) + "\n")
-    print(f"case={case.tag.value} masses: segment {pred.mass_segment:.6f} "
-          f"loop {pred.mass_loop:.6f}")
+    print(f"case={case.tag.value} masses: segment {mass_seg:.6f} "
+          f"loop {mass_loop:.6f}")
     return 0
 
 
@@ -474,18 +478,22 @@ def _read_zeros_csv(path: str, p: AirfoilParams) -> ZeroSet:
             lines = [ln.strip() for ln in fh if ln.strip()]
         header = lines[0].split(",")
         icol = {name: i for i, name in enumerate(header)}
-        zs = []
-        nval = None
+        zs, ns = [], set()
         for ln in lines[1:]:
             parts = ln.split(",")
-            nval = int(parts[icol["n"]])
+            ns.add(int(parts[icol["n"]]))
             zs.append(complex(float(parts[icol["re"]]), float(parts[icol["im"]])))
     except (OSError, ValueError, KeyError, IndexError) as e:
         raise ParameterError(f"cannot parse zeros CSV {path}: {e}")
+    if len(ns) > 1:
+        raise ParameterError(f"zeros CSV {path} mixes degrees {sorted(ns)}")
+    nval = ns.pop() if ns else None
     if nval is None or len(zs) != nval:
         raise ParameterError(
             f"zeros CSV {path} holds {len(zs)} rows but claims n={nval}")
     z = np.array(zs, dtype=complex)
+    if not np.all(np.isfinite(z)):
+        raise ParameterError(f"zeros CSV {path} holds a non-finite zero")
     order = np.lexsort((z.imag, z.real))
     z = z[order]
     res = np.atleast_1d(scaled_residual(p, nval, z))
@@ -613,7 +621,7 @@ def cmd_plot(cfg: RunConfig) -> int:
     pieces = [z for _, z in drawn] + [zs.zeros for zs, _ in results.values()]
     xy = np.split(_svg_xy(np.concatenate(pieces)), np.cumsum([len(z) for z in pieces])[:-1])
     lines = [_svg_poly(c, _CURVE_STYLE[name]) for (name, _), c in zip(drawn, xy)]
-    ib = intersection_ib(p)
+    ib = classify(p).i_b
     if ib is not None:
         lines.append(f'<circle cx="{ib.real:.4f}" cy="{-ib.imag:.4f}" r="0.02" '
                      f'fill="none" stroke="#000000" stroke-width="0.012"/>')

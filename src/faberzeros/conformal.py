@@ -4,31 +4,22 @@ The airfoil boundary is the image of the unit circle under Psi(w) = J(a*w + b),
 J(zeta) = (zeta + 1/zeta)/2, with a = R*exp(i*theta) and b = 1 - a chosen so a
 cusp sits at z = 1.  Everything else in the package is built on the exterior
 map Phi (inverse of Psi), the triple (U, V, W) with U = (z-b)/sqrt(V), and the
-two-sheeted interior map phi_b.  sqrt(V) is the principal root of -2b(z - c);
-no zero equation sits on its cut, and its callers read only |U|, |Re U| or
-|sqrt(V)|, which are the same on both branches.
+two-sheeted interior map phi_b, which returns its value on both sheets.
+sqrt(V) is the principal root of -2b(z - c); no zero equation sits on its
+cut, and its callers read only |U|, |Re U| or |sqrt(V)|, which are the same
+on both branches.  AirfoilParams.case holds the regime and its derived
+points (limitsets.classify), worked out once per instance on first use.
 """
 
 from __future__ import annotations
 
 import cmath
-import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchError, DomainError, ParameterError, PoleError, SingularityError
-
-
-class Sheet(enum.Enum):
-    PLUS = "plus"    # unbounded sheet: phi_b -> infinity at infinity
-    MINUS = "minus"  # bounded sheet: phi_b -> 1 at infinity
-
-
-@dataclass(frozen=True)
-class BranchedValue:
-    value: complex
-    sheet: Sheet
+from .errors import DomainError, ParameterError, PoleError, SingularityError
 
 
 @dataclass(frozen=True)
@@ -49,6 +40,13 @@ class AirfoilParams:
     @property
     def is_real(self) -> bool:
         return self.theta == 0.0
+
+    @functools.cached_property
+    def case(self):
+        """The limitsets.CaseClass of this airfoil, built on first use and
+        kept on the instance (not a field: eq and hash ignore it)."""
+        from .limitsets import _build_case
+        return _build_case(self)
 
 
 def params_from(R: float, theta: float = 0.0) -> AirfoilParams:
@@ -134,23 +132,17 @@ def uvw4(p: AirfoilParams, z):
     return u, v, w, sv
 
 
-def phi_b(p: AirfoilParams, z, sheet: Sheet = Sheet.PLUS) -> BranchedValue:
-    """Two-sheeted interior map (b - z -/+ sqrt(z^2-1))/b.
+def phi_b(p: AirfoilParams, z) -> tuple[complex, complex]:
+    """Two-sheeted interior map (b - z -/+ sqrt(z^2-1))/b, as (plus, minus).
 
-    Sheet.PLUS (-sqrt) is unbounded at infinity, Sheet.MINUS (+sqrt) tends
-    to 1.  The sqrt cut is exactly [-1, 1]; IEEE signed zero in Im(z) selects
-    the one-sided limit on the cut.  phi_b never takes the value 1.  Inverse on
-    either sheet: z = J(b*(1 - w)).
+    The plus sheet (-sqrt) is unbounded at infinity, the minus sheet (+sqrt)
+    tends to 1.  The sqrt cut is exactly [-1, 1]; IEEE signed zero in Im(z)
+    selects the one-sided limit on the cut.  phi_b never takes the value 1.
+    Inverse on either sheet: z = J(b*(1 - w)).
     """
     z = complex(z)
     s = cmath.sqrt(z - 1.0) * cmath.sqrt(z + 1.0)
-    if sheet is Sheet.PLUS:
-        val = (p.b - z - s) / p.b
-    elif sheet is Sheet.MINUS:
-        val = (p.b - z + s) / p.b
-    else:
-        raise BranchError(f"unknown sheet {sheet!r}")
-    return BranchedValue(value=val, sheet=sheet)
+    return (p.b - z - s) / p.b, (p.b - z + s) / p.b
 
 
 def phi_b_inverse(p: AirfoilParams, w):

@@ -1,10 +1,13 @@
 """Predicted zero limit sets: the square-root arc, the critical circle, the
 intersection point, and the loop.
 
-Parameter regimes split on R*cos(theta) at 3/2: below, every zero accumulates
-on the arc; above, a loop component appears and the arc only carries zeros
-between the intersection point i_b and the cusp. The loop is the image under
-J(b(1-w)) of the unit-circle arc where |g(w)| < 1, g(w) = 1 - 1/(b^2 (1-w)).
+The paper's result is one case analysis, held by one record per airfoil
+(classify, built once and kept on the AirfoilParams as p.case). Parameter
+regimes split on R*cos(theta) at 3/2: below, every zero accumulates on the
+arc; above, a loop component appears and the arc only carries zeros between
+the intersection point i_b and the cusp. The loop is the image under
+J(b(1-w)) of the unit-circle arc where |g(w)| < 1, g(w) = 1 - 1/(b^2 (1-w)),
+and the arc piece starts at U = u_lo, from which the two masses follow.
 """
 
 from __future__ import annotations
@@ -15,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import (
-    AirfoilParams, Sheet, arc_candidates, phi_b, phi_b_inverse, uvw,
-)
+from .conformal import AirfoilParams, arc_candidates, phi_b, phi_b_inverse, uvw
 from .errors import BranchError, CaseError
 
 _CRIT_TOL = 1e-12
@@ -31,22 +32,77 @@ class CaseTag(enum.Enum):
 
 @dataclass(frozen=True)
 class CaseClass:
+    """The case analysis of one airfoil. i_b is None below criticality (-1
+    to rounding at it); u_lo is the lower end of the zero-carrying arc piece
+    in the U coordinate. Above criticality c_plus and c_minus are the loop
+    ends on the unit circle, and the loop arc runs ccw from c_plus, at angle
+    start, through span; below and at criticality they are None and 0."""
+
     tag: CaseTag
-    rcos: float
+    i_b: complex | None
+    u_lo: float
+    c_plus: complex | None = None
+    c_minus: complex | None = None
+    start: float = 0.0
+    span: float = 0.0
 
     @property
     def has_loop(self) -> bool:
         return self.tag is not CaseTag.SUBCRITICAL
 
+    @property
+    def masses(self) -> tuple[float, float]:
+        """(segment, loop) masses of the limit measure: the arcsine law's
+        share of [u_lo, 1], and the rest."""
+        seg = (np.pi / 2 - np.arcsin(np.clip(self.u_lo, -1.0, 1.0))) / np.pi
+        return float(seg), float(1.0 - seg)
+
 
 def classify(p: AirfoilParams) -> CaseClass:
-    """Regime of (R, theta): R*cos(theta) vs 3/2 with a 1e-12 tie band."""
+    """The case record of p: its regime, R*cos(theta) vs 3/2 with a 1e-12
+    tie band, and i_b, u_lo and the loop arc, worked out once per
+    AirfoilParams. BranchError when i_b or a loop end misses its modulus."""
+    return p.case
+
+
+def _build_case(p: AirfoilParams) -> CaseClass:
+    """The record behind p.case. i_b is the arc's intersection with the
+    circle |z-c| = |b|/2 (exactly 1/(2b) in the real case, -1 at
+    criticality). The loop arc is the unit-circle arc between the two
+    phi_b images of i_b on which |g| < 1 at its midpoint, run ccw from
+    c_plus to c_minus. u_lo is -1 up to criticality, above it |Re U(i_b)|
+    (the same on both branches of sqrt(V)), positive iff the loop spans
+    more than pi (the masses add up to one)."""
     rc = p.rcos
     if rc < 1.5 - _CRIT_TOL:
-        return CaseClass(CaseTag.SUBCRITICAL, rc)
+        return CaseClass(CaseTag.SUBCRITICAL, None, -1.0)
+    b = p.b
+    rho = ((b ** 2 + np.conj(b) ** 2 - 1.0) ** 2 / (4.0 * abs(b) ** 4)).real
+    r = np.sqrt(rho)
+    disc = np.sqrt(complex(rho - (1.0 - 1.0 / b ** 2)))
+    cands = [-r + disc, -r - disc]
+    x = min(cands, key=lambda t: abs(abs(t) - 1.0))
+    if abs(abs(x) - 1.0) > 1e-8:
+        raise BranchError(
+            f"no modulus-one root for the intersection point (got |x|={abs(x)})"
+        )
+    ib = complex(b + r * b * x)
     if abs(rc - 1.5) <= _CRIT_TOL:
-        return CaseClass(CaseTag.CRITICAL, rc)
-    return CaseClass(CaseTag.SUPERCRITICAL, rc)
+        return CaseClass(CaseTag.CRITICAL, ib, -1.0)
+    v1, v2 = phi_b(p, ib)
+    for v in (v1, v2):
+        if abs(abs(v) - 1.0) > 1e-8:
+            raise BranchError(f"loop endpoint not unimodular: |v| = {abs(v)}")
+    th1, th2 = float(np.angle(v1)), float(np.angle(v2))
+    span12 = (th2 - th1) % (2 * np.pi)
+    if abs(loop_g(p, cmath.exp(1j * (th1 + span12 / 2)))) < 1.0:
+        cp, cm, start, span = v1, v2, th1, span12
+    else:
+        cp, cm, start, span = v2, v1, th2, (th1 - th2) % (2 * np.pi)
+    u, _, _ = uvw(p, ib)
+    mag = abs(float(np.real(u)))
+    return CaseClass(CaseTag.SUPERCRITICAL, ib, mag if span > np.pi else -mag,
+                     cp, cm, start, span)
 
 
 @dataclass(frozen=True)
@@ -83,20 +139,8 @@ def arc_A(p: AirfoilParams, m: int = 257) -> ArcA:
 
 def intersection_ib(p: AirfoilParams):
     """Intersection of the arc with the circle |z-c| = |b|/2, or None when
-    subcritical. Real case: exactly 1/(2b); critical case: -1."""
-    if classify(p).tag is CaseTag.SUBCRITICAL:
-        return None
-    b = p.b
-    rho = ((b ** 2 + np.conj(b) ** 2 - 1.0) ** 2 / (4.0 * abs(b) ** 4)).real
-    r = np.sqrt(rho)
-    disc = np.sqrt(complex(rho - (1.0 - 1.0 / b ** 2)))
-    cands = [-r + disc, -r - disc]
-    x = min(cands, key=lambda t: abs(abs(t) - 1.0))
-    if abs(abs(x) - 1.0) > 1e-8:
-        raise BranchError(
-            f"no modulus-one root for the intersection point (got |x|={abs(x)})"
-        )
-    return complex(b + r * b * x)
+    subcritical (classify(p).i_b)."""
+    return classify(p).i_b
 
 
 def loop_g(p: AirfoilParams, w):
@@ -105,32 +149,10 @@ def loop_g(p: AirfoilParams, w):
     return 1.0 - 1.0 / (p.b * p.b * (1.0 - w))
 
 
-def _loop_arc(p: AirfoilParams, ib: complex):
-    """(c_plus, c_minus, start angle, span) of the loop arc: the unit-circle
-    arc between the two phi_b images of i_b on which |g| < 1 at its
-    midpoint, run ccw from c_plus to c_minus."""
-    v1 = phi_b(p, ib, Sheet.PLUS).value
-    v2 = phi_b(p, ib, Sheet.MINUS).value
-    for v in (v1, v2):
-        if abs(abs(v) - 1.0) > 1e-8:
-            raise BranchError(f"loop endpoint not unimodular: |v| = {abs(v)}")
-    th1, th2 = float(np.angle(v1)), float(np.angle(v2))
-    span12 = (th2 - th1) % (2 * np.pi)
-    if abs(loop_g(p, cmath.exp(1j * (th1 + span12 / 2)))) < 1.0:
-        return v1, v2, th1, span12
-    return v2, v1, th2, (th1 - th2) % (2 * np.pi)
-
-
 def u_lower(p: AirfoilParams) -> float:
-    """Lower end of the zero-carrying arc piece in the U coordinate: -1 up to
-    criticality, above it |Re U(i_b)| (the same on both branches of sqrt(V)),
-    positive iff the loop spans more than pi (the masses add up to one)."""
-    ib = intersection_ib(p)
-    if ib is None or classify(p).tag is CaseTag.CRITICAL:
-        return -1.0
-    u, _, _ = uvw(p, ib)
-    mag = abs(float(np.real(u)))
-    return mag if _loop_arc(p, ib)[3] > np.pi else -mag
+    """Lower end of the zero-carrying arc piece in the U coordinate
+    (classify(p).u_lo)."""
+    return classify(p).u_lo
 
 
 @dataclass(frozen=True)
@@ -159,16 +181,15 @@ def loop_points(p: AirfoilParams, m: int = 257, which: str = "plus") -> LoopArc:
         cp = complex(1.0 + 1.0 / p.b)
         return LoopArc(samples=np.empty(0, complex), corner=-1.0 + 0j,
                        c_plus=cp, c_minus=cp, span=0.0, which=which)
-    ib = intersection_ib(p)
-    cp, cm, th, span = _loop_arc(p, ib)
+    cp, cm, th, span = case.c_plus, case.c_minus, case.start, case.span
     if which == "minus":
         th = (th + span) % (2 * np.pi)
         span = 2 * np.pi - span
         cp, cm = cm, cp
     ang = th + span * np.arange(m) / (m - 1)
     z = phi_b_inverse(p, np.exp(1j * ang))
-    return LoopArc(samples=z, corner=complex(ib), c_plus=complex(cp),
-                   c_minus=complex(cm), span=float(span), which=which)
+    return LoopArc(samples=z, corner=case.i_b, c_plus=cp, c_minus=cm,
+                   span=float(span), which=which)
 
 
 @dataclass(frozen=True)
@@ -177,7 +198,6 @@ class SegmentArc:
 
     us: np.ndarray
     samples: np.ndarray
-    u_lo: float
 
 
 def arc_z_of_u(p: AirfoilParams, u):
@@ -190,13 +210,13 @@ def arc_z_of_u(p: AirfoilParams, u):
 
 
 def segment_points(p: AirfoilParams, m: int = 257) -> SegmentArc:
-    u_lo = u_lower(p)
+    u_lo = classify(p).u_lo
     s_max = float(np.arccos(np.clip(u_lo, -1.0, 1.0)))
     s = s_max * np.arange(m)[::-1] / (m - 1)   # u ascending, endpoints exact
     us = np.cos(s)
     us[-1] = 1.0
     us[0] = u_lo
-    return SegmentArc(us=us, samples=arc_z_of_u(p, us), u_lo=u_lo)
+    return SegmentArc(us=us, samples=arc_z_of_u(p, us))
 
 
 _SEG_BLOCK = 16     # consecutive segments that share one bounding box

@@ -28,7 +28,7 @@ from .conformal import (
 from .errors import DomainError, ParameterError
 from .limitsets import (
     CaseClass, CaseTag, _distance_range, _polyline_query, _prepare_polyline,
-    arc_z_of_u, classify, loop_points, segment_points, u_lower,
+    arc_z_of_u, classify, loop_points, segment_points,
 )
 from .rootfind import ZeroSet
 
@@ -70,10 +70,10 @@ def ullman_density(x, alpha: float):
 
 @dataclass(frozen=True)
 class PredictedMeasure:
-    """Sampled density of the predicted limit measure, per component."""
+    """Sampled density of the predicted limit measure, per component; the
+    loop ends, span and u_lo are those of case."""
 
     case: CaseClass
-    u_lo: float
     mass_segment: float
     mass_loop: float
     segment_u: np.ndarray
@@ -82,45 +82,32 @@ class PredictedMeasure:
     loop_theta: np.ndarray
     loop_z: np.ndarray
     loop_density: np.ndarray
-    c_plus: complex | None
-    c_minus: complex | None
-    span: float
 
 
 def predicted(p: AirfoilParams, m: int = 257) -> PredictedMeasure:
     """Masses and arclength densities of both components of the limit measure."""
     case = classify(p)
-    u_lo = u_lower(p)
-    mass_seg = (np.pi / 2 - np.arcsin(np.clip(u_lo, -1.0, 1.0))) / np.pi
-    mass_loop = 1.0 - mass_seg
-    s_max = float(np.arccos(np.clip(u_lo, -1.0, 1.0)))
+    mass_seg, mass_loop = case.masses
+    s_max = float(np.arccos(np.clip(case.u_lo, -1.0, 1.0)))
     s = s_max * (np.arange(m) + 0.5) / m           # interior samples only
     us = np.cos(s)[::-1]
     zs = arc_z_of_u(p, us)
     _, _, _, sv = uvw4(p, zs)
     du = np.abs((1.0 - p.b * zs) / sv ** 3)        # |U'(z)| transports du to |dz|
     seg_density = du / (np.pi * np.sqrt(1.0 - us ** 2))
-    if case.has_loop and case.tag is not CaseTag.CRITICAL:
-        lp = loop_points(p, 3)
-        th0 = float(np.angle(lp.c_plus))
-        theta = th0 + lp.span * (np.arange(m) + 0.5) / m
+    if case.tag is CaseTag.SUPERCRITICAL:
+        theta = case.start + case.span * (np.arange(m) + 0.5) / m
         w = np.exp(1j * theta)
         zl = phi_b_inverse(p, w)
         zeta = p.b * (1.0 - w)
         dz = np.abs(0.5 * (1.0 - 1.0 / zeta ** 2) * p.b * w)
         loop_density = 1.0 / (2 * np.pi * dz)
-        return PredictedMeasure(
-            case=case, u_lo=u_lo, mass_segment=float(mass_seg),
-            mass_loop=float(mass_loop), segment_u=us, segment_z=zs,
-            segment_density=seg_density, loop_theta=theta, loop_z=zl,
-            loop_density=loop_density, c_plus=lp.c_plus, c_minus=lp.c_minus,
-            span=lp.span)
+    else:
+        theta, zl, loop_density = np.empty(0), np.empty(0, complex), np.empty(0)
     return PredictedMeasure(
-        case=case, u_lo=u_lo, mass_segment=float(mass_seg),
-        mass_loop=float(mass_loop), segment_u=us, segment_z=zs,
-        segment_density=seg_density, loop_theta=np.empty(0),
-        loop_z=np.empty(0, complex), loop_density=np.empty(0),
-        c_plus=None, c_minus=None, span=0.0)
+        case=case, mass_segment=mass_seg, mass_loop=mass_loop, segment_u=us,
+        segment_z=zs, segment_density=seg_density, loop_theta=theta, loop_z=zl,
+        loop_density=loop_density)
 
 
 @dataclass(frozen=True)
@@ -264,8 +251,7 @@ def classify_zeros(p: AirfoilParams, zs: ZeroSet | np.ndarray,
     radius = 5.0 / np.sqrt(len(zarr))
     seg = _prepare_polyline(segment_points(p, m).samples)
     s_lo, s_hi = _distance_range(seg, zarr)
-    case = classify(p)
-    if case.has_loop and case.tag is not CaseTag.CRITICAL:
+    if classify(p).tag is CaseTag.SUPERCRITICAL:
         loop = _prepare_polyline(loop_points(p, m).samples)
         l_lo, l_hi = _distance_range(loop, zarr)
     else:
@@ -341,19 +327,17 @@ def predicted_moments(p: AirfoilParams, k_max: int, n_gl: int = 512) -> np.ndarr
     """Moments of the predicted limit measure by Gauss-Legendre on each
     component (arcsine pullback in the angle variable; uniform loop angle)."""
     x, wq = _gauss_legendre(n_gl)
-    u_lo = u_lower(p)
-    s_max = float(np.arccos(np.clip(u_lo, -1.0, 1.0)))
+    case = classify(p)
+    s_max = float(np.arccos(np.clip(case.u_lo, -1.0, 1.0)))
     s = s_max * (x + 1.0) / 2.0
     zseg = arc_z_of_u(p, np.cos(s))
     wseg = wq * (s_max / 2.0) / np.pi
-    case = classify(p)
     zloop = np.empty(0, complex)
     wloop = np.empty(0)
-    if case.has_loop and case.tag is not CaseTag.CRITICAL:
-        lp = loop_points(p, 3)
-        th = float(np.angle(lp.c_plus)) + lp.span * (x + 1.0) / 2.0
+    if case.tag is CaseTag.SUPERCRITICAL:
+        th = case.start + case.span * (x + 1.0) / 2.0
         zloop = phi_b_inverse(p, np.exp(1j * th))
-        wloop = wq * (lp.span / 2.0) / (2 * np.pi)
+        wloop = wq * (case.span / 2.0) / (2 * np.pi)
     zall = np.concatenate([zseg, zloop])
     wall = np.concatenate([wseg, wloop])
     out = np.empty(k_max, dtype=complex)
@@ -384,8 +368,8 @@ def weak_star_distance(p: AirfoilParams, zs: ZeroSet | np.ndarray,
     for k in range(1, k_max + 1):
         pw = pw * zarr
         md = max(md, float(abs(np.mean(pw) - pred[k - 1])))
-    u_lo = u_lower(p)
-    if classify(p).tag is CaseTag.SUPERCRITICAL:
+    case = classify(p)
+    if case.tag is CaseTag.SUPERCRITICAL:
         if labels is None:
             labels = classify_zeros(p, zarr)
         sel = zarr[np.array([lab == "segment" for lab in labels])]
@@ -401,7 +385,7 @@ def weak_star_distance(p: AirfoilParams, zs: ZeroSet | np.ndarray,
     zp, zm = arc_candidates(p, u * u)
     u = np.where(np.abs(sel - zp) <= np.abs(sel - zm), u, -u)
     u = np.clip(u, -1.0, 1.0)
-    lo = np.arcsin(np.clip(u_lo, -1.0, 1.0))
+    lo = np.arcsin(np.clip(case.u_lo, -1.0, 1.0))
     g = (np.arcsin(u) - lo) / (np.pi / 2 - lo)
     g = np.sort(np.clip(g, 0.0, 1.0))
     i = np.arange(len(g))
@@ -510,7 +494,7 @@ def report(p: AirfoilParams, zs: ZeroSet | np.ndarray,
     if tol_quad is None:
         tol_quad = quad_tol(n)
     case = classify(p)
-    pred = predicted(p)
+    mass_seg, mass_loop = case.masses
     labels = classify_zeros(p, zarr)
     wsd = weak_star_distance(p, zarr, labels=labels)
     quad_rel = quadrature_gate(p, zarr)
@@ -522,12 +506,12 @@ def report(p: AirfoilParams, zs: ZeroSet | np.ndarray,
              "unclassified": counts["other"] <= 3.0 * np.sqrt(n)}
     if case.tag is CaseTag.SUPERCRITICAL:
         gates["mass_split"] = (
-            abs(counts["segment"] / n - pred.mass_segment) <= MASS_GATE
-            and abs(counts["loop"] / n - pred.mass_loop) <= MASS_GATE)
+            abs(counts["segment"] / n - mass_seg) <= MASS_GATE
+            and abs(counts["loop"] / n - mass_loop) <= MASS_GATE)
     return {
         "n": n,
         "case": case.tag.value,
-        "masses": {"segment": pred.mass_segment, "loop": pred.mass_loop},
+        "masses": {"segment": mass_seg, "loop": mass_loop},
         "moment_dist": wsd.moment_dist,
         "cdf_dist": wsd.cdf_dist,
         "quad_max_residual": quad_rel,

@@ -44,7 +44,7 @@ from .errors import ConvergenceError, DeficitError, MismatchError
 from .faber import (
     _closed_terms, _scaled, faber_coeffs_mp, ipow, residual, scaled_residual,
 )
-from .limitsets import arc_z_of_u, intersection_ib, loop_g, u_lower
+from .limitsets import arc_z_of_u, classify, loop_g
 
 RESIDUAL_GATE = 1e-7      # ZeroSet guarantee on max scaled residual
 BACKWARD_GATE = 1e-10     # |p(root)| / (max|c| * max(1,|root|)^deg)
@@ -224,7 +224,6 @@ class SeedPlan:
     segment_brackets: np.ndarray  # (m, 3): arc points at low u end, node, high u end (real b only);
                                   # row k's low end is row k + 1's high end
     loop_seeds: np.ndarray        # J(b(1-omega_k)) for on-arc omega_k
-    u_lo: float
     _ts: np.ndarray = field(repr=False, default=None)       # t-brackets, t = arccos u
     _omegas: np.ndarray = field(repr=False, default=None)   # the omega_k kept
 
@@ -242,8 +241,8 @@ def seed_plan(p: AirfoilParams, n: int) -> SeedPlan:
     cut at u_lo; elsewhere segment_brackets is empty."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    u_lo = u_lower(p)
-    s_max = float(np.arccos(np.clip(u_lo, -1.0, 1.0)))
+    case = classify(p)
+    s_max = float(np.arccos(np.clip(case.u_lo, -1.0, 1.0)))
     k = np.arange(n)
     tlo = k * np.pi / n
     thi = (k + 1) * np.pi / n
@@ -255,7 +254,7 @@ def seed_plan(p: AirfoilParams, n: int) -> SeedPlan:
         # one call for the ends and the node: column 0 is the lower u end
         t3 = np.stack([thi, 0.5 * (tlo + thi), tlo], axis=1)
         brackets = arc_z_of_u(p, np.cos(t3).ravel()).reshape(-1, 3)
-    if intersection_ib(p) is not None:
+    if case.has_loop:
         om = np.exp(2j * np.pi * np.arange(n) / n)
         with np.errstate(divide="ignore", invalid="ignore"):
             keep_om = np.abs(loop_g(p, om)) < 1.0 - 1e-12
@@ -265,7 +264,7 @@ def seed_plan(p: AirfoilParams, n: int) -> SeedPlan:
     return SeedPlan(
         n=n, segment_brackets=brackets,
         loop_seeds=phi_b_inverse(p, om) if len(om) else np.empty(0, complex),
-        u_lo=u_lo, _ts=ts, _omegas=om,
+        _ts=ts, _omegas=om,
     )
 
 

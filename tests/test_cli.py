@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from faberzeros import cli
+from faberzeros import cli, limitsets
 from faberzeros.cli import (
     FIGURE_PRESETS, _DOT_STYLE, _curve_rows, _curves, _fast_numbers, _join,
     _json_text, _numbers, _read_zeros_csv, _svg_dots, _svg_poly, _svg_xy, _zeros_csv,
@@ -138,6 +138,29 @@ def test_verify_zeros_in_roundtrip(tmp_path, capsys):
     assert code == 1
     assert _report_runs(tmp_path / "vd" / "verify_report.json")[0]["gates"][
         "quadrature"] is False
+
+
+@pytest.mark.parametrize("edit", ["nan_re", "inf_im", "mixed_n"])
+def test_verify_zeros_in_rejects_bad_rows(edit, tmp_path, capsys):
+    # a NaN zero once passed through to the gates (figure 1, no loop, read
+    # as counts {'segment': 3, 'loop': 1}), and the last row's n was taken
+    zdir = tmp_path / "zz"
+    run(["zeros", "--paper-figure", "1", "--n", "4", "--out", str(zdir)])
+    lines = (zdir / "zeros_n4.csv").read_text().splitlines()
+    row = lines[2].split(",")
+    if edit == "nan_re":
+        row[2] = "nan"
+    elif edit == "inf_im":
+        row[3] = "-inf"
+    else:
+        row[0] = "3"
+    lines[2] = ",".join(row)
+    (zdir / "bad.csv").write_text("\n".join(lines) + "\n")
+    code = run(["verify", "--paper-figure", "1", "--n", "4", "--zeros-in",
+                str(zdir / "bad.csv"), "--out", str(tmp_path / "v")])
+    assert code == 2
+    assert "parameter error" in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
 
 
 def _report_runs(path):
@@ -317,6 +340,13 @@ def test_config_file_and_cli_precedence(tmp_path):
     ["verify", "--R", "1.26", "--n", "5", "--format", "csv"],
     ["plot", "--R", "1.26", "--n", "5", "--format", "csv"],
     ["zeros", "--config", "R = 1.26\nn = 5\nformat = xml"],
+    ["predict", "--config", "paper_figure = 5"],
+    ["verify", "--R", "1.26", "--n", "5", "--tol-quad", "nan"],
+    ["verify", "--R", "1.26", "--n", "5", "--tol-quad", "0"],
+    ["verify", "--R", "1.26", "--n", "5", "--tol-quad", "-1"],
+    ["verify", "--R", "1.26", "--n", "5", "--tol-quad", "inf"],
+    ["verify", "--config", "R = 1.26\nn = 5\ntol_quad = nan"],
+    ["verify", "--config", "R = 1.26\nn = 5\ntol_quad = inf"],
 ])
 def test_parameter_failures_exit_2(args, tmp_path, capsys):
     if args[1] == "--config":     # args[2] is the file's text
@@ -376,6 +406,23 @@ def test_cached_parser_matches_fresh_parsers(tmp_path, monkeypatch, capsys):
     assert set(files) == {"o1/verify_report.json", "o4/verify_report.json",
                           "o5/zeros_n30.csv"}
     assert files == _tree_bytes(tmp_path / "fresh")
+
+
+# ---------------------------------------------------------------- case record
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--paper-figure", "3", "--n", "40,150,500"],
+    ["plot", "--paper-figure", "2", "--n", "40,150"],
+    ["predict", "--paper-figure", "3"],
+    ["zeros", "--paper-figure", "3", "--n", "40"],
+])
+def test_each_command_builds_the_case_record_once(argv, tmp_path, monkeypatch, capsys):
+    built = []
+    build = limitsets._build_case
+    monkeypatch.setattr(limitsets, "_build_case", lambda p: built.append(p) or build(p))
+    assert run(argv + ["--out", str(tmp_path)]) in (0, 1)
+    capsys.readouterr()
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------- reruns

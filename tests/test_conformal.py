@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import faberzeros as fz
-from faberzeros import Sheet
 from faberzeros.conformal import (
     arc_candidates, boundary_samples, params_from, phi, phi_b, phi_b_inverse,
     psi, uvw, uvw4,
@@ -145,8 +144,7 @@ def test_u_flips_sign_once_around_c():
 def test_phi_b_sheets_frozen():
     p = params_from(2.1, 0.0)
     z = 1.0 / (2 * p.b)
-    vp = phi_b(p, z, Sheet.PLUS).value
-    vm = phi_b(p, z, Sheet.MINUS).value
+    vp, vm = phi_b(p, z)
     assert vp == pytest.approx(0.5867768595041323 - 0.8097486753002241j, abs=1e-13)
     assert vm == pytest.approx(0.5867768595041323 + 0.8097486753002241j, abs=1e-13)
 
@@ -157,13 +155,13 @@ def test_phi_b_sheet_product_and_limits():
         p = params_from(R, theta)
         for _ in range(25):
             z = complex(rng.normal(scale=2), rng.normal(scale=2))
-            vp = phi_b(p, z, Sheet.PLUS).value
-            vm = phi_b(p, z, Sheet.MINUS).value
+            vp, vm = phi_b(p, z)
             want = (p.b * p.b + 1 - 2 * p.b * z) / (p.b * p.b)
             assert vp * vm == pytest.approx(want, rel=1e-10, abs=1e-12)
         far = 1e9 + 0.3j
-        assert phi_b(p, far, Sheet.MINUS).value == pytest.approx(1.0, abs=1e-6)
-        assert phi_b(p, far, Sheet.PLUS).value / far == pytest.approx(-2 / p.b, rel=1e-6)
+        vp, vm = phi_b(p, far)
+        assert vm == pytest.approx(1.0, abs=1e-6)
+        assert vp / far == pytest.approx(-2 / p.b, rel=1e-6)
 
 
 def test_phi_b_inverse_is_right_inverse():
@@ -171,14 +169,12 @@ def test_phi_b_inverse_is_right_inverse():
     p = params_from(2.1, 0.2)
     w = np.exp(1j * rng.uniform(0, 2 * np.pi, 40)) * rng.uniform(0.5, 2.0, 40)
     z = phi_b_inverse(p, w)
-    prod = np.array([phi_b(p, v, Sheet.PLUS).value
-                     * phi_b(p, v, Sheet.MINUS).value for v in z])
+    prod = np.array([np.prod(phi_b(p, v)) for v in z])
     want = (p.b * p.b + 1 - 2 * p.b * z) / (p.b * p.b)
     assert np.allclose(prod, want, rtol=1e-9)
     # one of the two sheets recovers w
     for wi, zi in zip(w, z):
-        vp = phi_b(p, zi, Sheet.PLUS).value
-        vm = phi_b(p, zi, Sheet.MINUS).value
+        vp, vm = phi_b(p, zi)
         assert min(abs(vp - wi), abs(vm - wi)) < 1e-9 * (1 + abs(wi))
 
 

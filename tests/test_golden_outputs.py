@@ -4,9 +4,11 @@ files for the four --paper-figure presets.
 The predict and plot --n 100 digests were generated before the arc walk, the
 nearest-polyline search and the arc Newton's stopping rule were rewritten for
 speed, the verify digests before the zero labels and the probe ring were
-decided from distance bounds, and the plot --n 500 and zeros CSV digests
-before the CSV and SVG writers formatted their numbers in bulk; they hold the
-rewritten code to the same output bytes. They depend on the
+decided from distance bounds, the plot --n 500 and zeros CSV digests
+before the CSV and SVG writers formatted their numbers in bulk, and the
+digests of four airfoils the presets leave out before the case analysis
+moved into one record per airfoil; they hold the rewritten code to the same
+output bytes. They depend on the
 floating-point results of numpy and the platform libm as well as on the code:
 regenerate them with `PYTHONPATH=src python tests/test_golden_outputs.py`
 only for a change that is meant to alter the output, and say so.
@@ -16,6 +18,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -90,6 +93,28 @@ GOLDEN_ZEROS = {
     (4, 500): "ed2345bd098b3f8a55458849149ddfc74523f5665f5a142704797a44d06df4c9",
 }
 
+# (curves.csv, predicted.json, verify_report.json of verify --n 60, verify's
+# exit code) by (R, theta): critical, critical rotated, a loop shorter than
+# half the circle (u_lo < 0), and a steep airfoil far above criticality
+GOLDEN_CASES = {
+    (1.5, 0.0): (
+        "e47df3ed137d5efc13b4ca3e40b23ca9d9f914aa39efbf354d2ef88bfebd06c8",
+        "36667f2f80fbb2a6711cc98430738f7c7852dc0343929885ae600d7d891e9c10",
+        "cb6ff0e7253e04d8dcd1d2c6a48dc24743960ddfcf122b084ee8f5fa777fd267", 0),
+    (1.5 / math.cos(0.3), 0.3): (
+        "93efe224a571f52015cba7e44a926ceee001bdd26b18e1312d25a7cb47d3905b",
+        "e7bac9118bdbb711580501356966539f440f52e0b73d3cb0e9d5eea822071855",
+        "5c5ef1b9139359539822d223c589dc2d8f670242ba832adeaee0535a003102eb", 0),
+    (1.674757, 0.3): (
+        "459fc701617c0d2f3bd8c753437eb73c29eeed28d98c6d2c9ec1bd9d0f3a7384",
+        "b5afbe91cb92c920131218c652cc1d6a1d83b0447887187e135d9bf50b82386c",
+        "4466dc8ac2ad8b11480b24418d236c5a0175b1514cb747a4eb362350a3bb3f8e", 0),
+    (8 / math.cos(1.3), 1.3): (
+        "21e9cff7b760909dc89d8a57c78bd04b4eafb9d2ee03a30b4e8e497f2cc3919e",
+        "1beb9967ff90ac715cbc2deb1ef4053cd17d46cec492d46cbd25c6d381e49163",
+        "663548b2921383c7b5e7c49c22a6aa9cb8c895c67dd78aecee097fb43383e064", 1),
+}
+
 
 def figure_digests(fig: int, out: str) -> dict[str, str]:
     """Run predict and plot --n 100 for one preset into out; digest each file."""
@@ -121,6 +146,20 @@ def file_digests(argv: list[str], out: str, names: list[str]) -> list[str]:
         with open(os.path.join(out, name), "rb") as f:
             digests.append(hashlib.sha256(f.read()).hexdigest())
     return digests
+
+
+def case_digests(R: float, theta: float, out: str) -> tuple:
+    """Run predict and verify --n 60 on one airfoil into out: the digests
+    of their files and verify's exit code."""
+    args = ["--R", repr(R), "--theta", repr(theta), "--out", out]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["predict"] + args) == 0
+        code = cli.main(["verify", "--n", "60"] + args)
+    digests = []
+    for name in ("curves.csv", "predicted.json", "verify_report.json"):
+        with open(os.path.join(out, name), "rb") as f:
+            digests.append(hashlib.sha256(f.read()).hexdigest())
+    return (*digests, code)
 
 
 def plot_500_digest(fig: int, out: str) -> str:
@@ -156,6 +195,11 @@ def test_paper_figure_zeros_csv_match_golden_digests(tmp_path):
         assert got == {n: GOLDEN_ZEROS[(fig, n)] for n in (100, 500)}, fig
 
 
+def test_off_preset_airfoils_match_golden_digests(tmp_path):
+    for k, ((R, theta), want) in enumerate(GOLDEN_CASES.items()):
+        assert case_digests(R, theta, str(tmp_path / f"case{k}")) == want, (R, theta)
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         json.dump({fig: figure_digests(fig, os.path.join(tmp, f"fig{fig}"))
@@ -171,4 +215,7 @@ if __name__ == "__main__":
                    for fig in sorted(cli.FIGURE_PRESETS)
                    for n, digest in zeros_digests(fig, os.path.join(tmp, f"zeros{fig}")).items()},
                   sys.stdout, indent=4)
+        print()
+        json.dump({f"{R!r}, {theta!r}": case_digests(R, theta, os.path.join(tmp, f"case{k}"))
+                   for k, (R, theta) in enumerate(GOLDEN_CASES)}, sys.stdout, indent=4)
         print()

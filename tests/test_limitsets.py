@@ -28,6 +28,13 @@ def test_classify_cases():
     assert classify(params_from(2.1, 0.0)).has_loop
 
 
+def test_case_record_is_kept_on_the_params():
+    p, q = params_from(2.1, 0.2), params_from(2.1, 0.2)
+    assert classify(p) is classify(p)
+    assert p == q and hash(p) == hash(q)    # the record is not a field
+    assert classify(q) == classify(p)
+
+
 def test_intersection_point_real_formula():
     # real supercritical: the arc meets the circle at 1/(2b)
     for R in (1.6, 1.8, 2.0, 2.1, 2.5):
@@ -217,7 +224,8 @@ def test_segment_points_real_subcritical_is_full_interval():
 def test_segment_points_supercritical_truncates_at_ib():
     p = params_from(2.1, 0.0)
     seg = segment_points(p, 257)
-    assert seg.u_lo == pytest.approx(0.5867768595041323, abs=1e-12)
+    assert seg.us[0] == classify(p).u_lo
+    assert seg.us[0] == pytest.approx(0.5867768595041323, abs=1e-12)
     assert seg.samples.real.min() == pytest.approx(1 / (2 * p.b.real), abs=1e-6)
 
 
@@ -300,9 +308,8 @@ def test_polyline_min_dist_matches_dense_bitwise(R, theta):
     # bound round to the same distance differently: without the slack in the
     # pruning test they lose every block holding their nearest segment
     p = params_from(R, theta)
-    case = classify(p)
     polylines = [segment_points(p, 2048).samples, boundary_samples(p, 1024)]
-    if case.has_loop and case.tag is not CaseTag.CRITICAL:
+    if classify(p).tag is CaseTag.SUPERCRITICAL:
         polylines.append(loop_points(p, 2048).samples)
     # group boundaries (a group spans 8 blocks of 16 segments): 1 and 2
     # segments, exactly one group (128 segments), a last group padded with
