@@ -383,12 +383,21 @@ def _zeros_json(n: int, zs: ZeroSet, labels: list[str]) -> str:
     }) + "\n"
 
 
+def _make_out(path: str) -> None:
+    """Make the output directory path; ParameterError when it cannot be
+    one (an existing file, or a path through one)."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise ParameterError(f"--out {path} cannot be a directory: {e.strerror}") from None
+
+
 def cmd_zeros(cfg: RunConfig) -> int:
     p = params_from(cfg.R, cfg.theta)
     formats = cfg.formats or ("csv",)
 
     results = _zeros_by_degree(p, cfg)
-    os.makedirs(cfg.out, exist_ok=True)
+    _make_out(cfg.out)
     for n, (zs, labels) in results.items():
         if "csv" in formats:
             _write(os.path.join(cfg.out, f"zeros_n{n}.csv"), _zeros_csv(n, zs, labels))
@@ -460,7 +469,7 @@ def cmd_predict(cfg: RunConfig) -> int:
             {"re": case.c_minus.real, "im": case.c_minus.imag},
         "span": case.span,
     }
-    os.makedirs(cfg.out, exist_ok=True)
+    _make_out(cfg.out)
     if "csv" in formats:
         _write(os.path.join(cfg.out, "curves.csv"), "component,param,re,im\n" + rows)
     if "json" in formats:
@@ -514,6 +523,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         zsets = {pre.n: pre}
     else:
         zsets = {n: compute_zeros(p, n) for n in sorted(set(cfg.n_list))}
+    _make_out(cfg.out)
 
     runs = []
     for n in sorted(zsets):
@@ -530,7 +540,6 @@ def cmd_verify(cfg: RunConfig) -> int:
               f"potential={run['potential_max_dev']:.3e} counts={run['counts']}")
     all_pass = all(run["pass"] for run in runs)
     doc = {"R": cfg.R, "theta": cfg.theta, "runs": runs, "pass": all_pass}
-    os.makedirs(cfg.out, exist_ok=True)
     if "json" in formats:
         _write(os.path.join(cfg.out, "verify_report.json"), _json_text(doc) + "\n")
     print("VERIFY " + ("PASS" if all_pass else "FAIL"))
@@ -626,7 +635,7 @@ def cmd_plot(cfg: RunConfig) -> int:
         lines.append(f'<circle cx="{ib.real:.4f}" cy="{-ib.imag:.4f}" r="0.02" '
                      f'fill="none" stroke="#000000" stroke-width="0.012"/>')
     framed = np.concatenate([z for _, z in curves])
-    os.makedirs(cfg.out, exist_ok=True)
+    _make_out(cfg.out)
     for (n, (zs, labels)), dots in zip(results.items(), xy[len(drawn):]):
         svg = _svg_text(np.concatenate([framed, zs.zeros]), lines, _svg_dots(dots, labels))
         _write(os.path.join(cfg.out, f"plot_n{n}.svg"), svg)

@@ -95,10 +95,16 @@ def phi(p: AirfoilParams, z):
 
     Raises DomainError strictly inside the airfoil; points within 1e-12 of the
     boundary return the unimodular boundary value. Phi(1) = 1 (the cusp).
+
+    s = sqrt(z-1) sqrt(z+1) is multiplied out in real arithmetic: numpy may fuse
+    the complex product of arrays but not of scalars, and both must round alike.
     """
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
-    s = np.sqrt(z - 1.0) * np.sqrt(z + 1.0)   # cut on [-1, 1] only
+    sm, sp = np.sqrt(z - 1.0), np.sqrt(z + 1.0)   # cut on [-1, 1] only
+    s = np.empty(z.shape, dtype=complex)
+    s.real = sm.real * sp.real - sm.imag * sp.imag
+    s.imag = sm.real * sp.imag + sm.imag * sp.real
     wp = (z + s - p.b) / p.a
     wm = (z - s - p.b) / p.a
     w = np.where(np.abs(wp) >= np.abs(wm), wp, wm)

@@ -57,6 +57,11 @@ class CaseClass:
         seg = (np.pi / 2 - np.arcsin(np.clip(self.u_lo, -1.0, 1.0))) / np.pi
         return float(seg), float(1.0 - seg)
 
+    @property
+    def s_max(self) -> float:
+        """arccos(u_lo): the arc piece is u = cos s for s in [0, s_max]."""
+        return float(np.arccos(np.clip(self.u_lo, -1.0, 1.0)))
+
 
 def classify(p: AirfoilParams) -> CaseClass:
     """The case record of p: its regime, R*cos(theta) vs 3/2 with a 1e-12
@@ -210,12 +215,11 @@ def arc_z_of_u(p: AirfoilParams, u):
 
 
 def segment_points(p: AirfoilParams, m: int = 257) -> SegmentArc:
-    u_lo = classify(p).u_lo
-    s_max = float(np.arccos(np.clip(u_lo, -1.0, 1.0)))
-    s = s_max * np.arange(m)[::-1] / (m - 1)   # u ascending, endpoints exact
+    case = classify(p)
+    s = case.s_max * np.arange(m)[::-1] / (m - 1)   # u ascending, endpoints exact
     us = np.cos(s)
     us[-1] = 1.0
-    us[0] = u_lo
+    us[0] = case.u_lo
     return SegmentArc(us=us, samples=arc_z_of_u(p, us))
 
 

@@ -37,6 +37,10 @@ CDF_GATE = 0.12         # Kolmogorov distance of the segment zeros' U-law
 MASS_GATE = 0.06        # |segment or loop share - predicted mass|, supercritical
 POTENTIAL_GATE = 0.05   # max deviation of the zeros' log potential
 _EPS = 2.0 ** -52       # machine epsilon
+_POLYLINE_M = 2048      # samples of each predicted polyline classify_zeros measures to
+_MOMENT_K = 20          # moments weak_star_distance compares, k = 1..20
+_GL_ORDER = 512         # Gauss-Legendre nodes per component of predicted_moments
+_PROBE_MARGIN = 0.2     # boundary clearance potential_check requires of its points
 
 
 def _zeros_of(zs) -> np.ndarray:
@@ -88,8 +92,7 @@ def predicted(p: AirfoilParams, m: int = 257) -> PredictedMeasure:
     """Masses and arclength densities of both components of the limit measure."""
     case = classify(p)
     mass_seg, mass_loop = case.masses
-    s_max = float(np.arccos(np.clip(case.u_lo, -1.0, 1.0)))
-    s = s_max * (np.arange(m) + 0.5) / m           # interior samples only
+    s = case.s_max * (np.arange(m) + 0.5) / m      # interior samples only
     us = np.cos(s)[::-1]
     zs = arc_z_of_u(p, us)
     _, _, _, sv = uvw4(p, zs)
@@ -234,8 +237,7 @@ def quadrature_gate(p: AirfoilParams, zs: ZeroSet | np.ndarray) -> float:
     return float(np.max(quadrature_residuals(p, zs)))
 
 
-def classify_zeros(p: AirfoilParams, zs: ZeroSet | np.ndarray,
-                   m: int = 2048) -> list[str]:
+def classify_zeros(p: AirfoilParams, zs: ZeroSet | np.ndarray) -> list[str]:
     """Label each zero 'segment', 'loop', or 'other' by distance (< 5/sqrt(n))
     to the predicted component polylines; ties go to the segment.
 
@@ -249,10 +251,10 @@ def classify_zeros(p: AirfoilParams, zs: ZeroSet | np.ndarray,
     so the labels are those of the exact rule."""
     zarr = _zeros_of(zs)
     radius = 5.0 / np.sqrt(len(zarr))
-    seg = _prepare_polyline(segment_points(p, m).samples)
+    seg = _prepare_polyline(segment_points(p, _POLYLINE_M).samples)
     s_lo, s_hi = _distance_range(seg, zarr)
     if classify(p).tag is CaseTag.SUPERCRITICAL:
-        loop = _prepare_polyline(loop_points(p, m).samples)
+        loop = _prepare_polyline(loop_points(p, _POLYLINE_M).samples)
         l_lo, l_hi = _distance_range(loop, zarr)
     else:
         loop = None
@@ -323,15 +325,14 @@ def _gauss_legendre(n_gl: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def predicted_moments(p: AirfoilParams, k_max: int, n_gl: int = 512) -> np.ndarray:
+def predicted_moments(p: AirfoilParams, k_max: int) -> np.ndarray:
     """Moments of the predicted limit measure by Gauss-Legendre on each
     component (arcsine pullback in the angle variable; uniform loop angle)."""
-    x, wq = _gauss_legendre(n_gl)
+    x, wq = _gauss_legendre(_GL_ORDER)
     case = classify(p)
-    s_max = float(np.arccos(np.clip(case.u_lo, -1.0, 1.0)))
-    s = s_max * (x + 1.0) / 2.0
+    s = case.s_max * (x + 1.0) / 2.0
     zseg = arc_z_of_u(p, np.cos(s))
-    wseg = wq * (s_max / 2.0) / np.pi
+    wseg = wq * (case.s_max / 2.0) / np.pi
     zloop = np.empty(0, complex)
     wloop = np.empty(0)
     if case.tag is CaseTag.SUPERCRITICAL:
@@ -355,17 +356,16 @@ class WeakStarDistances:
 
 
 def weak_star_distance(p: AirfoilParams, zs: ZeroSet | np.ndarray,
-                       k_max: int = 20, n_gl: int = 512,
                        labels: list[str] | None = None) -> WeakStarDistances:
-    """Two weak-star proxies: max moment gap for k <= k_max, and the KS
+    """Two weak-star proxies: max moment gap for k <= _MOMENT_K, and the KS
     distance of U(segment zeros) against the arcsine law conditioned to
     [u_lo, 1] (all zeros and the full arcsine below criticality). labels,
     if given, are classify_zeros(p, zs), already computed."""
     zarr = _zeros_of(zs)
-    pred = predicted_moments(p, k_max, n_gl=n_gl)
+    pred = predicted_moments(p, _MOMENT_K)
     pw = np.ones(len(zarr), dtype=complex)
     md = 0.0
-    for k in range(1, k_max + 1):
+    for k in range(1, _MOMENT_K + 1):
         pw = pw * zarr
         md = max(md, float(abs(np.mean(pw) - pred[k - 1])))
     case = classify(p)
@@ -394,17 +394,12 @@ def weak_star_distance(p: AirfoilParams, zs: ZeroSet | np.ndarray,
     return WeakStarDistances(moment_dist=md, cdf_dist=ks)
 
 
-def _boundary_polyline(p: AirfoilParams):
-    """The 1024-point boundary, prepared for repeated distance queries."""
-    return _prepare_polyline(boundary_samples(p, 1024))
-
-
 def default_test_points(p: AirfoilParams, count: int = 8,
-                        margin: float = 0.2) -> np.ndarray:
+                        margin: float = _PROBE_MARGIN) -> np.ndarray:
     """Exterior probe ring: psi(r_k e^{i theta_k}), each radius starting at
     1.05 and grown by 6 % until the boundary clearance reaches 1.02 margin
     (or r reaches 50)."""
-    return _probe_ring(p, _boundary_polyline(p), count, margin)[0]
+    return _probe_ring(p, _prepare_polyline(boundary_samples(p)), count, margin)[0]
 
 
 _LOOKAHEAD = 4  # radii tested per growing direction and pass: fewer take
@@ -429,9 +424,7 @@ def _probe_ring(p: AirfoilParams, boundary, count: int, margin: float):
     reached 50 first). Each pass tests the next _LOOKAHEAD radii of every
     direction still growing, formed by the same repeated 6 % steps, and
     stops a direction at the first that clears or reaches 50."""
-    # one direction at a time: the array form of this complex arithmetic
-    # rounds differently when count is not a power of two
-    w0 = np.array([np.exp(2j * np.pi * (k + 0.5) / count) for k in range(count)])
+    w0 = np.exp(1j * (2 * np.pi * (np.arange(count) + 0.5) / count))
     r = np.full(count, 1.05)
     z = np.empty(count, dtype=complex)
     cleared = np.empty(count, dtype=bool)
@@ -453,30 +446,27 @@ def _probe_ring(p: AirfoilParams, boundary, count: int, margin: float):
     return z, cleared
 
 
-def potential_check(p: AirfoilParams, zs: ZeroSet | np.ndarray, points=None,
-                    margin: float = 0.2) -> np.ndarray:
+def potential_check(p: AirfoilParams, zs: ZeroSet | np.ndarray, points=None) -> np.ndarray:
     """| (1/n) sum log|z - z_j| - log(capacity) - log|Phi(z)| | at exterior
-    points; DomainError if any point is closer than margin to the boundary.
-    The default probes that cleared 1.02 margin are not measured again."""
+    points, Phi in one call; DomainError if any is closer than _PROBE_MARGIN
+    to the boundary. Default probes that cleared 1.02 of it are not re-measured."""
     zarr = _zeros_of(zs)
-    boundary = _boundary_polyline(p)
+    boundary = _prepare_polyline(boundary_samples(p))
     if points is None:
-        points, cleared = _probe_ring(p, boundary, 8, margin)
+        points, cleared = _probe_ring(p, boundary, 8, _PROBE_MARGIN)
         unsure = points[~cleared]
     else:
         points = unsure = np.atleast_1d(np.asarray(points, dtype=complex))
     if len(unsure):
         d = _polyline_query(boundary, unsure)
-        if np.any(d < margin - 1e-9):
+        if np.any(d < _PROBE_MARGIN - 1e-9):
             raise DomainError(
                 f"test point too close to the boundary (clearance {np.min(d):.3f} "
-                f"< margin {margin})")
+                f"< margin {_PROBE_MARGIN})")
     lhs = np.mean(np.log(np.abs(points[:, None] - zarr)), axis=1)
-    devs = np.empty(len(points))
-    for i, z in enumerate(points):
-        rhs = float(np.log(p.capacity) + np.log(abs(phi(p, z))))
-        devs[i] = abs(float(lhs[i]) - rhs)
-    return devs
+    w = phi(p, points)
+    # np.hypot rounds |Phi| as abs() of one complex does; np.abs does not
+    return np.abs(lhs - (np.log(p.capacity) + np.log(np.hypot(w.real, w.imag))))
 
 
 def quad_tol(n: int, unit: float = _EPS) -> float:

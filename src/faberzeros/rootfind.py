@@ -223,13 +223,18 @@ class SeedPlan:
     n: int
     segment_brackets: np.ndarray  # (m, 3): arc points at low u end, node, high u end (real b only);
                                   # row k's low end is row k + 1's high end
-    loop_seeds: np.ndarray        # J(b(1-omega_k)) for on-arc omega_k
     _ts: np.ndarray = field(repr=False, default=None)       # t-brackets, t = arccos u
     _omegas: np.ndarray = field(repr=False, default=None)   # the omega_k kept
+    _p: AirfoilParams = field(repr=False, default=None)     # the airfoil loop_seeds maps onto
 
     @property
     def count(self) -> int:
-        return len(self._ts) + len(self.loop_seeds)
+        return len(self._ts) + len(self._omegas)
+
+    @property
+    def loop_seeds(self) -> np.ndarray:
+        """J(b(1-omega_k)) for the kept omega_k, mapped on each read."""
+        return phi_b_inverse(self._p, self._omegas)
 
 
 def seed_plan(p: AirfoilParams, n: int) -> SeedPlan:
@@ -242,12 +247,11 @@ def seed_plan(p: AirfoilParams, n: int) -> SeedPlan:
     if n < 1:
         raise ValueError("n must be >= 1")
     case = classify(p)
-    s_max = float(np.arccos(np.clip(case.u_lo, -1.0, 1.0)))
     k = np.arange(n)
     tlo = k * np.pi / n
     thi = (k + 1) * np.pi / n
-    keep = tlo < s_max - 1e-15
-    tlo, thi = tlo[keep], np.minimum(thi[keep], s_max)
+    keep = tlo < case.s_max - 1e-15
+    tlo, thi = tlo[keep], np.minimum(thi[keep], case.s_max)
     ts = np.stack([tlo, thi], axis=1)
     brackets = np.empty((0, 3), complex)
     if len(ts) and p.is_real:
@@ -261,11 +265,7 @@ def seed_plan(p: AirfoilParams, n: int) -> SeedPlan:
         om = om[keep_om]
     else:
         om = np.empty(0, complex)
-    return SeedPlan(
-        n=n, segment_brackets=brackets,
-        loop_seeds=phi_b_inverse(p, om) if len(om) else np.empty(0, complex),
-        _ts=ts, _omegas=om,
-    )
+    return SeedPlan(n=n, segment_brackets=brackets, _ts=ts, _omegas=om, _p=p)
 
 
 def _newton_w(p: AirfoilParams, n: int, w, max_iter=100):

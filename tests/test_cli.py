@@ -359,6 +359,22 @@ def test_parameter_failures_exit_2(args, tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("nested", [False, True])
+@pytest.mark.parametrize("command", ["zeros", "predict", "verify", "plot"])
+def test_out_that_cannot_be_a_directory_exits_2(command, nested, tmp_path, capsys):
+    # an --out naming a file, or a path through one, escaped as an OSError
+    # traceback with exit 1; verify printed every gate as PASS before it
+    blocker = tmp_path / "F"
+    blocker.write_text("a file\n")
+    out = blocker / "x" if nested else blocker
+    degrees = [] if command == "predict" else ["--n", "5"]
+    assert run([command, "--R", "1.26", *degrees, "--out", str(out)]) == 2
+    cap = capsys.readouterr()
+    assert "parameter error" in cap.err
+    assert "PASS" not in cap.out and "FAIL" not in cap.out
+    assert blocker.read_text() == "a file\n"
+
+
 # ---------------------------------------------------------------- parser reuse
 
 # valid, invalid, valid: options given early (--theta, --tol-quad, --format)

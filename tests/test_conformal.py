@@ -92,6 +92,32 @@ def test_phi_scalar_in_scalar_out():
     assert np.ndim(out) == 0
 
 
+def assert_phi_array_is_scalar(R, theta):
+    # one call on many points rounds as one call per point: the probe rings
+    # of 5, 7, 8 and 12 directions, and 400 random exterior points
+    p = params_from(R, theta)
+    rng = np.random.default_rng(7)
+    w = (1.0 + rng.uniform(0.01, 5.0, 400)) * np.exp(2j * np.pi * rng.uniform(size=400))
+    rings = [fz.default_test_points(p, count) for count in (5, 7, 8, 12)]
+    z = np.concatenate(rings + [psi(p, w)])
+    one_by_one = np.array([phi(p, zk) for zk in z])
+    assert np.array_equal(phi(p, z).view(np.uint64), one_by_one.view(np.uint64)), (R, theta)
+
+
+@pytest.mark.parametrize("R,theta", [
+    (1.26, 0.0), (2.1, 0.0), (2.1, 0.2), (1.45, 0.2), (2 / np.cos(1.5), 1.5),
+    (2 / np.cos(1.5), -1.5), (8 / np.cos(1.5), 1.5), (8 / np.cos(1.5), -1.5)])
+def test_phi_array_matches_scalar_bit_for_bit(R, theta):
+    assert_phi_array_is_scalar(R, theta)
+
+
+@pytest.mark.slow
+def test_phi_array_matches_scalar_bit_for_bit_on_grid_g():
+    for rc in (1.001, 1.2, 1.4999, 1.5001, 1.6, 2.0, 4.0, 8.0):
+        for theta in (0.0, 0.5, 1.0, 1.3, 1.5, -1.5):
+            assert_phi_array_is_scalar(rc / np.cos(theta), theta)
+
+
 # ---------------------------------------------------------------- U, V, W
 
 def test_uvw_fixed_values():

@@ -663,6 +663,45 @@ def test_potential_check_small_and_guarded():
         potential_check(p, zs, points=np.array([0.0 + 0j]))
 
 
+def potential_per_probe(p, zs, points):
+    """One phi call and one abs() per probe, as potential_check once did: the
+    reference for its single call on every probe."""
+    zarr = np.asarray(zs.zeros)
+    lhs = np.mean(np.log(np.abs(points[:, None] - zarr)), axis=1)
+    devs = np.empty(len(points))
+    for i, z in enumerate(points):
+        rhs = float(np.log(p.capacity) + np.log(abs(fz.phi(p, z))))
+        devs[i] = abs(float(lhs[i]) - rhs)
+    return devs
+
+
+def assert_potential_matches_per_probe(p, n):
+    zs = fz.compute_zeros(p, n)
+    far = 1e3 * np.exp(1j * np.array([0.0, 2.1, -0.7]))
+    got = [potential_check(p, zs), potential_check(p, zs, points=far)]
+    want = [potential_per_probe(p, zs, default_test_points(p)),
+            potential_per_probe(p, zs, far)]
+    for g, w in zip(got, want):
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64)), (p.R, p.theta, n)
+
+
+@pytest.mark.parametrize("R,theta", PRESETS + [(2 / np.cos(1.5), 1.5),
+                                               (8 / np.cos(-1.5), -1.5)])
+def test_potential_check_matches_per_probe_loop(R, theta):
+    p = params_from(R, theta)
+    for n in (7, 60, 300):
+        assert_potential_matches_per_probe(p, n)
+
+
+@pytest.mark.slow
+def test_potential_check_matches_per_probe_loop_on_grid_g():
+    for rc in (1.001, 1.2, 1.4999, 1.5001, 1.6, 2.0, 4.0, 8.0):
+        for theta in (0.0, 0.5, 1.0, 1.3, 1.5, -1.5):
+            p = params_from(rc / np.cos(theta), theta)
+            for n in (7, 60, 99, 300, 500):
+                assert_potential_matches_per_probe(p, n)
+
+
 def test_potential_far_field():
     # at |z| = 1e6 both sides of the comparison collapse to log|z|, so the
     # deviation is tiny no matter how few zeros went in
