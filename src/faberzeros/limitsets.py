@@ -182,6 +182,8 @@ def loop_points(p: AirfoilParams, m: int = 257, which: str = "plus") -> LoopArc:
         raise CaseError("no loop component below criticality")
     if which not in ("plus", "minus"):
         raise ValueError("which must be 'plus' or 'minus'")
+    if m < 2:
+        raise ValueError("need at least 2 samples")
     if case.tag is CaseTag.CRITICAL:
         cp = complex(1.0 + 1.0 / p.b)
         return LoopArc(samples=np.empty(0, complex), corner=-1.0 + 0j,
@@ -215,6 +217,8 @@ def arc_z_of_u(p: AirfoilParams, u):
 
 
 def segment_points(p: AirfoilParams, m: int = 257) -> SegmentArc:
+    if m < 2:
+        raise ValueError("need at least 2 samples")
     case = classify(p)
     s = case.s_max * np.arange(m)[::-1] / (m - 1)   # u ascending, endpoints exact
     us = np.cos(s)

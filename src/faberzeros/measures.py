@@ -5,17 +5,19 @@ measure pulled back through U on the zero-carrying arc piece, plus (above
 criticality) the uniform angle measure on the unit-circle arc where
 |g(w)| < 1, pushed onto the loop by J(b(1-w)).
 
-The limit is never the equilibrium measure omega_K, yet the n zeros of F_n
-integrate every polynomial of degree below n exactly against it. In the
-Faber basis that reads mean_j F_k(z_j) = 0 for 1 <= k <= n, and by the
-closed form a^k F_k = (w+s)^k + (w-s)^k - (-b)^k each term is at most |a|^k
-on the airfoil, so plain double checks it to a few n eps. The monomial form
-against the moments m_k of omega_K has a condition number up to 1e75.
+The limit is never the equilibrium measure omega_K, yet it has omega_K's
+exterior potential log cap + log|Phi|, so it has every moment m_k of
+omega_K, and those have a closed form (equilibrium_moments). The n zeros
+of F_n integrate every polynomial of degree below n exactly against
+omega_K. In the Faber basis that reads mean_j F_k(z_j) = 0 for
+1 <= k <= n, and by the closed form a^k F_k = (w+s)^k + (w-s)^k - (-b)^k
+each term is at most |a|^k on the airfoil, so plain double checks it to a
+few n eps. The monomial form against the m_k has a condition number up to
+1e75.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -39,7 +41,6 @@ POTENTIAL_GATE = 0.05   # max deviation of the zeros' log potential
 _EPS = 2.0 ** -52       # machine epsilon
 _POLYLINE_M = 2048      # samples of each predicted polyline classify_zeros measures to
 _MOMENT_K = 20          # moments weak_star_distance compares, k = 1..20
-_GL_ORDER = 512         # Gauss-Legendre nodes per component of predicted_moments
 _PROBE_MARGIN = 0.2     # boundary clearance potential_check requires of its points
 
 
@@ -274,79 +275,13 @@ def classify_zeros(p: AirfoilParams, zs: ZeroSet | np.ndarray) -> list[str]:
     return labels.tolist()
 
 
-def _legendre_and_slope(n: int, theta: np.ndarray):
-    """P_n(cos theta) and dP_n/dtheta by the three-term recurrence, in
-    Reinsch's difference form: with D_j = P_j - P_(j-1) and x - 1 =
-    -2 sin^2(theta/2) taken from theta, not from the rounded x,
-
-        (j+1) D_(j+1) = (2j+1) (x-1) P_j + j D_j,   P_(j+1) = P_j + D_(j+1),
-
-    which stays accurate near x = 1, where the plain recurrence loses the
-    digits of 1 - x. dP_n/dtheta = n (x P_n - P_(n-1)) / sin theta."""
-    xm1 = -2.0 * np.sin(theta / 2) ** 2
-    d = xm1.copy()
-    p = 1.0 + xm1
-    t = np.empty_like(p)
-    for j in range(1, n):
-        np.multiply(xm1, p, out=t)
-        t *= (2 * j + 1) / (j + 1)
-        d *= j / (j + 1)
-        d += t
-        p += d
-    return p, n * (xm1 * p + d) / np.sin(theta)
-
-
-@functools.lru_cache(maxsize=4)
-def _gauss_legendre(n_gl: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], ascending, built once per
-    order in O(n_gl) memory (Newton on the Legendre recurrence in the angle,
-    as in Hale and Townsend, SIAM J. Sci. Comput. 35, 2013).
-
-    The ceil(n_gl/2) nodes x = cos theta >= 0 start from Tricomi's
-    asymptotic angles, close enough that three Newton passes reach the
-    rounding floor (a fourth step is below 4e-16 at every order up to
-    2,100); a fourth evaluation gives the weights 2 / (dP_n/dtheta)^2. The
-    other half is the mirror image, and an odd order's middle node is 0."""
-    k = np.arange(1, (n_gl + 1) // 2 + 1)
-    theta = np.arccos((1.0 - (n_gl - 1) / (8.0 * n_gl ** 3))
-                      * np.cos(np.pi * (4 * k - 1) / (4 * n_gl + 2)))
-    for _ in range(3):
-        p, slope = _legendre_and_slope(n_gl, theta)
-        theta -= p / slope
-    _, slope = _legendre_and_slope(n_gl, theta)
-    x, w = np.cos(theta), 2.0 / slope ** 2     # x descending to the middle
-    odd = n_gl % 2
-    if odd:
-        x[-1] = 0.0
-    x = np.concatenate([-x, x[::-1][odd:]])
-    w = np.concatenate([w, w[::-1][odd:]])
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
 def predicted_moments(p: AirfoilParams, k_max: int) -> np.ndarray:
-    """Moments of the predicted limit measure by Gauss-Legendre on each
-    component (arcsine pullback in the angle variable; uniform loop angle)."""
-    x, wq = _gauss_legendre(_GL_ORDER)
-    case = classify(p)
-    s = case.s_max * (x + 1.0) / 2.0
-    zseg = arc_z_of_u(p, np.cos(s))
-    wseg = wq * (case.s_max / 2.0) / np.pi
-    zloop = np.empty(0, complex)
-    wloop = np.empty(0)
-    if case.tag is CaseTag.SUPERCRITICAL:
-        th = case.start + case.span * (x + 1.0) / 2.0
-        zloop = phi_b_inverse(p, np.exp(1j * th))
-        wloop = wq * (case.span / 2.0) / (2 * np.pi)
-    zall = np.concatenate([zseg, zloop])
-    wall = np.concatenate([wseg, wloop])
-    out = np.empty(k_max, dtype=complex)
-    pw = np.ones_like(zall)
-    for k in range(1, k_max + 1):
-        pw = pw * zall
-        out[k - 1] = np.sum(wall * pw)
-    return out
+    """Moments m_1..m_kmax of the predicted limit measure mu. mu is never
+    omega_K, but it has omega_K's exterior potential log cap + log|Phi|,
+    whose expansion at infinity has the moments for coefficients, so mu
+    shares every moment of omega_K: these are
+    equilibrium_moments(p, k_max).values."""
+    return equilibrium_moments(p, k_max).values
 
 
 @dataclass(frozen=True)
@@ -357,17 +292,15 @@ class WeakStarDistances:
 
 def weak_star_distance(p: AirfoilParams, zs: ZeroSet | np.ndarray,
                        labels: list[str] | None = None) -> WeakStarDistances:
-    """Two weak-star proxies: max moment gap for k <= _MOMENT_K, and the KS
-    distance of U(segment zeros) against the arcsine law conditioned to
-    [u_lo, 1] (all zeros and the full arcsine below criticality). labels,
-    if given, are classify_zeros(p, zs), already computed."""
+    """Two weak-star proxies: max_k |mean_j z_j^k - m_k| for k <= _MOMENT_K,
+    the gap between the zeros' power sums and the limit measure's exact
+    moments (predicted_moments), and the KS distance of U(segment zeros)
+    against the arcsine law conditioned to [u_lo, 1] (all zeros and the
+    full arcsine below criticality). labels, if given, are
+    classify_zeros(p, zs), already computed."""
     zarr = _zeros_of(zs)
-    pred = predicted_moments(p, _MOMENT_K)
-    pw = np.ones(len(zarr), dtype=complex)
-    md = 0.0
-    for k in range(1, _MOMENT_K + 1):
-        pw = pw * zarr
-        md = max(md, float(abs(np.mean(pw) - pred[k - 1])))
+    gap = _power_sums(zarr, _MOMENT_K) / len(zarr) - predicted_moments(p, _MOMENT_K)
+    md = float(np.max(np.abs(gap)))
     case = classify(p)
     if case.tag is CaseTag.SUPERCRITICAL:
         if labels is None:

@@ -1,6 +1,7 @@
 """Case classification and the predicted zero-attracting sets."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +271,18 @@ def test_loop_subcritical_and_critical():
     lp = loop_points(p, 65)
     assert len(lp.samples) == 0
     assert lp.corner == pytest.approx(-1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize("sampler", [arc_A, loop_points, segment_points])
+def test_samplers_reject_fewer_than_two_samples(sampler, m):
+    # as a ValueError, without warnings, also before the critical loop's
+    # early return
+    for R, theta in [(1.5, 0.0), (2.1, 0.2)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="at least 2 samples"):
+                sampler(params_from(R, theta), m)
 
 
 def test_polyline_min_dist():

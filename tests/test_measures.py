@@ -15,8 +15,9 @@ import pytest
 
 import faberzeros as fz
 from faberzeros import measures
-from faberzeros.conformal import params_from, psi
+from faberzeros.conformal import params_from, phi_b_inverse, psi
 from faberzeros.errors import DomainError, ParameterError
+from faberzeros.limitsets import CaseTag, arc_z_of_u, classify
 from faberzeros.measures import (
     classify_zeros, closed_moment_mp, default_test_points, equilibrium_moments,
     potential_check, predicted, predicted_moments, pullback_density,
@@ -432,65 +433,48 @@ def test_predicted_densities_integrate_to_masses():
         assert np.sum(mid * dz) == pytest.approx(pr.mass_loop, abs=5e-4)
 
 
-def mpmath_gauss_legendre_node(n, i, dps=40):
-    """Node i (ascending) of the n-point Gauss-Legendre rule and its weight,
-    by Newton in mpmath on the plain recurrence, from Tricomi's angle of the
-    (n - i)-th largest root."""
-    k = n - i
-    with mp.workdps(dps):
-        x = mp.cos(mp.pi * (4 * k - 1) / (4 * n + 2))
-        for _ in range(6):
-            p0, p1 = mp.mpf(1), x
-            for j in range(1, n):
-                p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
-            dp = n * (x * p1 - p0) / (x * x - 1)
-            x -= p1 / dp
-        return x, 2 / ((1 - x * x) * dp * dp)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 20, 512])
-def test_gauss_legendre_matches_mpmath(n):
-    x, w = measures._gauss_legendre(n)
-    assert not x.flags.writeable and not w.flags.writeable
-    assert len(x) == len(w) == n and np.all(np.diff(x) > 0)
-    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
-    # every node of the small rules; at n = 512 the 8 at each end, where the
-    # weights are smallest and 1 - x loses digits, and the 8 in the middle
-    idx = range(n) if n <= 20 else [*range(8), *range(252, 260), *range(504, 512)]
-    for i in idx:
-        xr, wr = mpmath_gauss_legendre_node(n, i)
-        assert abs(x[i] - xr) <= 2e-16, (n, i)
-        assert abs(w[i] / wr - 1) <= 1e-13, (n, i)
-    assert abs(math.fsum(w) - 2.0) <= 4 * np.spacing(2.0)
-
-
-def test_gauss_legendre_memory_is_linear():
-    # 2,048 nodes: arrays of 1,024 angles, never a 2,048 x 2,048 matrix
-    # (33.5 MB); the rule the exterior-potential check would need
-    tracemalloc.start()
-    try:
-        x, w = measures._gauss_legendre.__wrapped__(2048)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000, peak
-    assert abs(math.fsum(w) - 2.0) < 1e-13
-    assert np.array_equal(x, -x[::-1]) and np.all(np.diff(x) > 0)
+def mu_moments_by_quadrature(p, k_max):
+    """Moments of the predicted limit measure mu integrated directly, by
+    512-point Gauss-Legendre on each component: the arcsine pullback
+    u = cos s, s in [0, s_max], on the segment (density 1/pi in s), and the
+    uniform angle on the loop arc (density 1/(2 pi))."""
+    x, wq = np.polynomial.legendre.leggauss(512)
+    case = classify(p)
+    z = [arc_z_of_u(p, np.cos(case.s_max * (x + 1.0) / 2.0))]
+    w = [wq * (case.s_max / 2.0) / np.pi]
+    if case.tag is CaseTag.SUPERCRITICAL:
+        th = case.start + case.span * (x + 1.0) / 2.0
+        z.append(phi_b_inverse(p, np.exp(1j * th)))
+        w.append(wq * (case.span / 2.0) / (2 * np.pi))
+    z, w = np.concatenate(z), np.concatenate(w)
+    return np.cumprod(np.broadcast_to(z, (k_max, len(z))), axis=0) @ w
 
 
 def test_predicted_moments_equal_equilibrium_moments():
-    # the limit measure keeps every moment of the equilibrium measure: the
-    # n-point quadrature identity survives n -> infinity for each fixed k
-    for R, theta in [(1.26, 0.0), (2.1, 0.0), (2.1, 0.2), (1.45, 0.2)]:
+    # the limit measure keeps every moment of the equilibrium measure (it
+    # has the same exterior potential): the n-point quadrature identity
+    # survives n -> infinity for each fixed k, and every Faber moment of
+    # mu is 0, as for omega_K
+    for R, theta in PRESETS:
         p = params_from(R, theta)
-        pm = predicted_moments(p, 20)
+        pm = mu_moments_by_quadrature(p, 20)
         em = equilibrium_moments(p, 20).values
         assert np.max(np.abs(pm - em)) < 1e-11
     for R, theta in BRANCH_AIRFOILS:
         p = params_from(R, theta)
-        pm = predicted_moments(p, 20)
+        pm = mu_moments_by_quadrature(p, 20)
         em = equilibrium_moments(p, 20).values
         assert np.max(np.abs(pm - em) / np.abs(em)) < 1e-8, (R, theta)
+
+
+def test_predicted_moments_within_two_ulp():
+    # the moments verify compares the zeros with are the correctly rounded
+    # closed form to within 2 ulp of max(1, |m_k|), not a quadrature of it
+    for R, theta in PRESETS + BRANCH_AIRFOILS:
+        p = params_from(R, theta)
+        want = exact_moments(p.b, 20)
+        ulp = np.spacing(np.maximum(1.0, np.abs(want)))
+        assert np.max(np.abs(predicted_moments(p, 20) - want) / ulp) <= 2.0, (R, theta)
 
 
 # ---------------------------------------------------------------- zero gates
