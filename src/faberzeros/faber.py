@@ -30,6 +30,20 @@ def _square_chain(x, n: int):
     return h * h * x if n & 1 else h * h
 
 
+def _pow_chain(x, n: int):
+    """ipow's body, without its errstate: for callers that evaluate under
+    one errstate of their own."""
+    if n < _POW_DIRECT or n & (n - 1) == 0:
+        return x ** n
+    out = np.asarray(_square_chain(x, n))
+    mag = np.abs(out)
+    # min/max first: two reductions, where the mask takes five array passes
+    if not (mag.min(initial=np.inf) >= _TINY and mag.max(initial=0.0) < np.inf):
+        redo = ~((mag >= _TINY) & (mag < np.inf))
+        out[redo] = np.asarray(x)[redo] ** n
+    return out
+
+
 def ipow(x, n: int):
     """x ** n for an integer n >= 0, without floating-point warnings.
 
@@ -40,20 +54,13 @@ def ipow(x, n: int):
     to powers below 100. Powers of two stay with x ** n: there n log x is
     exact and exp/log is the more accurate (0.31 n eps). Entries whose result
     overflows, is not finite or falls below the normal range are recomputed
-    with x ** n, those entries alone, so they are exactly numpy's. Below
-    n = 100 the result is x ** n bit for bit."""
+    with x ** n, those entries alone, so they are exactly numpy's; a min and
+    a max of |x^n| tell whether there are any. Below n = 100 the result is
+    x ** n bit for bit. Every step is elementwise, so a stacked array, such
+    as _closed_terms' (2, m) pair of bases, gets each entry's power bit for
+    bit as a call on that entry alone would."""
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        if n < _POW_DIRECT or n & (n - 1) == 0:
-            return x ** n
-        out = _square_chain(x, n)
-        mag = np.abs(out)
-        redo = ~((mag >= _TINY) & (mag < np.inf))
-        if np.any(redo):
-            if np.ndim(out):
-                out[redo] = x[redo] ** n
-            else:
-                out = x ** n
-    return out
+        return _pow_chain(x, n)
 
 
 def chebyshev_T(n: int, u):
@@ -231,13 +238,19 @@ def _closed_terms(p: AirfoilParams, n: int, z):
     (w+s)^n + (w-s)^n - (-b)^n, w = z - b, s = sqrt(z-1) sqrt(z+1), each
     divided by top^n, top = max(|w+s|, |w-s|, |b|) so none overflows, and
     d+- = (w +- s)^(n-1) / top^n, which carry the derivative. Single-valued
-    in z: the two terms swap across the cut of s."""
+    in z: the two terms swap across the cut of s. w + s and w - s are raised
+    as one (2, ...) array through one power chain (ipow), and the whole
+    evaluation runs under one errstate; t+-, d+- are rows of that array."""
     z = np.asarray(z, dtype=complex)
-    s = np.sqrt(z - 1.0) * np.sqrt(z + 1.0)
-    xp, xm = z - p.b + s, z - p.b - s
-    top = np.maximum(np.maximum(np.abs(xp), np.abs(xm)), abs(p.b))
-    dp, dm = ipow(xp / top, n - 1) / top, ipow(xm / top, n - 1) / top
-    return dp * xp, dm * xm, ipow(-p.b / top, n), dp, dm, s
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        s = np.sqrt(z - 1.0) * np.sqrt(z + 1.0)
+        w = z - p.b
+        x = np.array((w + s, w - s))
+        mag = np.abs(x)
+        top = np.maximum(np.maximum(mag[0], mag[1]), abs(p.b))
+        d = _pow_chain(x / top, n - 1) / top
+        t = d * x
+        return t[0], t[1], _pow_chain(-p.b / top, n), d[0], d[1], s
 
 
 def residual(p: AirfoilParams, n: int, z):

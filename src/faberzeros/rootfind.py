@@ -19,9 +19,13 @@ zeros) come from Aberth's iteration on the branch-free closed form with the
 found zeros held fixed (Maehly's implicit deflation). A double-precision
 Newton pass tightens every zero, and Newton in mpmath on the closed form
 finishes the few whose error bound stays above the closed form's rounding
-floor in double (near theta = pi/2 that floor is about 1e-13). One
-evaluation of the closed form gives each zero's scaled residual and error
-bound (_grade); only the zeros the Newton pass moves are evaluated again.
+floor in double (near theta = pi/2 that floor is about 1e-13). Each
+candidate is evaluated once: one call of the closed form (_grade) on all
+segment, arc and loop candidates decides which are zeros and gives each
+kept zero its scaled residual and error bound, which follow it through the
+duplicate filter (_dedup returns indices); only the zeros the Newton pass
+moves, or deflation adds, are evaluated again. The closed form raises w + s
+and w - s as one array through one power chain (faber._closed_terms).
 
 The simultaneous (Aberth) solver on the coefficients,
 roots_simultaneous(faber_closed(p, n)), is kept as an independent oracle for
@@ -42,7 +46,7 @@ import numpy as np
 from .conformal import AirfoilParams, phi_b_inverse
 from .errors import ConvergenceError, DeficitError, MismatchError
 from .faber import (
-    _closed_terms, _scaled, faber_coeffs_mp, ipow, residual, scaled_residual,
+    _closed_terms, _pow_chain, _scaled, faber_coeffs_mp, residual, scaled_residual,
 )
 from .limitsets import arc_z_of_u, classify, loop_g
 
@@ -78,24 +82,26 @@ def _sorted(z):
 
 
 def _dedup(z, tol=DISTINCT_TOL):
-    """Greedy in (Re, Im) order: drop each zero within tol of one kept before
-    it. Each zero is compared, all at once, with those after it whose real
-    parts lie within 2 tol (a margin over rounding); only the pairs within
-    tol are walked in order, since a zero drops its partner only if it is
-    itself kept."""
-    z = _sorted(z)
+    """Indices of the zeros kept, in (Re, Im) order, greedy in that order:
+    drop each zero within tol of one kept before it. Each zero is compared,
+    all at once, with those after it whose real parts lie within 2 tol (a
+    margin over rounding); only the pairs within tol are walked in order,
+    since a zero drops its partner only if it is itself kept. Indices, so
+    that whatever the caller holds per zero follows the zeros kept."""
+    order = np.lexsort((z.imag, z.real))
+    z = z[order]
     hi = np.searchsorted(z.real, z.real + 2.0 * tol, side="right")
     cnt = hi - np.arange(1, len(z) + 1)     # >= 0: z.real is sorted
     i = np.repeat(np.arange(len(z)), cnt)
     if not len(i):
-        return z
+        return order
     j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
     near = ~(np.abs(z[j] - z[i]) > tol)
     keep = np.ones(len(z), dtype=bool)
     for a, b in zip(i[near].tolist(), j[near].tolist()):
         if keep[a]:
             keep[b] = False
-    return z[keep]
+    return order[keep]
 
 
 def _horner_pair(co, z):
@@ -270,16 +276,16 @@ def seed_plan(p: AirfoilParams, n: int) -> SeedPlan:
 
 def _newton_w(p: AirfoilParams, n: int, w, max_iter=100):
     """Newton on h(w) = w^n + g(w)^n - 1 on/near the unit circle, each step
-    capped at 0.1; the w with |h(w)| below 1e-6 are returned."""
+    capped at 0.1; the w with |h(w)| below 1e-6 are returned. w and g(w)
+    are raised as one (2, m) array through one power chain (faber.ipow)."""
     b, cap = p.b, 0.1
     w = np.asarray(w, dtype=complex).copy()
     if not len(w):
         return w
     for _ in range(max_iter):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
             g = loop_g(p, w)
-            wn = ipow(w, n)
-            gn = ipow(g, n)
+            wn, gn = _pow_chain(np.array((w, g)), n)
             h = wn + gn - 1.0
             dh = n * wn / w - n * gn / g / (b * b * (1.0 - w) ** 2)
             dh = np.where(np.abs(dh) < 1e-300, 1e-300, dh)
@@ -290,9 +296,9 @@ def _newton_w(p: AirfoilParams, n: int, w, max_iter=100):
         w = w - step
         if np.max(np.abs(step)) < 5e-16 * np.max(1.0 + np.abs(w)):
             break
-    g = loop_g(p, w)
-    hfin = np.abs(ipow(w, n) + ipow(g, n) - 1.0)
-    return w[hfin < 1e-6]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        wn, gn = _pow_chain(np.array((w, loop_g(p, w))), n)
+        return w[np.abs(wn + gn - 1.0) < 1e-6]
 
 
 def _at_floor(step, z, prev):
@@ -313,21 +319,23 @@ def _newton_step(p: AirfoilParams, n: int, z):
         return r, r / (dr + n * p.b * r / (p.b * p.b + 1.0 - 2.0 * p.b * z))
 
 
-def _newton_z(p: AirfoilParams, n: int, z, max_iter=80, cap=0.05, accept=1e-6):
-    """Newton in z (_newton_step), each zero stopped on its own once its step
-    reaches the rounding floor (_at_floor; near theta = pi/2 the residual's
-    own rounding keeps the step above 1e-15 (1 + |z|)). A seed whose Newton
-    step is longer than cap times the passes left cannot reach a zero at the
-    capped speed: it stops there, the accept test drops it, and _deflate
-    finds the zero it missed (at low degree and steep rotation the arc
-    seeds crawl off; counting capped passes instead drops thousands of slow
-    seeds that do converge, and deflation pays for them)."""
+def _newton_z(p: AirfoilParams, n: int, z, max_iter=80, cap=0.05):
+    """(z, lost): Newton in z (_newton_step), each zero stopped on its own
+    once its step reaches the rounding floor (_at_floor; near theta = pi/2
+    the residual's own rounding keeps the step above 1e-15 (1 + |z|)). A
+    seed whose Newton step is longer than cap times the passes left cannot
+    reach a zero at the capped speed: it stops there and is flagged lost;
+    roots_seeded drops it, and _deflate finds the zero it missed (at low
+    degree and steep rotation the arc seeds crawl off; counting capped
+    passes instead drops thousands of slow seeds that do converge, and
+    deflation pays for them). Whether a zero is close enough is left to the
+    caller's grading."""
     z = np.asarray(z, dtype=complex).copy()
+    lost = np.zeros(len(z), dtype=bool)
     if not len(z):
-        return z
+        return z, lost
     active = np.arange(len(z))
     prev = np.full(len(z), np.inf)
-    lost = np.zeros(len(z), dtype=bool)
     for left in range(max_iter, 0, -1):
         za = z[active]
         step = _newton_step(p, n, za)[1]
@@ -345,13 +353,7 @@ def _newton_z(p: AirfoilParams, n: int, z, max_iter=80, cap=0.05, accept=1e-6):
         active, prev = active[~done], mag[~done]
         if not len(active):
             break
-    if accept is None:
-        return z
-    z = z[~lost]
-    if not len(z):
-        return z
-    r, _ = residual(p, n, z)
-    return z[np.abs(r) < accept]
+    return z, lost
 
 
 def _newton_real(p: AirfoilParams, n: int, brackets):
@@ -367,7 +369,8 @@ def _newton_real(p: AirfoilParams, n: int, brackets):
     (zeros within rounding of an end throw Newton out), else the midpoint. A
     zero stops at the rounding floor (_at_floor), once its bracket is
     4 eps (1 + |z|) wide, or where r is exactly 0, keeping that point;
-    60 passes at most."""
+    60 passes at most. Every sign-changing bracket gives one point;
+    roots_seeded's grading decides which are zeros."""
     # bracket k's low end is bracket k + 1's high end, bit for bit (the
     # same angle through the same arc_z_of_u call): m + 1 distinct ends
     ends = np.concatenate([brackets[:, 2], brackets[-1:, 0]]).real
@@ -397,48 +400,42 @@ def _newton_real(p: AirfoilParams, n: int, brackets):
         keep = ~done
         x, lo, hi, flo, fhi, prev, idx = (
             a[keep] for a in (new, lo, hi, flo, fhi, mag, idx))
-    z = z + 0j
-    return z[np.atleast_1d(scaled_residual(p, n, z)) < 1e-6]
-
-
-def _forward_error_bound(p: AirfoilParams, n: int, z, terms):
-    """The larger of Newton's estimate |f/f'| and the closed form's rounding
-    floor n eps (|w| + |s|) (|t+/(w+s)| + |t-/(w-s)|) / |f'|, the error of
-    the two powers over the slope, from terms = _closed_terms(p, n, z):
-    below that floor a double-precision residual cannot see the error (it
-    reaches 1e-13 near theta = pi/2)."""
-    tp, tm, tb, dp, dm, s = terms
-    with np.errstate(divide="ignore", invalid="ignore"):
-        df = np.abs(n * (dp * (s + z) + dm * (s - z)) / s)
-        floor = n * _EPS * (np.abs(z - p.b) + np.abs(s)) * (np.abs(dp) + np.abs(dm))
-        return np.maximum(np.abs(tp + tm - tb), floor) / df
+    return z + 0j
 
 
 def _grade(p: AirfoilParams, n: int, z):
-    """(scaled residual, forward-error bound) at each z from one
-    _closed_terms call."""
-    terms = _closed_terms(p, n, z)
-    return (np.atleast_1d(_scaled(*terms[:3])),
-            np.atleast_1d(_forward_error_bound(p, n, z, terms)))
+    """(scaled residual, forward-error bound, |r|) at each z from one
+    _closed_terms call; r = t+ + t- - tb is residual()'s r and the scaled
+    residual is scaled_residual's, bit for bit. The bound is the larger of
+    Newton's estimate |f/f'| and the closed form's rounding floor
+    n eps (|w| + |s|) (|t+/(w+s)| + |t-/(w-s)|) / |f'|, the error of the two
+    powers over the slope: below that floor a double-precision residual
+    cannot see the error (it reaches 1e-13 near theta = pi/2)."""
+    tp, tm, tb, dp, dm, s = _closed_terms(p, n, z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.abs(tp + tm - tb)
+        df = np.abs(n * (dp * (s + z) + dm * (s - z)) / s)
+        floor = n * _EPS * (np.abs(z - p.b) + np.abs(s)) * (np.abs(dp) + np.abs(dm))
+        return _scaled(tp, tm, tb), np.maximum(r, floor) / df, r
 
 
-def _tighten(p: AirfoilParams, n: int, zs):
+def _tighten(p: AirfoilParams, n: int, zs, res, bound):
     """(zeros, scaled residuals, forward-error bounds) after double-precision
-    Newton on every zero whose scaled residual is above TIGHTEN_GATE (NaN
-    counts as above). A zero takes its new value only where the residual
-    dropped; real zeros of a real airfoil stay on the axis. One _grade call
-    covers all zeros, and one more the points Newton moved them to."""
-    res, bound = _grade(p, n, zs)
+    Newton on every zero whose scaled residual res is above TIGHTEN_GATE
+    (NaN counts as above); res and bound are the zeros' grades (_grade). A
+    zero takes its new value only where the residual dropped; real zeros of
+    a real airfoil stay on the axis. One _grade call covers the points
+    Newton moved the zeros to."""
     bad = ~(res <= TIGHTEN_GATE)
     if not np.any(bad):
         return zs, res, bound
     old = zs[bad]
-    new = _newton_z(p, n, old, max_iter=8, cap=1e-3, accept=None)
+    new = _newton_z(p, n, old, max_iter=8, cap=1e-3)[0]
     if p.is_real:
         new = np.where(old.imag == 0.0, new.real + 0j, new)
-    new_res, new_bound = _grade(p, n, new)
+    new_res, new_bound, _ = _grade(p, n, new)
     better = new_res < np.where(np.isnan(res[bad]), np.inf, res[bad])
-    zs = zs.copy()
+    zs, res, bound = zs.copy(), res.copy(), bound.copy()
     idx = np.nonzero(bad)[0][better]
     zs[idx] = new[better]
     res[idx] = new_res[better]
@@ -492,7 +489,8 @@ def _deflate(p: AirfoilParams, n: int, found):
     is a circle at an irrational angular offset around the missing zeros'
     centroid (n b/2 - sum(found)) / m, through the farthest found zero and no
     smaller than the capacity. Each zero stops on its own (_at_floor); those
-    with scaled residual below 1e-6 are returned, real ones on the axis."""
+    with scaled residual below 1e-6 are returned, real ones on the axis,
+    with their scaled residuals and forward-error bounds (_grade)."""
     m = n - len(found)
     c0 = (0.5 * n * p.b - np.sum(found)) / m
     r0 = np.max(np.abs(found - c0), initial=p.capacity)
@@ -520,42 +518,57 @@ def _deflate(p: AirfoilParams, n: int, found):
         # zeros come in conjugate pairs, and a pair this close to the axis
         # would be one zero to _dedup: such a zero is real
         z = np.where(np.abs(z.imag) < 0.5 * DISTINCT_TOL, z.real + 0j, z)
-    return z[np.atleast_1d(scaled_residual(p, n, z)) < 1e-6]
+    res, bound, _ = _grade(p, n, z)
+    ok = res < 1e-6
+    return z[ok], res[ok], bound[ok]
 
 
 def roots_seeded(p: AirfoilParams, n: int) -> ZeroSet:
     """Coefficient-free zero finder: all n zeros from the seed plan, and the
     ones the seeds miss by Aberth's iteration with the found zeros held fixed
-    (_deflate). Every zero is then tightened in double and, where its
-    forward-error bound stays above POLISH_GATE, polished in mpmath.
-    DeficitError when the count isn't n."""
+    (_deflate). One _grade call covers the segment, arc and loop candidates:
+    it decides which are zeros (scaled residual below 1e-6 on a real
+    segment, |r| below 1e-6 on the arc; the loop's Newton has its own test)
+    and gives the kept ones the grades _tighten starts from. Every zero is
+    then tightened in double and, where its forward-error bound stays above
+    POLISH_GATE, polished in mpmath. DeficitError when the count isn't n."""
     if n < 1:
         raise ValueError("n must be >= 1")
     plan = seed_plan(p, n)
-    found = []
+    seg = loop = np.empty(0, complex)
     if len(plan._ts):
         if p.is_real:
-            found.append(_newton_real(p, n, plan.segment_brackets))
+            seg = _newton_real(p, n, plan.segment_brackets)
         else:
             mid = np.cos(0.5 * (plan._ts[:, 0] + plan._ts[:, 1]))
-            found.append(_newton_z(p, n, arc_z_of_u(p, mid)))
+            z, lost = _newton_z(p, n, arc_z_of_u(p, mid))
+            seg = z[~lost]
     if len(plan._omegas):
         w = _newton_w(p, n, plan._omegas)
         if len(w):
-            found.append(phi_b_inverse(p, w))
-    zs = _dedup(np.concatenate(found) if found else np.empty(0, complex))
+            loop = phi_b_inverse(p, w)
+    zs = np.concatenate([seg, loop])
+    res, bound, r = _grade(p, n, zs)
+    ok = np.ones(len(zs), dtype=bool)
+    ok[:len(seg)] = (res if p.is_real else r)[:len(seg)] < 1e-6
+    zs, res, bound = zs[ok], res[ok], bound[ok]
+    keep = _dedup(zs)
+    zs, res, bound = zs[keep], res[keep], bound[keep]
     if len(zs) < n:
         # an arc zero Newton left loose can lie farther than DISTINCT_TOL
         # from the same zero found again: tighten before counting the missing
-        zs = _dedup(_tighten(p, n, zs)[0])
+        zs, res, bound = _tighten(p, n, zs, res, bound)
+        keep = _dedup(zs)
         # not deduplicated against the found zeros: deflation comes back to
         # a found zero only where that zero is multiple
-        zs = np.concatenate([zs, _deflate(p, n, zs)])
+        more = _deflate(p, n, zs[keep])
+        zs, res, bound = (np.concatenate([a[keep], b])
+                          for a, b in zip((zs, res, bound), more))
     if len(zs) != n:
         raise DeficitError(
             f"found {len(zs)} of {n} zeros", missing=n - len(zs))
 
-    zs, res, bound = _tighten(p, n, zs)
+    zs, res, bound = _tighten(p, n, zs, res, bound)
     ill = ~(bound <= POLISH_GATE * np.maximum(1.0, np.abs(zs)))
     if np.any(ill):
         zs[ill] = _polish_mp(p, n, zs[ill])

@@ -14,8 +14,8 @@ import pytest
 import faberzeros as fz
 from faberzeros.conformal import params_from, psi, uvw
 from faberzeros.faber import (
-    FaberEvaluator, chebyshev_T, faber_closed, faber_coeffs_mp, faber_oracle,
-    faber_shifted, horner, ipow, residual, scaled_residual,
+    FaberEvaluator, _closed_terms, chebyshev_T, faber_closed, faber_coeffs_mp,
+    faber_oracle, faber_shifted, horner, ipow, residual, scaled_residual,
 )
 
 PRESETS = [(1.26, 0.0), (2.1, 0.0), (2.1, 0.2), (1.45, 0.2)]
@@ -255,3 +255,39 @@ def test_ipow_recomputes_only_flagged_entries_bitwise(n):
     # a 0-d input is recomputed whole
     with np.errstate(all="ignore"):
         assert ipow(np.asarray(1e4 + 0j), n) == np.asarray(1e4 + 0j) ** n
+
+
+# degrees on both sides of 100, where the power chain starts squaring,
+# odd, even and powers of two
+BATCH_NS = [60, 99, 100, 101, 128, 255, 300, 499, 500]
+
+
+def _bits(arrays):
+    return np.concatenate([np.ravel(a) for a in arrays]).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", BATCH_NS)
+def test_stacked_batches_match_one_element_calls_bit_for_bit(n):
+    # _closed_terms raises w + s and w - s as one (2, m) array, and the
+    # seeded solver grades all its candidates in one call: each entry must
+    # come out as a call on it alone gives it, whatever its place in the
+    # array, which holds as long as numpy's complex loops do not depend on
+    # an element's position
+    rng = np.random.default_rng(n)
+    for R, theta in PRESETS:
+        p = params_from(R, theta)
+        z = np.concatenate([
+            rng.uniform(-1.5, 1.5, 41) + 1j * rng.uniform(-1.2, 1.2, 41),
+            rng.uniform(-1.0, 1.0, 6) + 0j, [1.0 + 0j, -1.0 + 0j, p.b / 2, 40.0 - 30.0j]])
+        got = _closed_terms(p, n, z)
+        want = [np.concatenate(parts) for parts in
+                zip(*(_closed_terms(p, n, z[i:i + 1]) for i in range(len(z))))]
+        assert np.array_equal(_bits(got), _bits(want)), (R, theta, n)
+    # entries that stay in range, underflow and overflow, side by side
+    mags = np.concatenate([rng.uniform(0.5, 1.5, 30), rng.uniform(1e-5, 1e-3, 10),
+                           rng.uniform(1e3, 1e5, 10)])
+    x = (mags * np.exp(2j * np.pi * rng.uniform(size=len(mags)))).reshape(2, -1)
+    got = ipow(x, n)
+    want = [ipow(x[k, j:j + 1], n) for k in range(2) for j in range(x.shape[1])]
+    assert got.shape == x.shape
+    assert np.array_equal(_bits([got]), _bits(want)), n

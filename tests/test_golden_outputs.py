@@ -1,5 +1,6 @@
 """Golden bytes: SHA-256 digests of zeros', predict's, plot's and verify's
-files for the four --paper-figure presets.
+files for the four --paper-figure presets, and of compute_zeros' zeros and
+residuals at one point per path of the seeded solver.
 
 The predict and plot --n 100 digests were generated before the arc walk, the
 nearest-polyline search and the arc Newton's stopping rule were rewritten for
@@ -7,7 +8,9 @@ speed, the verify digests before the zero labels and the probe ring were
 decided from distance bounds, the plot --n 500 and zeros CSV digests
 before the CSV and SVG writers formatted their numbers in bulk, and the
 digests of four airfoils the presets leave out before the case analysis
-moved into one record per airfoil; they hold the rewritten code to the same
+moved into one record per airfoil, and the zero-set digests before the
+closed form raised its two powers in one chain and the seeded solver
+graded each candidate once; they hold the rewritten code to the same
 output bytes. The 12 verify_report.json digests (GOLDEN_VERIFY and the third
 entry of each GOLDEN_CASES tuple) were regenerated on purpose when
 predicted_moments changed from a 512-node Gauss-Legendre quadrature of the
@@ -28,7 +31,7 @@ import os
 import sys
 import tempfile
 
-from faberzeros import cli
+from faberzeros import cli, compute_zeros, params_from
 
 GOLDEN = {
     1: {
@@ -120,6 +123,29 @@ GOLDEN_CASES = {
         "bdf6564c1906eaf0f8fa1fae995620411c5ea0043c11b969a2d9f28c02ade26c", 1),
 }
 
+# zeros.tobytes() + residuals.tobytes() of compute_zeros at (R, theta, n)
+GOLDEN_ZERO_SETS = {
+    # real segment, below criticality
+    (1.26, 0.0, 500): "fa4ad6f11aa41e5962c925bebd70005b63e0cc245df19cefc86fb0e8eb9538a0",
+    # real segment and loop; deflation finds the zero the seeds miss
+    (2.1, 0.0, 300): "2da506ad1c53f00e031cd8fed3a5cf8e66b44a20830bc8363732ca70543a99fd",
+    # arc and loop
+    (2.1, 0.2, 500): "86305e967863a89f1a72a3e53155cd2221f06a504e956045b919363823af61d5",
+    # steep arc and loop, with deflation
+    (2.691922, -0.952326, 193):
+        "d7f5e98bfe2c274dc5b74859df4a4f4bb995af051b3c2b9e0ba3be0221a18c25",
+    # n < 100: powers by numpy's x ** n, below the squaring chain
+    (1.45, 0.2, 60): "2f38d7bd7f0d132029d354878b36d19873ac67f9ac7ebd5c28de32638c8ce232",
+    # all 7 zeros finished by the mpmath polish
+    (8 / math.cos(1.5), 1.5, 7):
+        "79081f69880dcfb16fd422b76df6110ced24017895b7fe74e9d42ca15789ea3a",
+}
+
+
+def zero_set_digest(R: float, theta: float, n: int) -> str:
+    zs = compute_zeros(params_from(R, theta), n)
+    return hashlib.sha256(zs.zeros.tobytes() + zs.residuals.tobytes()).hexdigest()
+
 
 def figure_digests(fig: int, out: str) -> dict[str, str]:
     """Run predict and plot --n 100 for one preset into out; digest each file."""
@@ -200,6 +226,11 @@ def test_paper_figure_zeros_csv_match_golden_digests(tmp_path):
         assert got == {n: GOLDEN_ZEROS[(fig, n)] for n in (100, 500)}, fig
 
 
+def test_zero_sets_match_golden_digests():
+    for (R, theta, n), want in GOLDEN_ZERO_SETS.items():
+        assert zero_set_digest(R, theta, n) == want, (R, theta, n)
+
+
 def test_off_preset_airfoils_match_golden_digests(tmp_path):
     for k, ((R, theta), want) in enumerate(GOLDEN_CASES.items()):
         assert case_digests(R, theta, str(tmp_path / f"case{k}")) == want, (R, theta)
@@ -224,3 +255,6 @@ if __name__ == "__main__":
         json.dump({f"{R!r}, {theta!r}": case_digests(R, theta, os.path.join(tmp, f"case{k}"))
                    for k, (R, theta) in enumerate(GOLDEN_CASES)}, sys.stdout, indent=4)
         print()
+    json.dump({f"{R!r}, {theta!r}, {n}": zero_set_digest(R, theta, n)
+               for R, theta, n in GOLDEN_ZERO_SETS}, sys.stdout, indent=4)
+    print()
