@@ -6,7 +6,10 @@ Phi^n on a circle; FaberEvaluator evaluates the closed form pointwise.  The
 zero equation lives here too, on the paper's branch-free closed form
 a^n F_n = (w+s)^n + (w-s)^n - (-b)^n, w = z - b, s^2 = z^2 - 1: residual()
 returns it and its derivative, each divided by the n-th power of the largest
-of |w+s|, |w-s| and |b|, so neither overflows.
+of |w+s|, |w-s| and |b|, so neither overflows. residual, scaled_residual
+and ipow are quiet, each under an np.errstate of its own; their cores
+(_residual, _scaled_residual, _closed_terms, _pow_chain) enter none and run
+under the caller's, as the seeded solver calls them.
 """
 
 from __future__ import annotations
@@ -239,28 +242,40 @@ def _closed_terms(p: AirfoilParams, n: int, z):
     divided by top^n, top = max(|w+s|, |w-s|, |b|) so none overflows, and
     d+- = (w +- s)^(n-1) / top^n, which carry the derivative. Single-valued
     in z: the two terms swap across the cut of s. w + s and w - s are raised
-    as one (2, ...) array through one power chain (ipow), and the whole
-    evaluation runs under one errstate; t+-, d+- are rows of that array."""
+    as one (2, ...) array through one power chain (_pow_chain); t+-, d+- are
+    rows of that array. No errstate of its own: it runs under the caller's
+    (residual's, scaled_residual's or the seeded solver's)."""
     z = np.asarray(z, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        s = np.sqrt(z - 1.0) * np.sqrt(z + 1.0)
-        w = z - p.b
-        x = np.array((w + s, w - s))
-        mag = np.abs(x)
-        top = np.maximum(np.maximum(mag[0], mag[1]), abs(p.b))
-        d = _pow_chain(x / top, n - 1) / top
-        t = d * x
-        return t[0], t[1], _pow_chain(-p.b / top, n), d[0], d[1], s
+    s = np.sqrt(z - 1.0) * np.sqrt(z + 1.0)
+    w = z - p.b
+    x = np.array((w + s, w - s))
+    mag = np.abs(x)
+    top = np.maximum(np.maximum(mag[0], mag[1]), abs(p.b))
+    d = _pow_chain(x / top, n - 1) / top
+    t = d * x
+    return t[0], t[1], _pow_chain(-p.b / top, n), d[0], d[1], s
+
+
+def _derivative(n: int, z, dp, dm, s):
+    """r' from the terms of _closed_terms: n (d+ (s + z) + d- (s - z)) / s."""
+    return n * (dp * (s + z) + dm * (s - z)) / s
+
+
+def _residual(p: AirfoilParams, n: int, z):
+    """residual's body, without its errstate: for the seeded solver, which
+    evaluates under one errstate of its own."""
+    tp, tm, tb, dp, dm, s = _closed_terms(p, n, z)
+    return tp + tm - tb, _derivative(n, z, dp, dm, s)
 
 
 def residual(p: AirfoilParams, n: int, z):
     """(r, r'): a^n F_n(z) and its z-derivative, both divided by top^n
     (_closed_terms), so r = 0 exactly at the zeros of F_n and r/r' is
     Newton's step for F_n. r' is not the derivative of r, as top varies
-    with z. r' is NaN where s = 0 (z = +-1)."""
-    tp, tm, tb, dp, dm, s = _closed_terms(p, n, z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return tp + tm - tb, n * (dp * (s + z) + dm * (s - z)) / s
+    with z. r' is NaN where s = 0 (z = +-1). Quiet: no floating-point
+    warnings."""
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        return _residual(p, n, z)
 
 
 def _scaled(tp, tm, tb):
@@ -268,7 +283,14 @@ def _scaled(tp, tm, tb):
     return np.abs(tp + tm - tb) / (np.abs(tp) + np.abs(tm) + np.abs(tb))
 
 
+def _scaled_residual(p: AirfoilParams, n: int, z):
+    """scaled_residual's body, without its errstate."""
+    return _scaled(*_closed_terms(p, n, z)[:3])
+
+
 def scaled_residual(p: AirfoilParams, n: int, z):
     """|a^n F_n| / (|t+| + |t-| + |tb|), the residual relative to its three
-    terms (_closed_terms): O(eps) at true zeros on every component."""
-    return _scaled(*_closed_terms(p, n, z)[:3])
+    terms (_closed_terms): O(eps) at true zeros on every component. Quiet:
+    no floating-point warnings."""
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        return _scaled_residual(p, n, z)

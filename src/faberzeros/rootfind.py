@@ -8,7 +8,8 @@ adjacent Chebyshev values cos(k pi/n). Newton starts each from its node, the
 arc point where U = cos((k + 1/2) pi/n), within an exponentially small term
 of a zero. On a real airfoil the closed form is real on the segment, so each
 bracket is solved in z by Newton kept inside it by the residual's sign, one
-residual evaluation per pass (about 4.5 in all, ends included). Both step on
+residual evaluation per pass (about 3.6 in all, the one call for the ends and
+nodes included). Both step on
 f V^(-n/2), V = b^2 + 1 - 2bz, which on the arc is 2 T_n(U) - (-b/sqrt(V))^n
 and so stays bounded there (_newton_step). Loop zeros come from a unit-circle
 Newton in the w-plane on the exact pullback
@@ -22,10 +23,27 @@ finishes the few whose error bound stays above the closed form's rounding
 floor in double (near theta = pi/2 that floor is about 1e-13). Each
 candidate is evaluated once: one call of the closed form (_grade) on all
 segment, arc and loop candidates decides which are zeros and gives each
-kept zero its scaled residual and error bound, which follow it through the
-duplicate filter (_dedup returns indices); only the zeros the Newton pass
-moves, or deflation adds, are evaluated again. The closed form raises w + s
-and w - s as one array through one power chain (faber._closed_terms).
+kept zero its grades (scaled residual, error bound, r and r'), which follow
+it through the duplicate filter (_dedup returns indices); the Newton pass
+takes its first step from them, and only the zeros it moves, or deflation
+adds, are evaluated again. The closed form raises w + s and w - s as one
+array through one power chain (faber._closed_terms).
+
+Floating-point warnings: roots_seeded runs the whole solve under one
+np.errstate (divide, over, under and invalid ignored). The private helpers
+(faber._closed_terms, faber._residual, faber._scaled_residual,
+faber._pow_chain and every underscored function here) run under their caller's errstate and enter none
+of their own; the public residual, scaled_residual, ipow and seed_plan each
+keep one, so they stay quiet wherever they are called.
+
+The evaluation budget per stage, in calls of the closed form: the real
+segment one call for its m + 1 bracket ends and m nodes, then one per
+further Newton pass (at most 60); the arc one per Newton pass (at most 80);
+the loop's w-plane Newton one [w, g(w)] power chain per pass (at most 100),
+with no final test; one _grade call for all those candidates; _tighten at
+most 7 residual calls (8 passes, the first from the grades) and one _grade
+call on the zeros it moved; _deflate one per Aberth pass (at most 200) and
+one _grade call; one call on the zeros _polish_mp finished.
 
 The simultaneous (Aberth) solver on the coefficients,
 roots_simultaneous(faber_closed(p, n)), is kept as an independent oracle for
@@ -46,7 +64,8 @@ import numpy as np
 from .conformal import AirfoilParams, phi_b_inverse
 from .errors import ConvergenceError, DeficitError, MismatchError
 from .faber import (
-    _closed_terms, _pow_chain, _scaled, faber_coeffs_mp, residual, scaled_residual,
+    _closed_terms, _derivative, _pow_chain, _residual, _scaled, _scaled_residual,
+    faber_coeffs_mp, scaled_residual,
 )
 from .limitsets import arc_z_of_u, classify, loop_g
 
@@ -253,11 +272,12 @@ def seed_plan(p: AirfoilParams, n: int) -> SeedPlan:
     if n < 1:
         raise ValueError("n must be >= 1")
     case = classify(p)
+    s_max = case.s_max
     k = np.arange(n)
     tlo = k * np.pi / n
     thi = (k + 1) * np.pi / n
-    keep = tlo < case.s_max - 1e-15
-    tlo, thi = tlo[keep], np.minimum(thi[keep], case.s_max)
+    keep = tlo < s_max - 1e-15
+    tlo, thi = tlo[keep], np.minimum(thi[keep], s_max)
     ts = np.stack([tlo, thi], axis=1)
     brackets = np.empty((0, 3), complex)
     if len(ts) and p.is_real:
@@ -276,29 +296,28 @@ def seed_plan(p: AirfoilParams, n: int) -> SeedPlan:
 
 def _newton_w(p: AirfoilParams, n: int, w, max_iter=100):
     """Newton on h(w) = w^n + g(w)^n - 1 on/near the unit circle, each step
-    capped at 0.1; the w with |h(w)| below 1e-6 are returned. w and g(w)
-    are raised as one (2, m) array through one power chain (faber.ipow)."""
+    capped at 0.1, from every seed w; returns where each one stopped.
+    Whether that point is a zero is left to roots_seeded's grading of its
+    image in z. w and g(w) are raised as one (2, m) array through one power
+    chain (faber._pow_chain)."""
     b, cap = p.b, 0.1
     w = np.asarray(w, dtype=complex).copy()
     if not len(w):
         return w
     for _ in range(max_iter):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-            g = loop_g(p, w)
-            wn, gn = _pow_chain(np.array((w, g)), n)
-            h = wn + gn - 1.0
-            dh = n * wn / w - n * gn / g / (b * b * (1.0 - w) ** 2)
-            dh = np.where(np.abs(dh) < 1e-300, 1e-300, dh)
-            step = h / dh
-            step = np.where(np.isfinite(step), step, cap)
-            mag = np.abs(step)
-            step = np.where(mag > cap, step * (cap / mag), step)
+        g = loop_g(p, w)
+        wn, gn = _pow_chain(np.array((w, g)), n)
+        h = wn + gn - 1.0
+        dh = n * wn / w - n * gn / g / (b * b * (1.0 - w) ** 2)
+        dh = np.where(np.abs(dh) < 1e-300, 1e-300, dh)
+        step = h / dh
+        step = np.where(np.isfinite(step), step, cap)
+        mag = np.abs(step)
+        step = np.where(mag > cap, step * (cap / mag), step)
         w = w - step
         if np.max(np.abs(step)) < 5e-16 * np.max(1.0 + np.abs(w)):
             break
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        wn, gn = _pow_chain(np.array((w, loop_g(p, w))), n)
-        return w[np.abs(wn + gn - 1.0) < 1e-6]
+    return w
 
 
 def _at_floor(step, z, prev):
@@ -309,17 +328,17 @@ def _at_floor(step, z, prev):
     return mag, (mag < 1e-15 * scale) | ((mag < 1e-12 * scale) & (mag > 0.5 * prev))
 
 
-def _newton_step(p: AirfoilParams, n: int, z):
-    """(r, step) from one residual call: Newton's step for f V^(-n/2),
-    f = a^n F_n, V = b^2 + 1 - 2bz, which is r / (r' + n b r / V). It has
-    the zeros of f but stays bounded on the arc, where f V^(-n/2) is
+def _newton_step(p: AirfoilParams, n: int, z, rdr=None):
+    """(r, step) from one residual call, or from rdr = (r, r') already
+    evaluated at z: Newton's step for f V^(-n/2), f = a^n F_n,
+    V = b^2 + 1 - 2bz, which is r / (r' + n b r / V). It has the zeros of f
+    but stays bounded on the arc, where f V^(-n/2) is
     2 T_n(U) - (-b/sqrt(V))^n; Newton on f alone needs more passes."""
-    r, dr = residual(p, n, z)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return r, r / (dr + n * p.b * r / (p.b * p.b + 1.0 - 2.0 * p.b * z))
+    r, dr = _residual(p, n, z) if rdr is None else rdr
+    return r, r / (dr + n * p.b * r / (p.b * p.b + 1.0 - 2.0 * p.b * z))
 
 
-def _newton_z(p: AirfoilParams, n: int, z, max_iter=80, cap=0.05):
+def _newton_z(p: AirfoilParams, n: int, z, max_iter=80, cap=0.05, first=None):
     """(z, lost): Newton in z (_newton_step), each zero stopped on its own
     once its step reaches the rounding floor (_at_floor; near theta = pi/2
     the residual's own rounding keeps the step above 1e-15 (1 + |z|)). A
@@ -329,7 +348,9 @@ def _newton_z(p: AirfoilParams, n: int, z, max_iter=80, cap=0.05):
     degree and steep rotation the arc seeds crawl off; counting capped
     passes instead drops thousands of slow seeds that do converge, and
     deflation pays for them). Whether a zero is close enough is left to the
-    caller's grading."""
+    caller's grading. first, if given, is (r, r') at z from that grading
+    (_grade): the first pass takes its step from it, without a residual
+    call."""
     z = np.asarray(z, dtype=complex).copy()
     lost = np.zeros(len(z), dtype=bool)
     if not len(z):
@@ -338,12 +359,12 @@ def _newton_z(p: AirfoilParams, n: int, z, max_iter=80, cap=0.05):
     prev = np.full(len(z), np.inf)
     for left in range(max_iter, 0, -1):
         za = z[active]
-        step = _newton_step(p, n, za)[1]
+        step = _newton_step(p, n, za, first)[1]
+        first = None
         step = np.where(np.isfinite(step), step, cap)
         mag = np.abs(step)
         far = mag > cap * left
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(mag > cap, step * (cap / mag), step)
+        step = np.where(mag > cap, step * (cap / mag), step)
         za = za - step
         z[active] = za
         mag, done = _at_floor(step, za, prev)
@@ -369,28 +390,35 @@ def _newton_real(p: AirfoilParams, n: int, brackets):
     (zeros within rounding of an end throw Newton out), else the midpoint. A
     zero stops at the rounding floor (_at_floor), once its bracket is
     4 eps (1 + |z|) wide, or where r is exactly 0, keeping that point;
-    60 passes at most. Every sign-changing bracket gives one point;
-    roots_seeded's grading decides which are zeros."""
+    60 passes at most. One residual call covers the bracket ends and the
+    clipped nodes, and the first pass reads the nodes' r and r' from it.
+    Every sign-changing bracket gives one point; roots_seeded's grading
+    decides which are zeros."""
     # bracket k's low end is bracket k + 1's high end, bit for bit (the
     # same angle through the same arc_z_of_u call): m + 1 distinct ends
+    m = len(brackets)
     ends = np.concatenate([brackets[:, 2], brackets[-1:, 0]]).real
-    f = residual(p, n, ends + 0j)[0].real
+    lo, hi = ends[1:], ends[:-1]
+    nodes = np.clip(brackets[:, 1].real, lo, hi)
+    r, dr = _residual(p, n, np.concatenate([ends, nodes]) + 0j)
+    f = r[:m + 1].real
     good = np.sign(f[1:]) * np.sign(f[:-1]) < 0
-    lo, hi = ends[1:][good], ends[:-1][good]
+    lo, hi = lo[good], hi[good]
     flo, fhi = f[1:][good], f[:-1][good]
-    z = np.clip(brackets[good, 1].real, lo, hi)
+    z = nodes[good]
+    rdr = r[m + 1:][good], dr[m + 1:][good]
     x, idx, prev = z.copy(), np.arange(len(z)), np.full(len(z), np.inf)
     for _ in range(60):
         if not len(idx):
             break
-        r, step = _newton_step(p, n, x + 0j)
+        r, step = _newton_step(p, n, x + 0j, rdr)
+        rdr = None
         fx = r.real
         left = np.sign(fx) == np.sign(flo)
         lo, flo = np.where(left, x, lo), np.where(left, fx, flo)
         hi, fhi = np.where(left, hi, x), np.where(left, fhi, fx)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            new = x - step.real
-            rf = np.clip((lo * fhi - hi * flo) / (fhi - flo), lo, hi)
+        new = x - step.real
+        rf = np.clip((lo * fhi - hi * flo) / (fhi - flo), lo, hi)
         rf = np.where(np.isfinite(rf), rf, 0.5 * (lo + hi))
         new = np.where((lo < new) & (new < hi), new, rf)
         new = np.where(fx == 0.0, x, new)    # a zero step: _at_floor stops it
@@ -404,43 +432,50 @@ def _newton_real(p: AirfoilParams, n: int, brackets):
 
 
 def _grade(p: AirfoilParams, n: int, z):
-    """(scaled residual, forward-error bound, |r|) at each z from one
-    _closed_terms call; r = t+ + t- - tb is residual()'s r and the scaled
-    residual is scaled_residual's, bit for bit. The bound is the larger of
-    Newton's estimate |f/f'| and the closed form's rounding floor
+    """(scaled residual, forward-error bound, r, r') at each z from one
+    _closed_terms call: the zeros' grades. r = t+ + t- - tb and r' are
+    residual()'s (r, r') and the scaled residual is scaled_residual's, bit
+    for bit. The bound is the larger of Newton's estimate |f/f'| and the
+    closed form's rounding floor
     n eps (|w| + |s|) (|t+/(w+s)| + |t-/(w-s)|) / |f'|, the error of the two
     powers over the slope: below that floor a double-precision residual
     cannot see the error (it reaches 1e-13 near theta = pi/2)."""
     tp, tm, tb, dp, dm, s = _closed_terms(p, n, z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.abs(tp + tm - tb)
-        df = np.abs(n * (dp * (s + z) + dm * (s - z)) / s)
-        floor = n * _EPS * (np.abs(z - p.b) + np.abs(s)) * (np.abs(dp) + np.abs(dm))
-        return _scaled(tp, tm, tb), np.maximum(r, floor) / df, r
+    r = tp + tm - tb
+    dr = _derivative(n, z, dp, dm, s)
+    floor = n * _EPS * (np.abs(z - p.b) + np.abs(s)) * (np.abs(dp) + np.abs(dm))
+    return _scaled(tp, tm, tb), np.maximum(np.abs(r), floor) / np.abs(dr), r, dr
 
 
-def _tighten(p: AirfoilParams, n: int, zs, res, bound):
-    """(zeros, scaled residuals, forward-error bounds) after double-precision
-    Newton on every zero whose scaled residual res is above TIGHTEN_GATE
-    (NaN counts as above); res and bound are the zeros' grades (_grade). A
-    zero takes its new value only where the residual dropped; real zeros of
-    a real airfoil stay on the axis. One _grade call covers the points
-    Newton moved the zeros to."""
+def _pick(zs, grades, idx):
+    """The zeros zs[idx] with their grades (_grade)."""
+    return zs[idx], tuple(g[idx] for g in grades)
+
+
+def _tighten(p: AirfoilParams, n: int, zs, grades):
+    """(zeros, grades) after double-precision Newton on every zero whose
+    scaled residual is above TIGHTEN_GATE (NaN counts as above); grades are
+    the zeros' (_grade), and Newton's first pass takes its step from their
+    r and r'. A zero takes its new value only where the residual dropped;
+    real zeros of a real airfoil stay on the axis. One _grade call covers
+    the points Newton moved the zeros to."""
+    res = grades[0]
     bad = ~(res <= TIGHTEN_GATE)
     if not np.any(bad):
-        return zs, res, bound
+        return zs, grades
     old = zs[bad]
-    new = _newton_z(p, n, old, max_iter=8, cap=1e-3)[0]
+    new = _newton_z(p, n, old, max_iter=8, cap=1e-3,
+                    first=(grades[2][bad], grades[3][bad]))[0]
     if p.is_real:
         new = np.where(old.imag == 0.0, new.real + 0j, new)
-    new_res, new_bound, _ = _grade(p, n, new)
-    better = new_res < np.where(np.isnan(res[bad]), np.inf, res[bad])
-    zs, res, bound = zs.copy(), res.copy(), bound.copy()
+    new_grades = _grade(p, n, new)
+    better = new_grades[0] < np.where(np.isnan(res[bad]), np.inf, res[bad])
     idx = np.nonzero(bad)[0][better]
+    zs, grades = zs.copy(), tuple(g.copy() for g in grades)
     zs[idx] = new[better]
-    res[idx] = new_res[better]
-    bound[idx] = new_bound[better]
-    return zs, res, bound
+    for g, ng in zip(grades, new_grades):
+        g[idx] = ng[better]
+    return zs, grades
 
 
 def _polish_mp(p: AirfoilParams, n: int, z):
@@ -490,7 +525,7 @@ def _deflate(p: AirfoilParams, n: int, found):
     centroid (n b/2 - sum(found)) / m, through the farthest found zero and no
     smaller than the capacity. Each zero stops on its own (_at_floor); those
     with scaled residual below 1e-6 are returned, real ones on the axis,
-    with their scaled residuals and forward-error bounds (_grade)."""
+    with their grades (_grade)."""
     m = n - len(found)
     c0 = (0.5 * n * p.b - np.sum(found)) / m
     r0 = np.max(np.abs(found - c0), initial=p.capacity)
@@ -500,12 +535,11 @@ def _deflate(p: AirfoilParams, n: int, found):
     prev = np.full(m, np.inf)
     for _ in range(200):
         z = pts[active]
-        r, dr = residual(p, n, z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = r / dr
-            diff = z[:, None] - pts[None, :]
-            diff[np.arange(len(active)), active] = np.inf
-            step = newton / (1.0 - newton * np.sum(1.0 / diff, axis=1))
+        r, dr = _residual(p, n, z)
+        newton = r / dr
+        diff = z[:, None] - pts[None, :]
+        diff[np.arange(len(active)), active] = np.inf
+        step = newton / (1.0 - newton * np.sum(1.0 / diff, axis=1))
         step = np.where(np.isfinite(step), step, 0.0)
         z = z - step
         pts[active] = z
@@ -518,9 +552,8 @@ def _deflate(p: AirfoilParams, n: int, found):
         # zeros come in conjugate pairs, and a pair this close to the axis
         # would be one zero to _dedup: such a zero is real
         z = np.where(np.abs(z.imag) < 0.5 * DISTINCT_TOL, z.real + 0j, z)
-    res, bound, _ = _grade(p, n, z)
-    ok = res < 1e-6
-    return z[ok], res[ok], bound[ok]
+    grades = _grade(p, n, z)
+    return _pick(z, grades, grades[0] < 1e-6)
 
 
 def roots_seeded(p: AirfoilParams, n: int) -> ZeroSet:
@@ -528,51 +561,52 @@ def roots_seeded(p: AirfoilParams, n: int) -> ZeroSet:
     ones the seeds miss by Aberth's iteration with the found zeros held fixed
     (_deflate). One _grade call covers the segment, arc and loop candidates:
     it decides which are zeros (scaled residual below 1e-6 on a real
-    segment, |r| below 1e-6 on the arc; the loop's Newton has its own test)
-    and gives the kept ones the grades _tighten starts from. Every zero is
-    then tightened in double and, where its forward-error bound stays above
-    POLISH_GATE, polished in mpmath. DeficitError when the count isn't n."""
+    segment and on the loop, |r| below 1e-6 on the arc) and gives the kept
+    ones the grades _tighten starts from. Every zero is then tightened in
+    double and, where its forward-error bound stays above POLISH_GATE,
+    polished in mpmath. DeficitError when the count isn't n. The whole
+    solve runs under this one errstate; the private helpers it calls have
+    none of their own."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    plan = seed_plan(p, n)
-    seg = loop = np.empty(0, complex)
-    if len(plan._ts):
-        if p.is_real:
-            seg = _newton_real(p, n, plan.segment_brackets)
-        else:
-            mid = np.cos(0.5 * (plan._ts[:, 0] + plan._ts[:, 1]))
-            z, lost = _newton_z(p, n, arc_z_of_u(p, mid))
-            seg = z[~lost]
-    if len(plan._omegas):
-        w = _newton_w(p, n, plan._omegas)
-        if len(w):
-            loop = phi_b_inverse(p, w)
-    zs = np.concatenate([seg, loop])
-    res, bound, r = _grade(p, n, zs)
-    ok = np.ones(len(zs), dtype=bool)
-    ok[:len(seg)] = (res if p.is_real else r)[:len(seg)] < 1e-6
-    zs, res, bound = zs[ok], res[ok], bound[ok]
-    keep = _dedup(zs)
-    zs, res, bound = zs[keep], res[keep], bound[keep]
-    if len(zs) < n:
-        # an arc zero Newton left loose can lie farther than DISTINCT_TOL
-        # from the same zero found again: tighten before counting the missing
-        zs, res, bound = _tighten(p, n, zs, res, bound)
-        keep = _dedup(zs)
-        # not deduplicated against the found zeros: deflation comes back to
-        # a found zero only where that zero is multiple
-        more = _deflate(p, n, zs[keep])
-        zs, res, bound = (np.concatenate([a[keep], b])
-                          for a, b in zip((zs, res, bound), more))
-    if len(zs) != n:
-        raise DeficitError(
-            f"found {len(zs)} of {n} zeros", missing=n - len(zs))
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        plan = seed_plan(p, n)
+        seg = loop = np.empty(0, complex)
+        if len(plan._ts):
+            if p.is_real:
+                seg = _newton_real(p, n, plan.segment_brackets)
+            else:
+                mid = np.cos(0.5 * (plan._ts[:, 0] + plan._ts[:, 1]))
+                z, lost = _newton_z(p, n, arc_z_of_u(p, mid))
+                seg = z[~lost]
+        if len(plan._omegas):
+            loop = phi_b_inverse(p, _newton_w(p, n, plan._omegas))
+        zs = np.concatenate([seg, loop])
+        grades = _grade(p, n, zs)
+        ok = grades[0] < 1e-6
+        if not p.is_real:
+            ok[:len(seg)] = np.abs(grades[2][:len(seg)]) < 1e-6
+        zs, grades = _pick(zs, grades, ok)
+        zs, grades = _pick(zs, grades, _dedup(zs))
+        if len(zs) < n:
+            # an arc zero Newton left loose can lie farther than DISTINCT_TOL
+            # from the same zero found again: tighten before counting the missing
+            zs, grades = _tighten(p, n, zs, grades)
+            zs, grades = _pick(zs, grades, _dedup(zs))
+            # not deduplicated against the found zeros: deflation comes back to
+            # a found zero only where that zero is multiple
+            more, more_grades = _deflate(p, n, zs)
+            zs = np.concatenate([zs, more])
+            grades = tuple(np.concatenate(pair) for pair in zip(grades, more_grades))
+        if len(zs) != n:
+            raise DeficitError(
+                f"found {len(zs)} of {n} zeros", missing=n - len(zs))
 
-    zs, res, bound = _tighten(p, n, zs, res, bound)
-    ill = ~(bound <= POLISH_GATE * np.maximum(1.0, np.abs(zs)))
-    if np.any(ill):
-        zs[ill] = _polish_mp(p, n, zs[ill])
-        res[ill] = scaled_residual(p, n, zs[ill])
+        zs, (res, bound, _, _) = _tighten(p, n, zs, grades)
+        ill = ~(bound <= POLISH_GATE * np.maximum(1.0, np.abs(zs)))
+        if np.any(ill):
+            zs[ill] = _polish_mp(p, n, zs[ill])
+            res[ill] = _scaled_residual(p, n, zs[ill])
     order = np.lexsort((zs.imag, zs.real))
     return ZeroSet(n, zs[order], res[order], Method.SEEDED)
 

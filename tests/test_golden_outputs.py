@@ -1,6 +1,7 @@
 """Golden bytes: SHA-256 digests of zeros', predict's, plot's and verify's
 files for the four --paper-figure presets, and of compute_zeros' zeros and
-residuals at one point per path of the seeded solver.
+residuals at one point per path of the seeded solver, with the closed-form
+calls each makes.
 
 The predict and plot --n 100 digests were generated before the arc walk, the
 nearest-polyline search and the arc Newton's stopping rule were rewritten for
@@ -31,7 +32,7 @@ import os
 import sys
 import tempfile
 
-from faberzeros import cli, compute_zeros, params_from
+from faberzeros import cli, compute_zeros, faber, params_from, rootfind
 
 GOLDEN = {
     1: {
@@ -141,6 +142,18 @@ GOLDEN_ZERO_SETS = {
         "79081f69880dcfb16fd422b76df6110ced24017895b7fe74e9d42ca15789ea3a",
 }
 
+# calls of the closed form (faber._closed_terms) one compute_zeros makes at
+# the GOLDEN_ZERO_SETS points: the solver's evaluation budget, pinned so
+# that an evaluation added back shows here
+CLOSED_FORM_CALLS = {
+    (1.26, 0.0, 500): 3,
+    (2.1, 0.0, 300): 11,
+    (2.1, 0.2, 500): 9,
+    (2.691922, -0.952326, 193): 15,
+    (1.45, 0.2, 60): 4,
+    (8 / math.cos(1.5), 1.5, 7): 14,
+}
+
 
 def zero_set_digest(R: float, theta: float, n: int) -> str:
     zs = compute_zeros(params_from(R, theta), n)
@@ -226,9 +239,23 @@ def test_paper_figure_zeros_csv_match_golden_digests(tmp_path):
         assert got == {n: GOLDEN_ZEROS[(fig, n)] for n in (100, 500)}, fig
 
 
-def test_zero_sets_match_golden_digests():
+def test_zero_sets_match_golden_digests(monkeypatch):
+    assert CLOSED_FORM_CALLS.keys() == GOLDEN_ZERO_SETS.keys()
+    calls = 0
+    closed_terms = faber._closed_terms
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return closed_terms(*args)
+
+    # residual's core looks it up in faber, the grading in rootfind
+    monkeypatch.setattr(faber, "_closed_terms", counted)
+    monkeypatch.setattr(rootfind, "_closed_terms", counted)
     for (R, theta, n), want in GOLDEN_ZERO_SETS.items():
+        calls = 0
         assert zero_set_digest(R, theta, n) == want, (R, theta, n)
+        assert calls == CLOSED_FORM_CALLS[R, theta, n], (R, theta, n, calls)
 
 
 def test_off_preset_airfoils_match_golden_digests(tmp_path):

@@ -18,6 +18,7 @@ from faberzeros.faber import (
     PolyCoeffs, faber_closed, faber_coeffs_mp, residual, scaled_residual,
 )
 from faberzeros.limitsets import arc_z_of_u
+from test_measures import BRANCH_AIRFOILS
 from faberzeros.rootfind import (
     Method, compute_zeros, cross_check, roots_seeded, roots_simultaneous,
     seed_plan,
@@ -287,19 +288,22 @@ STEEP = [(5.428131, 1.09256, 292), (4.679281, 1.081578, 281)] + [
 def test_newton_z_stops_each_zero_at_the_rounding_floor(monkeypatch):
     # the residual's rounding floor keeps the largest step near 1e-14 here,
     # 2e-15 of 1 + |z|, so a stop on max |step| < 1e-15 max(1 + |z|) ran
-    # all 80 iterations (80 residual calls)
+    # all 80 iterations (80 residual calls); the solver calls the residual's
+    # errstate-free core, so that is what is counted
     R, theta, n = STEEP[0]
     p = params_from(R, theta)
     ts = seed_plan(p, n)._ts
     seeds = arc_z_of_u(p, np.cos(0.5 * (ts[:, 0] + ts[:, 1])))
     calls = []
+    core = rootfind._residual
 
     def counted(*args):
         calls.append(1)
-        return residual(*args)
+        return core(*args)
 
-    monkeypatch.setattr(rootfind, "residual", counted)
-    found, lost = rootfind._newton_z(p, n, seeds)
+    monkeypatch.setattr(rootfind, "_residual", counted)
+    with np.errstate(all="ignore"):
+        found, lost = rootfind._newton_z(p, n, seeds)
     assert len(calls) <= 14
     assert len(found) == len(seeds) and not lost.any()
     assert np.all(np.abs(residual(p, n, found)[0]) < 1e-6)
@@ -353,19 +357,53 @@ def test_final_stage_polishes_exactly_the_flagged_zeros(monkeypatch):
     assert total > 0
 
 
-def test_tighten_grades_the_zeros_it_returns():
+def test_tighten_grades_the_zeros_it_returns(monkeypatch):
     # residuals and error bounds of the zeros Newton moved come from their
-    # new values, the others' from the one evaluation before
+    # new values, the others' from the one evaluation before. Newton's first
+    # pass steps from the grades' r and r', so of its 8 passes at most 7
+    # call the residual (the solver's errstate-free core), and one more
+    # closed-form call grades the moved zeros
+    calls = 0
+    core = rootfind._residual
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return core(*args)
+
+    monkeypatch.setattr(rootfind, "_residual", counted)
     for R, theta, n in FINAL_STAGE:
         p = params_from(R, theta)
         z = compute_zeros(p, n).zeros.copy()
         z[::7] += 1e-9 * (1.0 + 1.0j)
-        zt, res, bound = rootfind._tighten(p, n, z, *rootfind._grade(p, n, z)[:2])
+        with np.errstate(all="ignore"):
+            grades = rootfind._grade(p, n, z)
+            calls = 0
+            zt, (res, bound, r, dr) = rootfind._tighten(p, n, z, grades)
+            assert 1 <= calls <= 7, (R, theta, n, calls)
+            want = rootfind._grade(p, n, zt)
         assert np.any(zt[::7] != z[::7]) and np.array_equal(zt[1::7], z[1::7])
+        for got, exp in zip((res, bound, r, dr), want):
+            assert np.array_equal(got.view(np.uint64), exp.view(np.uint64)), (R, theta, n)
         want = scaled_residual(p, n, zt)
         assert np.array_equal(res.view(np.uint64), want.view(np.uint64)), (R, theta, n)
-        want = rootfind._grade(p, n, zt)[1]
-        assert np.array_equal(bound.view(np.uint64), want.view(np.uint64)), (R, theta, n)
+
+
+def test_grade_r_and_derivative_are_residuals_bit_for_bit():
+    # _tighten's first Newton step is formed from _grade's r and r': they
+    # must be residual()'s, bit for bit, at zeros, near them and off them
+    # (at z = +-1, where r' is NaN, too)
+    for R, theta in PRESETS + BRANCH_AIRFOILS:
+        p = params_from(R, theta)
+        for n in (7, 60, 99, 100, 300, 500):
+            zeros = compute_zeros(p, n).zeros
+            z = np.concatenate([zeros, zeros + 1e-7 * (1.0 - 2.0j), 1.1 * zeros + 0.3j,
+                                [1.0 + 0j, -1.0 + 0j, p.b, p.c]])
+            with np.errstate(all="ignore"):
+                _, _, r, dr = rootfind._grade(p, n, z)
+            want_r, want_dr = residual(p, n, z)
+            assert np.array_equal(r.view(np.uint64), want_r.view(np.uint64)), (R, theta, n)
+            assert np.array_equal(dr.view(np.uint64), want_dr.view(np.uint64)), (R, theta, n)
 
 
 def test_seed_plan_maps_z_brackets_only_on_real_airfoils():
@@ -449,11 +487,25 @@ def test_accuracy_sweep_includes_steep_rotations():
 
 def test_high_degree_near_pole_stays_finite_and_quiet():
     # a zero close to c, where U has its pole, used to overflow x^n: 105
-    # RuntimeWarnings and one NaN residual
+    # RuntimeWarnings and one NaN residual. The solver's private helpers run
+    # under roots_seeded's one errstate; the public entry points each keep
+    # their own: residual and scaled_residual at z = +-1 (r' is 0/0 there)
+    # and next to c, and seed_plan where the loop seeds divide by 1 - w = 0
     p = params_from(3.0, 0.5)
+    ends = np.array([1.0, -1.0], dtype=complex)
+    near_c = p.c * (1.0 + np.array([0.0, 1e-15, -1e-12, 1e-9j]))
+    supercritical = params_from(2.1, 0.2)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         zs = compute_zeros(p, 500)
+        for n in (7, 100, 500):
+            r, dr = residual(p, n, ends)
+            assert np.all(np.isnan(dr))
+            assert np.all(np.isfinite(scaled_residual(p, n, ends)))
+            residual(p, n, near_c)
+            scaled_residual(p, n, near_c)
+            plan = seed_plan(supercritical, n)
+            assert len(plan._omegas)
     assert zs.n == 500
     assert np.all(np.isfinite(zs.residuals))
 
@@ -508,7 +560,8 @@ def test_segment_bisection_in_z_matches_t_reference(R, monkeypatch):
     for n in SEGMENT_NS:
         plan = seed_plan(p, n)
         assert plan.segment_brackets.shape == (len(plan._ts), 3)
-        raw = rootfind._newton_real(p, n, plan.segment_brackets)
+        with np.errstate(all="ignore"):     # the caller's, as in roots_seeded
+            raw = rootfind._newton_real(p, n, plan.segment_brackets)
         assert len(raw) == len(t_bisect_reference(p, n, plan.segment_brackets))
         assert np.all(raw.imag == 0.0)
         assert _rel_ulp_ok(p, n, raw), (R, n)
@@ -530,7 +583,8 @@ def test_segment_bisection_in_z_matches_t_reference(R, monkeypatch):
 @pytest.mark.parametrize("R,n", [(1.001, 1), (1.26, 8), (1.4, 33)])
 def test_segment_newton_keeps_exact_zeros_and_bracket_ends(R, n):
     p = params_from(R, 0.0)
-    raw = rootfind._newton_real(p, n, seed_plan(p, n).segment_brackets)
+    with np.errstate(all="ignore"):
+        raw = rootfind._newton_real(p, n, seed_plan(p, n).segment_brackets)
     assert len(raw) and _rel_ulp_ok(p, n, raw), (R, n)
 
 
@@ -538,21 +592,26 @@ def test_segment_newton_needs_few_residual_calls(monkeypatch):
     # 60 fixed bisection steps plus the two bracket ends made 62 calls;
     # Newton from the bracket midpoint took 6.61 on average and 9 at most,
     # from the Chebyshev node 4.53 and 8, with the same zeros found
+    # (one call now covers the bracket ends and the nodes, and the first
+    # pass reads from it; counted on the residual's errstate-free core,
+    # which the solver calls)
     calls = 0
+    core = rootfind._residual
 
     def counted(*args):
         nonlocal calls
         calls += 1
-        return residual(*args)
+        return core(*args)
 
-    monkeypatch.setattr(rootfind, "residual", counted)
+    monkeypatch.setattr(rootfind, "_residual", counted)
     counts, found = [], 0
     for R in SEGMENT_RS:
         p = params_from(R, 0.0)
         for n in SEGMENT_NS:
             brackets = seed_plan(p, n).segment_brackets
             calls = 0
-            found += len(rootfind._newton_real(p, n, brackets))
+            with np.errstate(all="ignore"):
+                found += len(rootfind._newton_real(p, n, brackets))
             assert calls <= 8, (R, n, calls)
             counts.append(calls)
     assert np.mean(counts) <= 5.0, np.mean(counts)
