@@ -3,16 +3,14 @@
 The production route is the seeded solver, which never touches coefficients.
 Its one zero equation in z is the paper's branch-free closed form
 a^n F_n = (w+s)^n + (w-s)^n - (-b)^n, w = z - b, s^2 = z^2 - 1 (faber.residual).
-Segment zeros come from brackets whose ends are the arc points where U takes
-adjacent Chebyshev values cos(k pi/n). Newton starts each from its node, the
-arc point where U = cos((k + 1/2) pi/n), within an exponentially small term
-of a zero. On a real airfoil the closed form is real on the segment, so each
-bracket is solved in z by Newton kept inside it by the residual's sign, one
-residual evaluation per pass (about 3.6 in all, the one call for the ends and
-nodes included). Both step on
+Segment zeros, real or not, come from one Newton in z started at the
+Chebyshev nodes, the arc points where U = cos((k + 1/2) pi/n). It steps on
 f V^(-n/2), V = b^2 + 1 - 2bz, which on the arc is 2 T_n(U) - (-b/sqrt(V))^n
-and so stays bounded there (_newton_step). Loop zeros come from a unit-circle
-Newton in the w-plane on the exact pullback
+with |-b/sqrt(V)| <= 1: bounded there, and within an exponentially small
+term of a zero at each node (_newton_step). On a real airfoil a candidate
+within DISTINCT_TOL/2 of the axis is real (_on_axis), and the zeros come
+back in exact conjugate pairs. Loop zeros come from a unit-circle Newton in
+the w-plane on the exact pullback
 F_n(J(b(1-w))) = (-b/a)^n (w^n + g(w)^n - 1), g(w) = 1 - 1/(b^2 (1-w)).
 The zeros these seeds miss (near the loop corners, just above criticality,
 and at low degree and steep rotation, where the limit set is far from the
@@ -36,14 +34,13 @@ faber._pow_chain and every underscored function here) run under their caller's e
 of their own; the public residual, scaled_residual, ipow and seed_plan each
 keep one, so they stay quiet wherever they are called.
 
-The evaluation budget per stage, in calls of the closed form: the real
-segment one call for its m + 1 bracket ends and m nodes, then one per
-further Newton pass (at most 60); the arc one per Newton pass (at most 80);
-the loop's w-plane Newton one [w, g(w)] power chain per pass (at most 100),
-with no final test; one _grade call for all those candidates; _tighten at
-most 7 residual calls (8 passes, the first from the grades) and one _grade
-call on the zeros it moved; _deflate one per Aberth pass (at most 200) and
-one _grade call; one call on the zeros _polish_mp finished.
+The evaluation budget per stage, in calls of the closed form: the arc one
+per Newton pass (at most 80); the loop's w-plane Newton one [w, g(w)] power
+chain per pass (at most 100), with no final test; one _grade call for all
+those candidates; _tighten at most 7 residual calls (8 passes, the first
+from the grades) and one _grade call on the zeros it moved; _deflate one per
+Aberth pass (at most 200) and one _grade call; one call on the zeros
+_polish_mp finished.
 
 The simultaneous (Aberth) solver on the coefficients,
 roots_simultaneous(faber_closed(p, n)), is kept as an independent oracle for
@@ -100,22 +97,23 @@ def _sorted(z):
     return z[np.lexsort((z.imag, z.real))]
 
 
-def _dedup(z, tol=DISTINCT_TOL):
+def _dedup(z):
     """Indices of the zeros kept, in (Re, Im) order, greedy in that order:
-    drop each zero within tol of one kept before it. Each zero is compared,
-    all at once, with those after it whose real parts lie within 2 tol (a
-    margin over rounding); only the pairs within tol are walked in order,
-    since a zero drops its partner only if it is itself kept. Indices, so
-    that whatever the caller holds per zero follows the zeros kept."""
+    drop each zero within DISTINCT_TOL of one kept before it. Each zero is
+    compared, all at once, with those after it whose real parts lie within
+    twice that (a margin over rounding); only the pairs within it are walked
+    in order, since a zero drops its partner only if it is itself kept.
+    Indices, so that whatever the caller holds per zero follows the zeros
+    kept."""
     order = np.lexsort((z.imag, z.real))
     z = z[order]
-    hi = np.searchsorted(z.real, z.real + 2.0 * tol, side="right")
+    hi = np.searchsorted(z.real, z.real + 2.0 * DISTINCT_TOL, side="right")
     cnt = hi - np.arange(1, len(z) + 1)     # >= 0: z.real is sorted
     i = np.repeat(np.arange(len(z)), cnt)
     if not len(i):
         return order
     j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-    near = ~(np.abs(z[j] - z[i]) > tol)
+    near = ~(np.abs(z[j] - z[i]) > DISTINCT_TOL)
     keep = np.ones(len(z), dtype=bool)
     for a, b in zip(i[near].tolist(), j[near].tolist()):
         if keep[a]:
@@ -242,19 +240,17 @@ def roots_simultaneous(poly, max_iter: int = 120) -> ZeroSet:
 
 @dataclass(frozen=True)
 class SeedPlan:
-    """Where to look: bracketing arc intervals for segment zeros and
-    roots-of-unity images for loop zeros."""
+    """Where to look: arc points at the Chebyshev nodes for segment zeros
+    and roots-of-unity images for loop zeros."""
 
     n: int
-    segment_brackets: np.ndarray  # (m, 3): arc points at low u end, node, high u end (real b only);
-                                  # row k's low end is row k + 1's high end
-    _ts: np.ndarray = field(repr=False, default=None)       # t-brackets, t = arccos u
+    arc_seeds: np.ndarray   # the arc Newton's starts, one per bracket kept
     _omegas: np.ndarray = field(repr=False, default=None)   # the omega_k kept
     _p: AirfoilParams = field(repr=False, default=None)     # the airfoil loop_seeds maps onto
 
     @property
     def count(self) -> int:
-        return len(self._ts) + len(self._omegas)
+        return len(self.arc_seeds) + len(self._omegas)
 
     @property
     def loop_seeds(self) -> np.ndarray:
@@ -263,12 +259,15 @@ class SeedPlan:
 
 
 def seed_plan(p: AirfoilParams, n: int) -> SeedPlan:
-    """Chebyshev-style brackets on the zero-carrying arc piece plus unit-root
-    seeds on the loop-side circle arc (selected by |g(omega)| < 1). Only a
-    real airfoil's segment solve works on z-brackets, so only there are the
-    t-brackets mapped to z-brackets, with the arc point of each one's middle
-    angle, the Chebyshev node cos((k + 1/2) pi/n) where the bracket is not
-    cut at u_lo; elsewhere segment_brackets is empty."""
+    """Arc seeds for segment zeros plus unit-root seeds on the loop-side
+    circle arc (selected by |g(omega)| < 1). The arc piece u = cos t,
+    0 <= t <= s_max, is cut into brackets [k pi/n, (k+1) pi/n], the last one
+    cut at s_max, and each gets the arc point of its middle angle, the
+    Chebyshev node where not cut. On a real airfoil the cut bracket gets no
+    seed when it holds no zero (that seed would crawl at the arc Newton's
+    cap through every pass). The closed form tells with no evaluation:
+    f V^(-n/2) = 2 T_n(U) - (-b/sqrt(V))^n has the sign of (-1)^k at
+    t = k pi/n, and at i_b, where -b/sqrt(V) = 1, it is 2 cos(n s_max) - 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
     case = classify(p)
@@ -277,13 +276,10 @@ def seed_plan(p: AirfoilParams, n: int) -> SeedPlan:
     tlo = k * np.pi / n
     thi = (k + 1) * np.pi / n
     keep = tlo < s_max - 1e-15
-    tlo, thi = tlo[keep], np.minimum(thi[keep], s_max)
-    ts = np.stack([tlo, thi], axis=1)
-    brackets = np.empty((0, 3), complex)
-    if len(ts) and p.is_real:
-        # one call for the ends and the node: column 0 is the lower u end
-        t3 = np.stack([thi, 0.5 * (tlo + thi), tlo], axis=1)
-        brackets = arc_z_of_u(p, np.cos(t3).ravel()).reshape(-1, 3)
+    mid = 0.5 * (tlo[keep] + np.minimum(thi[keep], s_max))
+    # the last bracket's k is len(mid) - 1
+    if p.is_real and (-1.0) ** (len(mid) - 1) * (2.0 * np.cos(n * s_max) - 1.0) > 0.0:
+        mid = mid[:-1]
     if case.has_loop:
         om = np.exp(2j * np.pi * np.arange(n) / n)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -291,7 +287,7 @@ def seed_plan(p: AirfoilParams, n: int) -> SeedPlan:
         om = om[keep_om]
     else:
         om = np.empty(0, complex)
-    return SeedPlan(n=n, segment_brackets=brackets, _ts=ts, _omegas=om, _p=p)
+    return SeedPlan(n=n, arc_seeds=arc_z_of_u(p, np.cos(mid)), _omegas=om, _p=p)
 
 
 def _newton_w(p: AirfoilParams, n: int, w, max_iter=100):
@@ -377,60 +373,6 @@ def _newton_z(p: AirfoilParams, n: int, z, max_iter=80, cap=0.05, first=None):
     return z, lost
 
 
-def _newton_real(p: AirfoilParams, n: int, brackets):
-    """Real-axis case: safeguarded Newton in z (_newton_step) on each (m, 3)
-    z-bracket of the seed plan (low end, node, high end). The residual is
-    real on the segment and U is monotone there, so a bracket whose ends
-    differ in sign holds one zero. Newton starts at the node, clamped into
-    the bracket: there f V^(-n/2) = 2 T_n(U) - (-b/sqrt(V))^n is within an
-    exponentially small term of a zero. Each pass takes r and the step at
-    every unfinished zero and shrinks its bracket so the ends still differ in
-    sign. The next point is the Newton step where it lands strictly inside
-    the bracket, else the regula-falsi point of the two ends clamped to it
-    (zeros within rounding of an end throw Newton out), else the midpoint. A
-    zero stops at the rounding floor (_at_floor), once its bracket is
-    4 eps (1 + |z|) wide, or where r is exactly 0, keeping that point;
-    60 passes at most. One residual call covers the bracket ends and the
-    clipped nodes, and the first pass reads the nodes' r and r' from it.
-    Every sign-changing bracket gives one point; roots_seeded's grading
-    decides which are zeros."""
-    # bracket k's low end is bracket k + 1's high end, bit for bit (the
-    # same angle through the same arc_z_of_u call): m + 1 distinct ends
-    m = len(brackets)
-    ends = np.concatenate([brackets[:, 2], brackets[-1:, 0]]).real
-    lo, hi = ends[1:], ends[:-1]
-    nodes = np.clip(brackets[:, 1].real, lo, hi)
-    r, dr = _residual(p, n, np.concatenate([ends, nodes]) + 0j)
-    f = r[:m + 1].real
-    good = np.sign(f[1:]) * np.sign(f[:-1]) < 0
-    lo, hi = lo[good], hi[good]
-    flo, fhi = f[1:][good], f[:-1][good]
-    z = nodes[good]
-    rdr = r[m + 1:][good], dr[m + 1:][good]
-    x, idx, prev = z.copy(), np.arange(len(z)), np.full(len(z), np.inf)
-    for _ in range(60):
-        if not len(idx):
-            break
-        r, step = _newton_step(p, n, x + 0j, rdr)
-        rdr = None
-        fx = r.real
-        left = np.sign(fx) == np.sign(flo)
-        lo, flo = np.where(left, x, lo), np.where(left, fx, flo)
-        hi, fhi = np.where(left, hi, x), np.where(left, fhi, fx)
-        new = x - step.real
-        rf = np.clip((lo * fhi - hi * flo) / (fhi - flo), lo, hi)
-        rf = np.where(np.isfinite(rf), rf, 0.5 * (lo + hi))
-        new = np.where((lo < new) & (new < hi), new, rf)
-        new = np.where(fx == 0.0, x, new)    # a zero step: _at_floor stops it
-        mag, done = _at_floor(x - new, new, prev)
-        done |= hi - lo <= 4.0 * _EPS * (1.0 + np.abs(new))
-        z[idx] = new
-        keep = ~done
-        x, lo, hi, flo, fhi, prev, idx = (
-            a[keep] for a in (new, lo, hi, flo, fhi, mag, idx))
-    return z + 0j
-
-
 def _grade(p: AirfoilParams, n: int, z):
     """(scaled residual, forward-error bound, r, r') at each z from one
     _closed_terms call: the zeros' grades. r = t+ + t- - tb and r' are
@@ -447,6 +389,15 @@ def _grade(p: AirfoilParams, n: int, z):
     return _scaled(tp, tm, tb), np.maximum(np.abs(r), floor) / np.abs(dr), r, dr
 
 
+def _on_axis(p: AirfoilParams, z):
+    """z with the points within DISTINCT_TOL/2 of the axis put on it, on a
+    real airfoil: its zeros come in conjugate pairs, and a pair that close
+    would be one zero to _dedup, so such a zero is real."""
+    if not p.is_real:
+        return z
+    return np.where(np.abs(z.imag) < 0.5 * DISTINCT_TOL, z.real + 0j, z)
+
+
 def _pick(zs, grades, idx):
     """The zeros zs[idx] with their grades (_grade)."""
     return zs[idx], tuple(g[idx] for g in grades)
@@ -457,17 +408,15 @@ def _tighten(p: AirfoilParams, n: int, zs, grades):
     scaled residual is above TIGHTEN_GATE (NaN counts as above); grades are
     the zeros' (_grade), and Newton's first pass takes its step from their
     r and r'. A zero takes its new value only where the residual dropped;
-    real zeros of a real airfoil stay on the axis. One _grade call covers
-    the points Newton moved the zeros to."""
+    on a real airfoil near-real zeros stay on the axis (_on_axis). One
+    _grade call covers the points Newton moved the zeros to."""
     res = grades[0]
     bad = ~(res <= TIGHTEN_GATE)
     if not np.any(bad):
         return zs, grades
     old = zs[bad]
-    new = _newton_z(p, n, old, max_iter=8, cap=1e-3,
-                    first=(grades[2][bad], grades[3][bad]))[0]
-    if p.is_real:
-        new = np.where(old.imag == 0.0, new.real + 0j, new)
+    new = _on_axis(p, _newton_z(p, n, old, max_iter=8, cap=1e-3,
+                                first=(grades[2][bad], grades[3][bad]))[0])
     new_grades = _grade(p, n, new)
     better = new_grades[0] < np.where(np.isnan(res[bad]), np.inf, res[bad])
     idx = np.nonzero(bad)[0][better]
@@ -524,8 +473,8 @@ def _deflate(p: AirfoilParams, n: int, found):
     is a circle at an irrational angular offset around the missing zeros'
     centroid (n b/2 - sum(found)) / m, through the farthest found zero and no
     smaller than the capacity. Each zero stops on its own (_at_floor); those
-    with scaled residual below 1e-6 are returned, real ones on the axis,
-    with their grades (_grade)."""
+    with scaled residual below 1e-6 are returned, near-real ones on the
+    axis (_on_axis), with their grades (_grade)."""
     m = n - len(found)
     c0 = (0.5 * n * p.b - np.sum(found)) / m
     r0 = np.max(np.abs(found - c0), initial=p.capacity)
@@ -547,11 +496,7 @@ def _deflate(p: AirfoilParams, n: int, found):
         active, prev = active[~done], mag[~done]
         if not len(active):
             break
-    z = pts[:m]
-    if p.is_real:
-        # zeros come in conjugate pairs, and a pair this close to the axis
-        # would be one zero to _dedup: such a zero is real
-        z = np.where(np.abs(z.imag) < 0.5 * DISTINCT_TOL, z.real + 0j, z)
+    z = _on_axis(p, pts[:m])
     grades = _grade(p, n, z)
     return _pick(z, grades, grades[0] < 1e-6)
 
@@ -559,33 +504,30 @@ def _deflate(p: AirfoilParams, n: int, found):
 def roots_seeded(p: AirfoilParams, n: int) -> ZeroSet:
     """Coefficient-free zero finder: all n zeros from the seed plan, and the
     ones the seeds miss by Aberth's iteration with the found zeros held fixed
-    (_deflate). One _grade call covers the segment, arc and loop candidates:
-    it decides which are zeros (scaled residual below 1e-6 on a real
-    segment and on the loop, |r| below 1e-6 on the arc) and gives the kept
-    ones the grades _tighten starts from. Every zero is then tightened in
-    double and, where its forward-error bound stays above POLISH_GATE,
-    polished in mpmath. DeficitError when the count isn't n. The whole
-    solve runs under this one errstate; the private helpers it calls have
-    none of their own."""
+    (_deflate). The arc seeds go through the arc Newton (_newton_z) on
+    every airfoil, real or not, and the loop seeds through the w-plane
+    Newton (_newton_w). One _grade call covers the arc and loop candidates:
+    it decides which are zeros (|r| below 1e-6 on the arc, scaled residual
+    below 1e-6 on the loop) and gives the kept ones the grades _tighten
+    starts from. Every zero is then tightened in double and, where its
+    forward-error bound stays above POLISH_GATE, polished in mpmath. A real
+    airfoil's zeros come back in conjugate pairs: the zeros above the axis
+    and their conjugates, where there are as many below. DeficitError when
+    the count isn't n. The whole solve runs under this one errstate; the
+    private helpers it calls have none of their own."""
     if n < 1:
         raise ValueError("n must be >= 1")
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
         plan = seed_plan(p, n)
-        seg = loop = np.empty(0, complex)
-        if len(plan._ts):
-            if p.is_real:
-                seg = _newton_real(p, n, plan.segment_brackets)
-            else:
-                mid = np.cos(0.5 * (plan._ts[:, 0] + plan._ts[:, 1]))
-                z, lost = _newton_z(p, n, arc_z_of_u(p, mid))
-                seg = z[~lost]
+        seg, lost = _newton_z(p, n, plan.arc_seeds)
+        seg = _on_axis(p, seg[~lost])
+        loop = np.empty(0, complex)
         if len(plan._omegas):
-            loop = phi_b_inverse(p, _newton_w(p, n, plan._omegas))
+            loop = _on_axis(p, phi_b_inverse(p, _newton_w(p, n, plan._omegas)))
         zs = np.concatenate([seg, loop])
         grades = _grade(p, n, zs)
         ok = grades[0] < 1e-6
-        if not p.is_real:
-            ok[:len(seg)] = np.abs(grades[2][:len(seg)]) < 1e-6
+        ok[:len(seg)] = np.abs(grades[2][:len(seg)]) < 1e-6
         zs, grades = _pick(zs, grades, ok)
         zs, grades = _pick(zs, grades, _dedup(zs))
         if len(zs) < n:
@@ -605,8 +547,14 @@ def roots_seeded(p: AirfoilParams, n: int) -> ZeroSet:
         zs, (res, bound, _, _) = _tighten(p, n, zs, grades)
         ill = ~(bound <= POLISH_GATE * np.maximum(1.0, np.abs(zs)))
         if np.any(ill):
-            zs[ill] = _polish_mp(p, n, zs[ill])
+            zs[ill] = _on_axis(p, _polish_mp(p, n, zs[ill]))
             res[ill] = _scaled_residual(p, n, zs[ill])
+        up, down = zs.imag > 0.0, zs.imag < 0.0
+        if p.is_real and np.count_nonzero(up) == np.count_nonzero(down):
+            # conjugate pairs, bit for bit; the closed form is conjugate-
+            # symmetric bit for bit, so the residuals are the partners'
+            zs = np.concatenate([zs[~down], np.conj(zs[up])])
+            res = np.concatenate([res[~down], res[up]])
     order = np.lexsort((zs.imag, zs.real))
     return ZeroSet(n, zs[order], res[order], Method.SEEDED)
 

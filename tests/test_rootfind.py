@@ -17,7 +17,7 @@ from faberzeros.errors import MismatchError
 from faberzeros.faber import (
     PolyCoeffs, faber_closed, faber_coeffs_mp, residual, scaled_residual,
 )
-from faberzeros.limitsets import arc_z_of_u
+from faberzeros.limitsets import arc_z_of_u, classify
 from test_measures import BRANCH_AIRFOILS
 from faberzeros.rootfind import (
     Method, compute_zeros, cross_check, roots_seeded, roots_simultaneous,
@@ -152,11 +152,15 @@ def test_seed_plan_counts():
     assert plan.count >= 70
     assert plan.count <= 72
     assert len(plan.loop_seeds) == 49
-    # the last bracket is cut at u_lo
-    assert np.cos(plan._ts[-1, 1]) == pytest.approx(0.5867768595041323, abs=1e-12)
+    # 22 brackets, the last one [21 pi/70, s_max] cut at u_lo; it holds no
+    # zero, so its seed is dropped, and the last seed is the node of the 21st
+    assert classify(p).u_lo == pytest.approx(0.5867768595041323, abs=1e-12)
+    assert 21 * np.pi / 70 < classify(p).s_max < 22 * np.pi / 70
+    assert len(plan.arc_seeds) == 21 and plan.count == 70
+    assert plan.arc_seeds[-1] == arc_z_of_u(p, np.cos(0.5 * (20 * np.pi / 70 + 21 * np.pi / 70)))[0]
     sub = seed_plan(params_from(1.26, 0.0), 30)
     assert len(sub.loop_seeds) == 0
-    assert len(sub.segment_brackets) == 30
+    assert len(sub.arc_seeds) == 30
 
 
 def test_zeros_are_sorted_and_deterministic():
@@ -292,8 +296,7 @@ def test_newton_z_stops_each_zero_at_the_rounding_floor(monkeypatch):
     # errstate-free core, so that is what is counted
     R, theta, n = STEEP[0]
     p = params_from(R, theta)
-    ts = seed_plan(p, n)._ts
-    seeds = arc_z_of_u(p, np.cos(0.5 * (ts[:, 0] + ts[:, 1])))
+    seeds = seed_plan(p, n).arc_seeds
     calls = []
     core = rootfind._residual
 
@@ -406,20 +409,31 @@ def test_grade_r_and_derivative_are_residuals_bit_for_bit():
             assert np.array_equal(dr.view(np.uint64), want_dr.view(np.uint64)), (R, theta, n)
 
 
-def test_seed_plan_maps_z_brackets_only_on_real_airfoils():
-    for (R, theta), real in (((2.1, 0.2), False), ((1.45, 0.2), False),
-                             ((2.1, 0.0), True), ((1.26, 0.0), True)):
-        plan = seed_plan(params_from(R, theta), 90)
-        assert plan.count == len(plan._ts) + len(plan.loop_seeds)
-        assert plan.segment_brackets.shape == ((len(plan._ts) if real else 0), 3)
-        # low end, node, high end, in order along the segment
-        lo, node, hi = plan.segment_brackets.real.T
-        assert np.all((lo <= node) & (node <= hi))
+def test_seed_plan_maps_arc_seeds_on_every_airfoil():
+    # one arc seed per bracket, at its middle angle, real airfoil or not;
+    # only a real airfoil's cut bracket may lose its seed
+    for R, theta in PRESETS + [(2.1 / math.cos(1.3), 1.3)]:
+        p = params_from(R, theta)
+        plan = seed_plan(p, 90)
+        s_max = classify(p).s_max
+        k = np.arange(90)
+        tlo = k * np.pi / 90
+        keep = tlo < s_max - 1e-15
+        t = 0.5 * (tlo[keep] + np.minimum((k[keep] + 1) * np.pi / 90, s_max))
+        seeds = arc_z_of_u(p, np.cos(t))
+        m = len(plan.arc_seeds)
+        assert m == len(seeds) or (p.is_real and m == len(seeds) - 1), (R, theta)
+        assert np.array_equal(plan.arc_seeds, seeds[:m]), (R, theta)
+        assert plan.count == m + len(plan.loop_seeds)
+        if p.is_real:
+            # real seeds in order along the segment, from the cusp down
+            assert np.all(plan.arc_seeds.imag == 0.0)
+            assert np.all(np.diff(plan.arc_seeds.real) < 0.0)
 
 
 def test_real_case_zeros_stay_real_high_degree():
     # zeros of the real subcritical airfoil lie on [-1, 1] even through the
-    # seeded (bisection) path
+    # seeded path's arc Newton
     p = params_from(1.26, 0.0)
     zs = roots_seeded(p, 70)
     assert np.max(np.abs(zs.zeros.imag)) < 1e-10
@@ -428,12 +442,18 @@ def test_real_case_zeros_stay_real_high_degree():
 
 
 def test_real_case_zeros_closed_under_conjugation():
-    # theta = 0 keeps the polynomial real, so complex loop zeros must show up
-    # in conjugate pairs
-    p = params_from(2.1, 0.0)
-    z = roots_seeded(p, 45).zeros
-    gap = np.min(np.abs(np.conj(z)[:, None] - z[None, :]), axis=1)
-    assert np.max(gap) < 1e-9
+    # theta = 0 keeps the polynomial real, so its zeros come in conjugate
+    # pairs, bit for bit, and a real zero has no imaginary part: at the first
+    # five points a real loop zero came back as -1.3265054349253995 - 1.7e-62j
+    # and the like, with no partner, and elsewhere pairs differed by an ulp;
+    # at (2, 0, 5) the mpmath polish left one copy of the double zero at
+    # i_b = -1/2 at -0.5 + 3.5e-10j
+    points = [(2.1, 0.0, 8), (2.1, 0.0, 24), (2.392625, 0.0, 6), (2.413748, 0.0, 4),
+              (2.297635, 0.0, 484), (2.0, 0.0, 5)] + [
+        (R, theta, n) for R, theta in PRESETS[:2] for n in (8, 24, 100, 500)]
+    for R, theta, n in points:
+        z = roots_seeded(params_from(R, theta), n).zeros
+        assert np.array_equal(np.sort_complex(z), np.sort_complex(np.conj(z))), (R, n)
 
 
 def test_real_supercritical_segment_not_polluted():
@@ -510,20 +530,22 @@ def test_high_degree_near_pole_stays_finite_and_quiet():
     assert np.all(np.isfinite(zs.residuals))
 
 
-def t_bisect_reference(p, n, brackets):
-    """Reference for rootfind._newton_real: 60 bisection steps on t = arccos u
-    over the seed plan's t-brackets, inverting U (arc_z_of_u) at every step,
-    as the segment solve did before it worked on the z-brackets directly.
-    brackets are the seed plan's (m, 3) z-brackets; only their count is
-    read."""
-    ts = seed_plan(p, n)._ts
-    assert len(ts) == len(brackets)
+def t_bisect_reference(p, n):
+    """The segment zeros by 60 bisection steps on t = arccos u over the
+    brackets [k pi/n, (k+1) pi/n], the last cut at s_max, inverting U
+    (arc_z_of_u) at every step: those of the brackets whose ends differ in
+    sign, with scaled residual below 1e-6. An oracle for the arc Newton on a
+    real airfoil, which shares none of it but arc_z_of_u."""
+    s_max = classify(p).s_max
+    k = np.arange(n)
+    tlo = k * np.pi / n
+    keep = tlo < s_max - 1e-15
+    tlo, thi = tlo[keep], np.minimum((k[keep] + 1) * np.pi / n, s_max)
 
     def f(t):
         z = arc_z_of_u(p, np.cos(t)).real
         return residual(p, n, z + 0j)[0].real, z
 
-    tlo, thi = ts[:, 0].copy(), ts[:, 1].copy()
     flo, _ = f(tlo)
     fhi, _ = f(thi)
     good = np.sign(flo) * np.sign(fhi) < 0
@@ -553,48 +575,51 @@ SEGMENT_NS = (1, 2, 7, 8, 61, 99, 100, 145, 499, 500)
 
 
 @pytest.mark.parametrize("R", SEGMENT_RS)
-def test_segment_bisection_in_z_matches_t_reference(R, monkeypatch):
-    # the segment solve is bracketed Newton in z now; the name is kept from
-    # when it bisected, against the same t-bisection reference
+def test_segment_bisection_in_z_matches_t_reference(R):
+    # the name is kept from when the real segment had a solver of its own;
+    # the arc Newton serves it now, and every zero the t-bisection reference
+    # finds must be among the returned zeros, within the reference's own
+    # forward error (up to 630 ulp at R = 12) plus 2^9 ulp
     p = params_from(R, 0.0)
     for n in SEGMENT_NS:
-        plan = seed_plan(p, n)
-        assert plan.segment_brackets.shape == (len(plan._ts), 3)
-        with np.errstate(all="ignore"):     # the caller's, as in roots_seeded
-            raw = rootfind._newton_real(p, n, plan.segment_brackets)
-        assert len(raw) == len(t_bisect_reference(p, n, plan.segment_brackets))
-        assert np.all(raw.imag == 0.0)
-        assert _rel_ulp_ok(p, n, raw), (R, n)
-        new = compute_zeros(p, n)
-        with monkeypatch.context() as m:
-            m.setattr(rootfind, "_newton_real", t_bisect_reference)
-            old = compute_zeros(p, n)
-        assert new.n == old.n == n
-        assert _rel_ulp_ok(p, n, new.zeros), (R, n)
-        assert _rel_ulp_ok(p, n, old.zeros), (R, n)
+        zs = compute_zeros(p, n)
+        assert zs.n == n
+        assert _rel_ulp_ok(p, n, zs.zeros), (R, n)
+        ref = t_bisect_reference(p, n)
+        dist = np.min(np.abs(ref[:, None] - zs.zeros[None, :]), axis=1)
+        tol = closed_form_forward_errors(p, n, ref) + ULP_512 * np.maximum(1.0, np.abs(ref))
+        assert np.all(dist <= tol), (R, n, np.max(dist / tol))
 
 
+# zeros where the real segment's bracketed Newton once went wrong:
 # (1.001, 1): the residual is exactly 0 at an iterate; stepping on from it to
 # the midpoint of the shrunk bracket left the zero 5.6e5 ulp off.
 # (1.26, 8) and (1.4, 33): iterates within rounding of a zero (residual about
-# 1e-15) become bracket ends, and Newton from the other side lands on or past
+# 1e-15) became bracket ends, and Newton from the other side landed on or past
 # them; the midpoint there, in place of the clamped regula-falsi point, left
 # a zero 8.6e3 ulp off at (1.4, 33).
 @pytest.mark.parametrize("R,n", [(1.001, 1), (1.26, 8), (1.4, 33)])
 def test_segment_newton_keeps_exact_zeros_and_bracket_ends(R, n):
     p = params_from(R, 0.0)
+    zs = compute_zeros(p, n)
+    assert zs.n == n and np.all(zs.zeros.imag == 0.0), (R, n)
+    assert _rel_ulp_ok(p, n, zs.zeros), (R, n)
+
+
+def _arc_stage(p, n):
+    """(z, lost) of the arc Newton from the seed plan, as roots_seeded runs
+    it, under the caller's errstate."""
     with np.errstate(all="ignore"):
-        raw = rootfind._newton_real(p, n, seed_plan(p, n).segment_brackets)
-    assert len(raw) and _rel_ulp_ok(p, n, raw), (R, n)
+        return rootfind._newton_z(p, n, seed_plan(p, n).arc_seeds)
 
 
 def test_segment_newton_needs_few_residual_calls(monkeypatch):
-    # 60 fixed bisection steps plus the two bracket ends made 62 calls;
-    # Newton from the bracket midpoint took 6.61 on average and 9 at most,
-    # from the Chebyshev node 4.53 and 8, with the same zeros found
-    # (one call now covers the bracket ends and the nodes, and the first
-    # pass reads from it; counted on the residual's errstate-free core,
-    # which the solver calls)
+    # on real airfoils the arc Newton needs 3.8 residual calls on average
+    # and 11 at most, one per pass, from the Chebyshev nodes; the bracketed
+    # real-axis Newton it replaced took 3.6 and 7, a bracket-end call
+    # included, and 60 bisection steps took 62. The same 8,983 points come
+    # out, none of them dropped (counted on the residual's errstate-free
+    # core, which the solver calls)
     calls = 0
     core = rootfind._residual
 
@@ -608,25 +633,68 @@ def test_segment_newton_needs_few_residual_calls(monkeypatch):
     for R in SEGMENT_RS:
         p = params_from(R, 0.0)
         for n in SEGMENT_NS:
-            brackets = seed_plan(p, n).segment_brackets
             calls = 0
-            with np.errstate(all="ignore"):
-                found += len(rootfind._newton_real(p, n, brackets))
-            assert calls <= 8, (R, n, calls)
+            z, lost = _arc_stage(p, n)
             counts.append(calls)
+            found += np.count_nonzero(~lost)
     assert np.mean(counts) <= 5.0, np.mean(counts)
+    assert max(counts) == 11
     assert found == 8983
 
 
-def test_segment_bracket_ends_are_shared_bit_for_bit():
-    # _newton_real evaluates the m + 1 distinct bracket ends, not all 2m:
-    # bracket k's low end is bracket k + 1's high end, the same angle through
-    # the same arc_z_of_u call
-    for R in SEGMENT_RS:
+def _cut_bracket(p, n):
+    """(k, closed form at i_b): the last bracket [k pi/n, s_max] and
+    2 cos(n s_max) - 1, f V^(-n/2) at its i_b end."""
+    s_max = classify(p).s_max
+    k = np.nonzero(np.arange(n) * np.pi / n < s_max - 1e-15)[0][-1]
+    return int(k), 2.0 * np.cos(n * s_max) - 1.0
+
+
+def test_cut_bracket_sign_rule_matches_the_residual():
+    # seed_plan drops a real airfoil's cut-bracket seed by the closed form's
+    # signs at the bracket's ends, (-1)^k at t = k pi/n and 2 cos(n s_max) - 1
+    # at i_b, with no evaluation: the residual must have those signs. The
+    # exceptions are points where 2 cos(n s_max) - 1 is rounding, within
+    # 2 n eps of 0; all lie at R = 2, where i_b = -1/2 is a zero of F_n for
+    # n = 1 (mod 6), and a double zero for n = 5 (mod 6)
+    eps = np.finfo(float).eps
+    rounding = set()
+    for R in (1.5001, 1.501, 1.51, 1.55, 1.6, 1.7, 1.8, 1.84, 2.0, 2.1, 2.3, 2.5,
+              3.0, 4.0, 6.0, 8.0, 12.0, 20.0, 50.0, 100.0):
         p = params_from(R, 0.0)
-        for n in SEGMENT_NS:
-            brackets = seed_plan(p, n).segment_brackets
-            assert np.array_equal(brackets[:-1, 0], brackets[1:, 2]), (R, n)
+        ib = classify(p).i_b
+        for n in range(1, 501):
+            k, end = _cut_bracket(p, n)
+            z = np.concatenate([arc_z_of_u(p, np.cos(k * np.pi / n)), [ib]])
+            r = residual(p, n, z)[0].real
+            if np.sign(r[0]) == (-1) ** k and np.sign(r[1]) == np.sign(end):
+                continue
+            assert abs(end) <= 2 * n * eps, (R, n, r, end)
+            rounding.add((R, n))
+    assert {R for R, n in rounding} == {2.0}
+    assert len(rounding) <= 80
+
+
+@pytest.mark.parametrize("R,n", [(1.84, 9), (1.694634, 42), (1.704384, 43),
+                                 (2.416984, 5), (1.711694, 43)])
+def test_cut_bracket_without_a_zero_gets_no_seed(R, n, monkeypatch):
+    # the cut bracket here holds no zero; with its seed kept, the arc Newton
+    # crawled from it at the 0.05 cap for up to all 80 passes
+    p = params_from(R, 0.0)
+    k, end = _cut_bracket(p, n)
+    assert (-1) ** k * end > 0.0
+    assert len(seed_plan(p, n).arc_seeds) == k
+    calls = 0
+    core = rootfind._residual
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return core(*args)
+
+    monkeypatch.setattr(rootfind, "_residual", counted)
+    z, lost = _arc_stage(p, n)
+    assert calls <= 4 and not lost.any(), (R, n, calls)
 
 
 def test_newton_z_drops_a_seed_that_cannot_arrive(monkeypatch):
@@ -664,7 +732,7 @@ def test_import_and_verify_leave_mpmath_unloaded():
 
 
 # just above criticality the seeds miss a few zeros: the w-plane Newton lands
-# two loop seeds on one zero, or the bisection misses a bracket
+# two loop seeds on one zero
 NEAR_CRITICAL = [(1.5001, 0.0, 299), (1.5001, 0.0, 401), (1.5001, 0.0, 499),
                  (1.501, 0.0, 99), (1.501, 0.0, 150), (1.501, -0.7, 250)]
 
