@@ -6,10 +6,12 @@ Phi^n on a circle; FaberEvaluator evaluates the closed form pointwise.  The
 zero equation lives here too, on the paper's branch-free closed form
 a^n F_n = (w+s)^n + (w-s)^n - (-b)^n, w = z - b, s^2 = z^2 - 1: residual()
 returns it and its derivative, each divided by the n-th power of the largest
-of |w+s|, |w-s| and |b|, so neither overflows. residual, scaled_residual
-and ipow are quiet, each under an np.errstate of its own; their cores
-(_residual, _scaled_residual, _closed_terms, _pow_chain) enter none and run
-under the caller's, as the seeded solver calls them.
+of |w+s|, |w-s| and |b|, so neither overflows; where the last two terms
+cancel, w - s + b = 1/(z+s) gives their difference (_closed_terms).
+residual, scaled_residual and ipow are quiet, each under an np.errstate of
+its own; their cores (_residual, _scaled_residual, _closed_terms,
+_pow_chain) enter none and run under the caller's, as the seeded solver
+calls them.
 """
 
 from __future__ import annotations
@@ -236,6 +238,17 @@ class FaberEvaluator:
         return complex(val[()]) if scalar else val
 
 
+def _minus_one_pow(x, n: int):
+    """(1 + x)^n - 1 for small x by binary powering on e = (1 + x)^m - 1: a
+    squaring is e (2 + e), a step by 1 + x is e + x (1 + e); neither cancels."""
+    e = x
+    for bit in bin(n)[3:]:
+        e = e * (2.0 + e)
+        if bit == "1":
+            e = e + x * (1.0 + e)
+    return e
+
+
 def _closed_terms(p: AirfoilParams, n: int, z):
     """(t+, t-, tb, d+, d-, s) at z: the three terms of a^n F_n =
     (w+s)^n + (w-s)^n - (-b)^n, w = z - b, s = sqrt(z-1) sqrt(z+1), each
@@ -243,8 +256,13 @@ def _closed_terms(p: AirfoilParams, n: int, z):
     d+- = (w +- s)^(n-1) / top^n, which carry the derivative. Single-valued
     in z: the two terms swap across the cut of s. w + s and w - s are raised
     as one (2, ...) array through one power chain (_pow_chain); t+-, d+- are
-    rows of that array. No errstate of its own: it runs under the caller's
-    (residual's, scaled_residual's or the seeded solver's)."""
+    rows of that array. Where |z + s| > n/|b|, t- - tb loses bits; as
+    w - s + b = z - s = 1/(z + s), it is (-b/top)^n ((1 + x)^n - 1),
+    x = -1/(b (z + s)) (_minus_one_pow). There t- holds it and tb is 0: r, r'
+    and the scaled residual keep their formulas, the last now relative to
+    the uncancelled terms. |z + s| <= max(top) + |b| skips the mask on most
+    calls. No errstate of its own: it runs under the caller's (residual's,
+    scaled_residual's or the seeded solver's)."""
     z = np.asarray(z, dtype=complex)
     s = np.sqrt(z - 1.0) * np.sqrt(z + 1.0)
     w = z - p.b
@@ -253,7 +271,15 @@ def _closed_terms(p: AirfoilParams, n: int, z):
     top = np.maximum(np.maximum(mag[0], mag[1]), abs(p.b))
     d = _pow_chain(x / top, n - 1) / top
     t = d * x
-    return t[0], t[1], _pow_chain(-p.b / top, n), d[0], d[1], s
+    tm, tb = t[1], _pow_chain(-p.b / top, n)
+    edge = n / abs(p.b)
+    if not top.max(initial=0.0) + abs(p.b) <= edge:
+        far = np.abs(z + s) > edge
+        if far.any():
+            tm, tb = np.asarray(tm), np.asarray(tb)
+            tm[far] = tb[far] * _minus_one_pow(-1.0 / (p.b * (z + s)[far]), n)
+            tb[far] = 0.0
+    return t[0], tm, tb, d[0], d[1], s
 
 
 def _derivative(n: int, z, dp, dm, s):

@@ -16,16 +16,18 @@ The zeros these seeds miss (near the loop corners, just above criticality,
 and at low degree and steep rotation, where the limit set is far from the
 zeros) come from Aberth's iteration on the branch-free closed form with the
 found zeros held fixed (Maehly's implicit deflation). A double-precision
-Newton pass tightens every zero, and Newton in mpmath on the closed form
-finishes the few whose error bound stays above the closed form's rounding
-floor in double (near theta = pi/2 that floor is about 1e-13). Each
-candidate is evaluated once: one call of the closed form (_grade) on all
-segment, arc and loop candidates decides which are zeros and gives each
-kept zero its grades (scaled residual, error bound, r and r'), which follow
-it through the duplicate filter (_dedup returns indices); the Newton pass
-takes its first step from them, and only the zeros it moves, or deflation
-adds, are evaluated again. The closed form raises w + s and w - s as one
-array through one power chain (faber._closed_terms).
+Newton pass tightens every zero. No stage needs more than double: where the
+closed form's last two terms cancel, far from the segment on steep or large
+airfoils, faber._closed_terms takes their difference from the exact
+identity w - s + b = 1/(z + s), so the residual and the scaled residual see
+the zeros' error there too, and mpmath serves only the test oracles and
+roots_simultaneous. Each candidate is evaluated once: one call of the
+closed form (_grade) on all segment, arc and loop candidates decides which
+are zeros and gives each kept zero its grades (scaled residual, r and r'),
+which follow it through the duplicate filter (_dedup returns indices); the
+Newton pass takes its first step from them, and only the zeros it moves, or
+deflation adds, are evaluated again. The closed form raises w + s and w - s
+as one array through one power chain (faber._closed_terms).
 
 Floating-point warnings: roots_seeded runs the whole solve under one
 np.errstate (divide, over, under and invalid ignored). The private helpers
@@ -39,8 +41,8 @@ per Newton pass (at most 80); the loop's w-plane Newton one [w, g(w)] power
 chain per pass (at most 100), with no final test; one _grade call for all
 those candidates; _tighten at most 7 residual calls (8 passes, the first
 from the grades) and one _grade call on the zeros it moved; _deflate one per
-Aberth pass (at most 200) and one _grade call; one call on the zeros
-_polish_mp finished.
+Aberth pass (at most 200) and one _grade call; on a real airfoil, one call
+on the copies of a multiple real zero put back on the axis, if any.
 
 The simultaneous (Aberth) solver on the coefficients,
 roots_simultaneous(faber_closed(p, n)), is kept as an independent oracle for
@@ -51,9 +53,7 @@ PolyCoeffs, and it stops converging above n = 60.
 
 from __future__ import annotations
 
-import cmath
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,8 +70,6 @@ RESIDUAL_GATE = 1e-7      # ZeroSet guarantee on max scaled residual
 BACKWARD_GATE = 1e-10     # |p(root)| / (max|c| * max(1,|root|)^deg)
 DISTINCT_TOL = 1e-8
 TIGHTEN_GATE = 1e-13      # seeded zeros above this scaled residual get Newton
-POLISH_GATE = 2e-14       # error bound / max(1,|z|) above this: mpmath Newton
-_EPS = np.finfo(float).eps
 
 
 class Method(enum.Enum):
@@ -374,19 +372,11 @@ def _newton_z(p: AirfoilParams, n: int, z, max_iter=80, cap=0.05, first=None):
 
 
 def _grade(p: AirfoilParams, n: int, z):
-    """(scaled residual, forward-error bound, r, r') at each z from one
-    _closed_terms call: the zeros' grades. r = t+ + t- - tb and r' are
-    residual()'s (r, r') and the scaled residual is scaled_residual's, bit
-    for bit. The bound is the larger of Newton's estimate |f/f'| and the
-    closed form's rounding floor
-    n eps (|w| + |s|) (|t+/(w+s)| + |t-/(w-s)|) / |f'|, the error of the two
-    powers over the slope: below that floor a double-precision residual
-    cannot see the error (it reaches 1e-13 near theta = pi/2)."""
+    """(scaled residual, r, r') at each z from one _closed_terms call: the
+    zeros' grades. r = t+ + t- - tb and r' are residual()'s (r, r') and the
+    scaled residual is scaled_residual's, bit for bit."""
     tp, tm, tb, dp, dm, s = _closed_terms(p, n, z)
-    r = tp + tm - tb
-    dr = _derivative(n, z, dp, dm, s)
-    floor = n * _EPS * (np.abs(z - p.b) + np.abs(s)) * (np.abs(dp) + np.abs(dm))
-    return _scaled(tp, tm, tb), np.maximum(np.abs(r), floor) / np.abs(dr), r, dr
+    return _scaled(tp, tm, tb), tp + tm - tb, _derivative(n, z, dp, dm, s)
 
 
 def _on_axis(p: AirfoilParams, z):
@@ -416,7 +406,7 @@ def _tighten(p: AirfoilParams, n: int, zs, grades):
         return zs, grades
     old = zs[bad]
     new = _on_axis(p, _newton_z(p, n, old, max_iter=8, cap=1e-3,
-                                first=(grades[2][bad], grades[3][bad]))[0])
+                                first=(grades[1][bad], grades[2][bad]))[0])
     new_grades = _grade(p, n, new)
     better = new_grades[0] < np.where(np.isnan(res[bad]), np.inf, res[bad])
     idx = np.nonzero(bad)[0][better]
@@ -425,43 +415,6 @@ def _tighten(p: AirfoilParams, n: int, zs, grades):
     for g, ng in zip(grades, new_grades):
         g[idx] = ng[better]
     return zs, grades
-
-
-def _polish_mp(p: AirfoilParams, n: int, z):
-    """Newton in mpmath on a^n F_n = (w+s)^n + (w-s)^n - (-b)^n, w = z - b,
-    s^2 = z^2 - 1, for the zeros double precision cannot pin down. The
-    working precision covers the cancellation between the three terms:
-    30 digits plus the decades by which |b|^n exceeds max |w +- s|^n."""
-    import mpmath as mp
-
-    out = np.array(z, dtype=complex)
-    for i, zi in enumerate(out):
-        zi = complex(zi)
-        sd = cmath.sqrt(zi - 1.0) * cmath.sqrt(zi + 1.0)
-        big = max(abs(zi - p.b + sd), abs(zi - p.b - sd))
-        if big == 0.0:
-            continue
-        excess = n * (math.log10(abs(p.b)) - math.log10(big))
-        with mp.workdps(30 + max(0, math.ceil(excess))):
-            zm, bm = mp.mpc(zi), mp.mpc(p.b)
-            tol = mp.mpf(2) ** -60 * max(1, abs(zm))
-            for _ in range(4):
-                s = mp.sqrt(zm - 1) * mp.sqrt(zm + 1)
-                if s == 0:
-                    break
-                w = zm - bm
-                p1 = (w + s) ** (n - 1)
-                p2 = (w - s) ** (n - 1)
-                f = p1 * (w + s) + p2 * (w - s) - (-bm) ** n
-                df = n * (p1 * (s + zm) + p2 * (s - zm)) / s
-                if df == 0:
-                    break
-                step = f / df
-                zm -= step
-                if abs(step) <= tol:
-                    break
-            out[i] = complex(zm)
-    return out
 
 
 def _deflate(p: AirfoilParams, n: int, found):
@@ -509,10 +462,10 @@ def roots_seeded(p: AirfoilParams, n: int) -> ZeroSet:
     Newton (_newton_w). One _grade call covers the arc and loop candidates:
     it decides which are zeros (|r| below 1e-6 on the arc, scaled residual
     below 1e-6 on the loop) and gives the kept ones the grades _tighten
-    starts from. Every zero is then tightened in double and, where its
-    forward-error bound stays above POLISH_GATE, polished in mpmath. A real
-    airfoil's zeros come back in conjugate pairs: the zeros above the axis
-    and their conjugates, where there are as many below. DeficitError when
+    starts from. Every zero is then tightened in double. A real airfoil's
+    zeros come back in conjugate pairs, the zeros above the axis and their
+    conjugates, once the excess on one side, copies of a multiple real zero
+    left just off the axis, is put on it, nearest first. DeficitError when
     the count isn't n. The whole solve runs under this one errstate; the
     private helpers it calls have none of their own."""
     if n < 1:
@@ -527,7 +480,7 @@ def roots_seeded(p: AirfoilParams, n: int) -> ZeroSet:
         zs = np.concatenate([seg, loop])
         grades = _grade(p, n, zs)
         ok = grades[0] < 1e-6
-        ok[:len(seg)] = np.abs(grades[2][:len(seg)]) < 1e-6
+        ok[:len(seg)] = np.abs(grades[1][:len(seg)]) < 1e-6
         zs, grades = _pick(zs, grades, ok)
         zs, grades = _pick(zs, grades, _dedup(zs))
         if len(zs) < n:
@@ -544,13 +497,15 @@ def roots_seeded(p: AirfoilParams, n: int) -> ZeroSet:
             raise DeficitError(
                 f"found {len(zs)} of {n} zeros", missing=n - len(zs))
 
-        zs, (res, bound, _, _) = _tighten(p, n, zs, grades)
-        ill = ~(bound <= POLISH_GATE * np.maximum(1.0, np.abs(zs)))
-        if np.any(ill):
-            zs[ill] = _on_axis(p, _polish_mp(p, n, zs[ill]))
-            res[ill] = _scaled_residual(p, n, zs[ill])
-        up, down = zs.imag > 0.0, zs.imag < 0.0
-        if p.is_real and np.count_nonzero(up) == np.count_nonzero(down):
+        zs, (res, _, _) = _tighten(p, n, zs, grades)
+        if p.is_real:
+            extra = np.count_nonzero(zs.imag > 0.0) - np.count_nonzero(zs.imag < 0.0)
+            if extra:
+                side = np.nonzero(extra * zs.imag > 0.0)[0]
+                near = side[np.argsort(np.abs(zs.imag[side]))[:abs(extra)]]
+                zs[near] = zs[near].real
+                res[near] = _scaled_residual(p, n, zs[near])
+            up, down = zs.imag > 0.0, zs.imag < 0.0
             # conjugate pairs, bit for bit; the closed form is conjugate-
             # symmetric bit for bit, so the residuals are the partners'
             zs = np.concatenate([zs[~down], np.conj(zs[up])])
