@@ -3,15 +3,16 @@
 The production route is the seeded solver, which never touches coefficients.
 Its one zero equation in z is the paper's branch-free closed form
 a^n F_n = (w+s)^n + (w-s)^n - (-b)^n, w = z - b, s^2 = z^2 - 1 (faber.residual).
-Segment zeros, real or not, come from one Newton in z started at the
-Chebyshev nodes, the arc points where U = cos((k + 1/2) pi/n). It steps on
-f V^(-n/2), V = b^2 + 1 - 2bz, which on the arc is 2 T_n(U) - (-b/sqrt(V))^n
-with |-b/sqrt(V)| <= 1: bounded there, and within an exponentially small
-term of a zero at each node (_newton_step). On a real airfoil a candidate
-within DISTINCT_TOL/2 of the axis is real (_on_axis), and the zeros come
-back in exact conjugate pairs. Loop zeros come from a unit-circle Newton in
-the w-plane on the exact pullback
-F_n(J(b(1-w))) = (-b/a)^n (w^n + g(w)^n - 1), g(w) = 1 - 1/(b^2 (1-w)).
+Segment and loop zeros, real or not, come from one Newton in z. Its segment
+seeds are the Chebyshev nodes, the arc points where U = cos((k + 1/2) pi/n),
+and its loop seeds the images J(b(1-omega)) of the n-th roots of unity omega
+with |g(omega)| < 1, g(w) = 1 - 1/(b^2 (1-w)), from the exact pullback
+F_n(J(b(1-w))) = (-b/a)^n (w^n + g(w)^n - 1). It steps on f V^(-n/2),
+V = b^2 + 1 - 2bz, which on the arc is 2 T_n(U) - (-b/sqrt(V))^n with
+|-b/sqrt(V)| <= 1: bounded there, and within an exponentially small term of
+a zero at each node (_newton_step). Its step cap scales with the airfoil
+(_newton_z). On a real airfoil a candidate within DISTINCT_TOL/2 of the
+axis is real (_on_axis), and the zeros come back in exact conjugate pairs.
 The zeros these seeds miss (near the loop corners, just above criticality,
 and at low degree and steep rotation, where the limit set is far from the
 zeros) come from Aberth's iteration on the branch-free closed form with the
@@ -31,18 +32,18 @@ as one array through one power chain (faber._closed_terms).
 
 Floating-point warnings: roots_seeded runs the whole solve under one
 np.errstate (divide, over, under and invalid ignored). The private helpers
-(faber._closed_terms, faber._residual, faber._scaled_residual,
-faber._pow_chain and every underscored function here) run under their caller's errstate and enter none
-of their own; the public residual, scaled_residual, ipow and seed_plan each
-keep one, so they stay quiet wherever they are called.
+(faber._closed_terms, faber._residual, faber._scaled_residual and every
+underscored function here) run under their caller's errstate and enter
+none of their own; the public residual, scaled_residual, ipow and seed_plan
+each keep one, so they stay quiet wherever they are called.
 
-The evaluation budget per stage, in calls of the closed form: the arc one
-per Newton pass (at most 80); the loop's w-plane Newton one [w, g(w)] power
-chain per pass (at most 100), with no final test; one _grade call for all
-those candidates; _tighten at most 7 residual calls (8 passes, the first
-from the grades) and one _grade call on the zeros it moved; _deflate one per
-Aberth pass (at most 200) and one _grade call; on a real airfoil, one call
-on the copies of a multiple real zero put back on the axis, if any.
+The evaluation budget per stage, in calls of the closed form: the Newton in
+z one per pass on the segment and loop seeds together (at most 80); one
+_grade call for all those candidates; _tighten at most 7 residual calls (8
+passes, the first from the grades) and one _grade call on the zeros it
+moved; _deflate one per Aberth pass (at most 200) and one _grade call; on a
+real airfoil, one call on the copies of a multiple real zero put back on
+the axis, if any.
 
 The simultaneous (Aberth) solver on the coefficients,
 roots_simultaneous(faber_closed(p, n)), is kept as an independent oracle for
@@ -54,14 +55,14 @@ PolyCoeffs, and it stops converging above n = 60.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .conformal import AirfoilParams, phi_b_inverse
 from .errors import ConvergenceError, DeficitError, MismatchError
 from .faber import (
-    _closed_terms, _derivative, _pow_chain, _residual, _scaled, _scaled_residual,
+    _closed_terms, _derivative, _residual, _scaled, _scaled_residual,
     faber_coeffs_mp, scaled_residual,
 )
 from .limitsets import arc_z_of_u, classify, loop_g
@@ -238,22 +239,17 @@ def roots_simultaneous(poly, max_iter: int = 120) -> ZeroSet:
 
 @dataclass(frozen=True)
 class SeedPlan:
-    """Where to look: arc points at the Chebyshev nodes for segment zeros
-    and roots-of-unity images for loop zeros."""
+    """Where to look: arc points at the Chebyshev nodes for segment zeros,
+    and the images J(b(1-omega_k)) of the kept roots of unity for loop
+    zeros, mapped once here."""
 
     n: int
-    arc_seeds: np.ndarray   # the arc Newton's starts, one per bracket kept
-    _omegas: np.ndarray = field(repr=False, default=None)   # the omega_k kept
-    _p: AirfoilParams = field(repr=False, default=None)     # the airfoil loop_seeds maps onto
+    arc_seeds: np.ndarray   # the segment starts, one per bracket kept
+    loop_seeds: np.ndarray  # J(b(1-omega_k)) for the omega_k with |g| < 1
 
     @property
     def count(self) -> int:
-        return len(self.arc_seeds) + len(self._omegas)
-
-    @property
-    def loop_seeds(self) -> np.ndarray:
-        """J(b(1-omega_k)) for the kept omega_k, mapped on each read."""
-        return phi_b_inverse(self._p, self._omegas)
+        return len(self.arc_seeds) + len(self.loop_seeds)
 
 
 def seed_plan(p: AirfoilParams, n: int) -> SeedPlan:
@@ -282,36 +278,10 @@ def seed_plan(p: AirfoilParams, n: int) -> SeedPlan:
         om = np.exp(2j * np.pi * np.arange(n) / n)
         with np.errstate(divide="ignore", invalid="ignore"):
             keep_om = np.abs(loop_g(p, om)) < 1.0 - 1e-12
-        om = om[keep_om]
+        loop = phi_b_inverse(p, om[keep_om])
     else:
-        om = np.empty(0, complex)
-    return SeedPlan(n=n, arc_seeds=arc_z_of_u(p, np.cos(mid)), _omegas=om, _p=p)
-
-
-def _newton_w(p: AirfoilParams, n: int, w, max_iter=100):
-    """Newton on h(w) = w^n + g(w)^n - 1 on/near the unit circle, each step
-    capped at 0.1, from every seed w; returns where each one stopped.
-    Whether that point is a zero is left to roots_seeded's grading of its
-    image in z. w and g(w) are raised as one (2, m) array through one power
-    chain (faber._pow_chain)."""
-    b, cap = p.b, 0.1
-    w = np.asarray(w, dtype=complex).copy()
-    if not len(w):
-        return w
-    for _ in range(max_iter):
-        g = loop_g(p, w)
-        wn, gn = _pow_chain(np.array((w, g)), n)
-        h = wn + gn - 1.0
-        dh = n * wn / w - n * gn / g / (b * b * (1.0 - w) ** 2)
-        dh = np.where(np.abs(dh) < 1e-300, 1e-300, dh)
-        step = h / dh
-        step = np.where(np.isfinite(step), step, cap)
-        mag = np.abs(step)
-        step = np.where(mag > cap, step * (cap / mag), step)
-        w = w - step
-        if np.max(np.abs(step)) < 5e-16 * np.max(1.0 + np.abs(w)):
-            break
-    return w
+        loop = np.empty(0, complex)
+    return SeedPlan(n=n, arc_seeds=arc_z_of_u(p, np.cos(mid)), loop_seeds=loop)
 
 
 def _at_floor(step, z, prev):
@@ -332,19 +302,25 @@ def _newton_step(p: AirfoilParams, n: int, z, rdr=None):
     return r, r / (dr + n * p.b * r / (p.b * p.b + 1.0 - 2.0 * p.b * z))
 
 
-def _newton_z(p: AirfoilParams, n: int, z, max_iter=80, cap=0.05, first=None):
+def _newton_z(p: AirfoilParams, n: int, z, max_iter=80, cap=None, first=None):
     """(z, lost): Newton in z (_newton_step), each zero stopped on its own
     once its step reaches the rounding floor (_at_floor; near theta = pi/2
-    the residual's own rounding keeps the step above 1e-15 (1 + |z|)). A
+    the residual's own rounding keeps the step above 1e-15 (1 + |z|)). Each
+    step is capped at cap, by default on the airfoil's length scale:
+    capacity/50, and at least 0.05. Far above criticality a seed's first
+    step is about 2 capacity/n (3.7 at R cos theta = 1000, theta = 1,
+    n = 500, where an absolute cap of 0.05 lost every arc seed); 80 passes
+    at capacity/50 cover 1.6 capacity, more than that for every n >= 2. A
     seed whose Newton step is longer than cap times the passes left cannot
     reach a zero at the capped speed: it stops there and is flagged lost;
     roots_seeded drops it, and _deflate finds the zero it missed (at low
-    degree and steep rotation the arc seeds crawl off; counting capped
-    passes instead drops thousands of slow seeds that do converge, and
-    deflation pays for them). Whether a zero is close enough is left to the
-    caller's grading. first, if given, is (r, r') at z from that grading
-    (_grade): the first pass takes its step from it, without a residual
-    call."""
+    degree and steep rotation the seeds crawl off; counting capped passes
+    instead drops thousands of slow seeds that do converge, and deflation
+    pays for them). Whether a zero is close enough is left to the caller's
+    grading. first, if given, is (r, r') at z from that grading (_grade):
+    the first pass takes its step from it, without a residual call."""
+    if cap is None:
+        cap = max(0.05, 0.02 * p.capacity)
     z = np.asarray(z, dtype=complex).copy()
     lost = np.zeros(len(z), dtype=bool)
     if not len(z):
@@ -457,12 +433,11 @@ def _deflate(p: AirfoilParams, n: int, found):
 def roots_seeded(p: AirfoilParams, n: int) -> ZeroSet:
     """Coefficient-free zero finder: all n zeros from the seed plan, and the
     ones the seeds miss by Aberth's iteration with the found zeros held fixed
-    (_deflate). The arc seeds go through the arc Newton (_newton_z) on
-    every airfoil, real or not, and the loop seeds through the w-plane
-    Newton (_newton_w). One _grade call covers the arc and loop candidates:
-    it decides which are zeros (|r| below 1e-6 on the arc, scaled residual
-    below 1e-6 on the loop) and gives the kept ones the grades _tighten
-    starts from. Every zero is then tightened in double. A real airfoil's
+    (_deflate). The arc and loop seeds go through one Newton in z
+    (_newton_z) on every airfoil, real or not, and one _grade call covers
+    the candidates that arrive: it decides which are zeros (|r| below 1e-6
+    on the arc, scaled residual below 1e-6 on the loop) and gives the kept
+    ones the grades _tighten starts from. Every zero is then tightened in double. A real airfoil's
     zeros come back in conjugate pairs, the zeros above the axis and their
     conjugates, once the excess on one side, copies of a multiple real zero
     left just off the axis, is put on it, nearest first. DeficitError when
@@ -472,15 +447,12 @@ def roots_seeded(p: AirfoilParams, n: int) -> ZeroSet:
         raise ValueError("n must be >= 1")
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
         plan = seed_plan(p, n)
-        seg, lost = _newton_z(p, n, plan.arc_seeds)
-        seg = _on_axis(p, seg[~lost])
-        loop = np.empty(0, complex)
-        if len(plan._omegas):
-            loop = _on_axis(p, phi_b_inverse(p, _newton_w(p, n, plan._omegas)))
-        zs = np.concatenate([seg, loop])
+        zs, lost = _newton_z(p, n, np.concatenate([plan.arc_seeds, plan.loop_seeds]))
+        arc = np.count_nonzero(~lost[:len(plan.arc_seeds)])
+        zs = _on_axis(p, zs[~lost])
         grades = _grade(p, n, zs)
         ok = grades[0] < 1e-6
-        ok[:len(seg)] = np.abs(grades[1][:len(seg)]) < 1e-6
+        ok[:arc] = np.abs(grades[1][:arc]) < 1e-6
         zs, grades = _pick(zs, grades, ok)
         zs, grades = _pick(zs, grades, _dedup(zs))
         if len(zs) < n:

@@ -14,8 +14,10 @@ returned zero (evals/zero; it only prints).
 
 The accuracy sweep on grid G (R cos theta x theta x n, 240 points) and
 grid H (R cos theta up to 1000, 36 points): every zero must lie within
-2^9 ulp of max(1, |z|) by its forward error |F_n / F_n'| in mpmath. The
-table gives the worst zero in ulp per (R cos theta, theta).
+2^5 ulp of max(1, |z|) on grid G and 2^9 ulp on grid H by its forward
+error |F_n / F_n'| in mpmath, and deflation may return at most 64 of the
+zeros over both grids. The table gives the worst zero in ulp per
+(R cos theta, theta).
 """
 
 import math
@@ -118,8 +120,17 @@ GRID_H = [(rc, th, n)
 
 
 @pytest.mark.slow
-def test_every_zero_within_512_ulp_on_grids_g_and_h():
+def test_zeros_within_32_ulp_on_grid_g_512_on_grid_h_few_deflated(monkeypatch):
     assert len(GRID_G) == 240 and len(GRID_H) == 36
+    deflate = rootfind._deflate
+    deflated = [0]
+
+    def counted_deflate(*args):
+        out = deflate(*args)
+        deflated[0] += len(out[0])
+        return out
+
+    monkeypatch.setattr(rootfind, "_deflate", counted_deflate)
     worst = defaultdict(float)
     failures = []
     for rc, theta, n in GRID_G + GRID_H:
@@ -129,9 +140,11 @@ def test_every_zero_within_512_ulp_on_grids_g_and_h():
         ulp = float(np.max(closed_form_forward_errors(p, n, z)
                            / np.maximum(1.0, np.abs(z)))) / EPS
         worst[row] = max(worst[row], ulp)
-        if not ulp <= 512:
+        if not ulp <= (32 if (rc, theta, n) in GRID_G else 512):
             failures.append((rc, theta, n, ulp))
     print(f"\n{'R cos theta':>11} {'theta':>6} {'worst ulp':>10}")
     for rc, theta in worst:
         print(f"{rc:>11} {theta:>6} {worst[rc, theta]:>10.1f}")
+    print(f"deflated zeros: {deflated[0]}")
     assert not failures, failures
+    assert deflated[0] <= 64, deflated[0]

@@ -506,7 +506,7 @@ def test_high_degree_near_pole_stays_finite_and_quiet():
             residual(p, n, near_c)
             scaled_residual(p, n, near_c)
             plan = seed_plan(supercritical, n)
-            assert len(plan._omegas)
+            assert len(plan.loop_seeds)
     assert zs.n == 500
     assert np.all(np.isfinite(zs.residuals))
 
@@ -590,8 +590,8 @@ def test_segment_newton_keeps_exact_zeros_and_bracket_ends(R, n):
 
 
 def _arc_stage(p, n):
-    """(z, lost) of the arc Newton from the seed plan, as roots_seeded runs
-    it, under the caller's errstate."""
+    """(z, lost) of the Newton in z from the seed plan's arc seeds alone,
+    with roots_seeded's step cap, under the caller's errstate."""
     with np.errstate(all="ignore"):
         return rootfind._newton_z(p, n, seed_plan(p, n).arc_seeds)
 
@@ -700,6 +700,26 @@ def test_newton_z_drops_a_seed_that_cannot_arrive(monkeypatch):
     assert _rel_ulp_ok(p, 1, zs.zeros)
 
 
+def test_far_airfoil_seeds_arrive_without_deflation(monkeypatch):
+    # at (R cos theta, theta, n) = (1000, 1.0, 500) a seed's first Newton
+    # step is 2 capacity/n, about 3.7: with an absolute step cap of 0.05 every
+    # arc seed was dropped as lost, and _deflate found all 319 segment zeros
+    # in about 134 ms. The cap on the airfoil's length scale lets them arrive
+    deflated = 0
+    deflate = rootfind._deflate
+
+    def counted(*args):
+        nonlocal deflated
+        deflated += 1
+        return deflate(*args)
+
+    monkeypatch.setattr(rootfind, "_deflate", counted)
+    zs = compute_zeros(params_from(1000 / math.cos(1.0), 1.0), 500)
+    assert deflated == 0
+    assert len(np.unique(zs.zeros)) == 500
+    assert np.max(zs.residuals) <= rootfind.RESIDUAL_GATE
+
+
 def test_scaled_residual_sees_a_moved_zero_at_the_far_corner():
     # at R cos theta = 1000, theta = 1.56 the last two terms of the closed
     # form cancel at every zero. Taken as a plain difference, they left the
@@ -728,8 +748,9 @@ def test_import_and_verify_leave_mpmath_unloaded():
     assert r.returncode == 0, r.stderr
 
 
-# just above criticality the seeds miss a few zeros: the w-plane Newton lands
-# two loop seeds on one zero
+# just above criticality the seeds miss a few zeros: the Newton in z lands two
+# or three loop seeds on one zero, and deflation finds 2-3 zeros at each real
+# point here (none at (1.501, -0.7, 250))
 NEAR_CRITICAL = [(1.5001, 0.0, 299), (1.5001, 0.0, 401), (1.5001, 0.0, 499),
                  (1.501, 0.0, 99), (1.501, 0.0, 150), (1.501, -0.7, 250)]
 
