@@ -266,10 +266,13 @@ def _closed_terms(p: AirfoilParams, n: int, z):
     z = np.asarray(z, dtype=complex)
     s = np.sqrt(z - 1.0) * np.sqrt(z + 1.0)
     w = z - p.b
-    x = np.array((w + s, w - s))
+    x = np.empty((2,) + z.shape, dtype=complex)
+    np.add(w, s, out=x[0, ...])
+    np.subtract(w, s, out=x[1, ...])
     mag = np.abs(x)
     top = np.maximum(np.maximum(mag[0], mag[1]), abs(p.b))
-    d = _pow_chain(x / top, n - 1) / top
+    d = _pow_chain(x / top, n - 1)
+    d /= top
     t = d * x
     tm, tb = t[1], _pow_chain(-p.b / top, n)
     edge = n / abs(p.b)
@@ -304,14 +307,16 @@ def residual(p: AirfoilParams, n: int, z):
         return _residual(p, n, z)
 
 
-def _scaled(tp, tm, tb):
-    """scaled_residual from the three terms of _closed_terms."""
-    return np.abs(tp + tm - tb) / (np.abs(tp) + np.abs(tm) + np.abs(tb))
+def _scaled(r, tp, tm, tb):
+    """scaled_residual from r = t+ + t- - tb and the three terms of
+    _closed_terms."""
+    return np.abs(r) / (np.abs(tp) + np.abs(tm) + np.abs(tb))
 
 
 def _scaled_residual(p: AirfoilParams, n: int, z):
     """scaled_residual's body, without its errstate."""
-    return _scaled(*_closed_terms(p, n, z)[:3])
+    tp, tm, tb = _closed_terms(p, n, z)[:3]
+    return _scaled(tp + tm - tb, tp, tm, tb)
 
 
 def scaled_residual(p: AirfoilParams, n: int, z):

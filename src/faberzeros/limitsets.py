@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +58,7 @@ class CaseClass:
         seg = (np.pi / 2 - np.arcsin(np.clip(self.u_lo, -1.0, 1.0))) / np.pi
         return float(seg), float(1.0 - seg)
 
-    @property
+    @functools.cached_property
     def s_max(self) -> float:
         """arccos(u_lo): the arc piece is u = cos s for s in [0, s_max]."""
         return float(np.arccos(np.clip(self.u_lo, -1.0, 1.0)))

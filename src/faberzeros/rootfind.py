@@ -10,19 +10,23 @@ with |g(omega)| < 1, g(w) = 1 - 1/(b^2 (1-w)), from the exact pullback
 F_n(J(b(1-w))) = (-b/a)^n (w^n + g(w)^n - 1). It steps on f V^(-n/2),
 V = b^2 + 1 - 2bz, which on the arc is 2 T_n(U) - (-b/sqrt(V))^n with
 |-b/sqrt(V)| <= 1: bounded there, and within an exponentially small term of
-a zero at each node (_newton_step). Its step cap scales with the airfoil
+a zero at each node (_step). Its step cap scales with the airfoil
 (_newton_z). On a real airfoil a candidate within DISTINCT_TOL/2 of the
 axis is real (_on_axis), and the zeros come back in exact conjugate pairs.
 The zeros these seeds miss (near the loop corners, just above criticality,
 and at low degree and steep rotation, where the limit set is far from the
 zeros) come from Aberth's iteration on the branch-free closed form with the
 found zeros held fixed (Maehly's implicit deflation). A double-precision
-Newton pass tightens every zero. No stage needs more than double: where the
-closed form's last two terms cancel, far from the segment on steep or large
-airfoils, faber._closed_terms takes their difference from the exact
-identity w - s + b = 1/(z + s), so the residual and the scaled residual see
-the zeros' error there too, and mpmath serves only the test oracles and
-roots_simultaneous. Each candidate is evaluated once: one call of the
+Newton pass tightens each zero whose scaled residual is above TIGHTEN_GATE
+and whose Newton step, formed from its grades, is at least one ulp,
+2^-52 (1 + |z|) (a NaN step counts as above): a shorter step moves the zero
+by rounding alone, and at high degree TIGHTEN_GATE is the closed form's own
+rounding floor (n eps = 1.1e-13 at n = 500). No stage needs more than
+double: where the closed form's last two terms cancel, far from the segment
+on steep or large airfoils, faber._closed_terms takes their difference from
+the exact identity w - s + b = 1/(z + s), so the residual and the scaled
+residual see the zeros' error there too, and mpmath serves only the test
+oracles and roots_simultaneous. Each candidate is evaluated once: one call of the
 closed form (_grade) on all segment, arc and loop candidates decides which
 are zeros and gives each kept zero its grades (scaled residual, r and r'),
 which follow it through the duplicate filter (_dedup returns indices); the
@@ -34,16 +38,17 @@ Floating-point warnings: roots_seeded runs the whole solve under one
 np.errstate (divide, over, under and invalid ignored). The private helpers
 (faber._closed_terms, faber._residual, faber._scaled_residual and every
 underscored function here) run under their caller's errstate and enter
-none of their own; the public residual, scaled_residual, ipow and seed_plan
-each keep one, so they stay quiet wherever they are called.
+none of their own; the public residual, scaled_residual and ipow each keep
+one, so they stay quiet wherever they are called; seed_plan needs none, as
+it skips omega = 1, the pole of g.
 
 The evaluation budget per stage, in calls of the closed form: the Newton in
 z one per pass on the segment and loop seeds together (at most 80); one
 _grade call for all those candidates; _tighten at most 7 residual calls (8
 passes, the first from the grades) and one _grade call on the zeros it
-moved; _deflate one per Aberth pass (at most 200) and one _grade call; on a
-real airfoil, one call on the copies of a multiple real zero put back on
-the axis, if any.
+moved, and none where no zero's step reaches one ulp; _deflate one per
+Aberth pass (at most 200) and one _grade call; on a real airfoil, one call
+on the copies of a multiple real zero put back on the axis, if any.
 
 The simultaneous (Aberth) solver on the coefficients,
 roots_simultaneous(faber_closed(p, n)), is kept as an independent oracle for
@@ -71,6 +76,7 @@ RESIDUAL_GATE = 1e-7      # ZeroSet guarantee on max scaled residual
 BACKWARD_GATE = 1e-10     # |p(root)| / (max|c| * max(1,|root|)^deg)
 DISTINCT_TOL = 1e-8
 TIGHTEN_GATE = 1e-13      # seeded zeros above this scaled residual get Newton
+                          # where their step is at least 2^-52 (1 + |z|)
 
 
 class Method(enum.Enum):
@@ -266,40 +272,40 @@ def seed_plan(p: AirfoilParams, n: int) -> SeedPlan:
         raise ValueError("n must be >= 1")
     case = classify(p)
     s_max = case.s_max
-    k = np.arange(n)
-    tlo = k * np.pi / n
-    thi = (k + 1) * np.pi / n
+    t = np.arange(n + 1) * np.pi / n
+    tlo, thi = t[:-1], t[1:]
     keep = tlo < s_max - 1e-15
     mid = 0.5 * (tlo[keep] + np.minimum(thi[keep], s_max))
     # the last bracket's k is len(mid) - 1
     if p.is_real and (-1.0) ** (len(mid) - 1) * (2.0 * np.cos(n * s_max) - 1.0) > 0.0:
         mid = mid[:-1]
     if case.has_loop:
-        om = np.exp(2j * np.pi * np.arange(n) / n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            keep_om = np.abs(loop_g(p, om)) < 1.0 - 1e-12
-        loop = phi_b_inverse(p, om[keep_om])
+        # omega = 1, a pole of g, is never kept
+        om = np.exp(2j * np.pi * np.arange(1, n) / n)
+        loop = phi_b_inverse(p, om[np.abs(loop_g(p, om)) < 1.0 - 1e-12])
     else:
         loop = np.empty(0, complex)
     return SeedPlan(n=n, arc_seeds=arc_z_of_u(p, np.cos(mid)), loop_seeds=loop)
 
 
-def _at_floor(step, z, prev):
-    """(|step|, whether each zero has reached the rounding floor): its step is
-    below 1e-15 (1 + |z|), or below 1e-12 (1 + |z|) without halving prev."""
-    mag = np.abs(step)
+def _at_floor(mag, z, prev):
+    """Whether each zero has reached the rounding floor: its step's length mag
+    is below 1e-15 (1 + |z|), or below 1e-12 (1 + |z|) without halving prev."""
     scale = 1.0 + np.abs(z)
-    return mag, (mag < 1e-15 * scale) | ((mag < 1e-12 * scale) & (mag > 0.5 * prev))
+    return (mag < 1e-15 * scale) | ((mag < 1e-12 * scale) & (mag > 0.5 * prev))
 
 
-def _newton_step(p: AirfoilParams, n: int, z, rdr=None):
-    """(r, step) from one residual call, or from rdr = (r, r') already
-    evaluated at z: Newton's step for f V^(-n/2), f = a^n F_n,
-    V = b^2 + 1 - 2bz, which is r / (r' + n b r / V). It has the zeros of f
-    but stays bounded on the arc, where f V^(-n/2) is
-    2 T_n(U) - (-b/sqrt(V))^n; Newton on f alone needs more passes."""
-    r, dr = _residual(p, n, z) if rdr is None else rdr
-    return r, r / (dr + n * p.b * r / (p.b * p.b + 1.0 - 2.0 * p.b * z))
+def _step(p: AirfoilParams, n: int, z, r, dr):
+    """Newton's step for f V^(-n/2), f = a^n F_n, V = b^2 + 1 - 2bz, from
+    r, r' at z (residual): r / (r' + n b r / V). It has the zeros of f but
+    stays bounded on the arc, where f V^(-n/2) is 2 T_n(U) - (-b/sqrt(V))^n;
+    Newton on f alone needs more passes."""
+    return r / (dr + n * p.b * r / (p.b * p.b + 1.0 - 2.0 * p.b * z))
+
+
+def _newton_step(p: AirfoilParams, n: int, z):
+    """One Newton pass's step (_step) at z, from one residual call."""
+    return _step(p, n, z, *_residual(p, n, z))
 
 
 def _newton_z(p: AirfoilParams, n: int, z, max_iter=80, cap=None, first=None):
@@ -317,8 +323,9 @@ def _newton_z(p: AirfoilParams, n: int, z, max_iter=80, cap=None, first=None):
     degree and steep rotation the seeds crawl off; counting capped passes
     instead drops thousands of slow seeds that do converge, and deflation
     pays for them). Whether a zero is close enough is left to the caller's
-    grading. first, if given, is (r, r') at z from that grading (_grade):
-    the first pass takes its step from it, without a residual call."""
+    grading. first, if given, is the step at z formed from that grading
+    (_step on _grade's r and r'): the first pass takes it, without a
+    residual call, and may change it in place."""
     if cap is None:
         cap = max(0.05, 0.02 * p.capacity)
     z = np.asarray(z, dtype=complex).copy()
@@ -329,19 +336,26 @@ def _newton_z(p: AirfoilParams, n: int, z, max_iter=80, cap=None, first=None):
     prev = np.full(len(z), np.inf)
     for left in range(max_iter, 0, -1):
         za = z[active]
-        step = _newton_step(p, n, za, first)[1]
+        step = _newton_step(p, n, za) if first is None else first
         first = None
-        step = np.where(np.isfinite(step), step, cap)
+        bad = ~np.isfinite(step)
+        if bad.any():
+            step[bad] = cap
         mag = np.abs(step)
-        far = mag > cap * left
-        step = np.where(mag > cap, step * (cap / mag), step)
-        za = za - step
-        z[active] = za
-        mag, done = _at_floor(step, za, prev)
-        if far.any():
+        over = mag > cap
+        capped = over.any()
+        if capped:
+            far = mag > cap * left
             lost[active[far]] = True
+            step[over] *= cap / mag[over]
+            mag[over] = np.abs(step[over])
+        za -= step
+        z[active] = za
+        done = _at_floor(mag, za, prev)
+        if capped:
             done |= far
-        active, prev = active[~done], mag[~done]
+        keep = ~done
+        active, prev = active[keep], mag[keep]
         if not len(active):
             break
     return z, lost
@@ -352,7 +366,8 @@ def _grade(p: AirfoilParams, n: int, z):
     zeros' grades. r = t+ + t- - tb and r' are residual()'s (r, r') and the
     scaled residual is scaled_residual's, bit for bit."""
     tp, tm, tb, dp, dm, s = _closed_terms(p, n, z)
-    return _scaled(tp, tm, tb), tp + tm - tb, _derivative(n, z, dp, dm, s)
+    r = tp + tm - tb
+    return _scaled(r, tp, tm, tb), r, _derivative(n, z, dp, dm, s)
 
 
 def _on_axis(p: AirfoilParams, z):
@@ -371,21 +386,31 @@ def _pick(zs, grades, idx):
 
 def _tighten(p: AirfoilParams, n: int, zs, grades):
     """(zeros, grades) after double-precision Newton on every zero whose
-    scaled residual is above TIGHTEN_GATE (NaN counts as above); grades are
-    the zeros' (_grade), and Newton's first pass takes its step from their
-    r and r'. A zero takes its new value only where the residual dropped;
-    on a real airfoil near-real zeros stay on the axis (_on_axis). One
-    _grade call covers the points Newton moved the zeros to."""
+    scaled residual is above TIGHTEN_GATE (NaN counts as above) and whose
+    Newton step, formed from its grades' r and r' (_step), is at least one
+    ulp, 2^-52 (1 + |z|); a NaN step counts as above. A shorter step moves
+    the zero by rounding alone, and the gate sits at the closed form's own
+    rounding floor at high degree, so most zeros above it are as close as
+    double gets. grades are the zeros' (_grade), and Newton's first pass
+    takes that step. A zero takes its new value only where the residual
+    dropped; on a real airfoil near-real zeros stay on the axis (_on_axis).
+    One _grade call covers the points Newton moved the zeros to; with no
+    zero left to move, neither Newton nor _grade runs."""
     res = grades[0]
-    bad = ~(res <= TIGHTEN_GATE)
-    if not np.any(bad):
+    idx = np.nonzero(~(res <= TIGHTEN_GATE))[0]
+    if not len(idx):
         return zs, grades
-    old = zs[bad]
-    new = _on_axis(p, _newton_z(p, n, old, max_iter=8, cap=1e-3,
-                                first=(grades[1][bad], grades[2][bad]))[0])
+    old = zs[idx]
+    step = _step(p, n, old, grades[1][idx], grades[2][idx])
+    move = ~(np.abs(step) < 2.0 ** -52 * (1.0 + np.abs(old)))
+    if not move.any():
+        return zs, grades
+    idx, old, step = idx[move], old[move], step[move]
+    new = _on_axis(p, _newton_z(p, n, old, max_iter=8, cap=1e-3, first=step)[0])
     new_grades = _grade(p, n, new)
-    better = new_grades[0] < np.where(np.isnan(res[bad]), np.inf, res[bad])
-    idx = np.nonzero(bad)[0][better]
+    before = res[idx]
+    better = new_grades[0] < np.where(np.isnan(before), np.inf, before)
+    idx = idx[better]
     zs, grades = zs.copy(), tuple(g.copy() for g in grades)
     zs[idx] = new[better]
     for g, ng in zip(grades, new_grades):
@@ -421,7 +446,8 @@ def _deflate(p: AirfoilParams, n: int, found):
         step = np.where(np.isfinite(step), step, 0.0)
         z = z - step
         pts[active] = z
-        mag, done = _at_floor(step, z, prev)
+        mag = np.abs(step)
+        done = _at_floor(mag, z, prev)
         active, prev = active[~done], mag[~done]
         if not len(active):
             break
@@ -437,7 +463,8 @@ def roots_seeded(p: AirfoilParams, n: int) -> ZeroSet:
     (_newton_z) on every airfoil, real or not, and one _grade call covers
     the candidates that arrive: it decides which are zeros (|r| below 1e-6
     on the arc, scaled residual below 1e-6 on the loop) and gives the kept
-    ones the grades _tighten starts from. Every zero is then tightened in double. A real airfoil's
+    ones the grades _tighten starts from. Every zero a Newton step can
+    still move is then tightened in double (_tighten). A real airfoil's
     zeros come back in conjugate pairs, the zeros above the axis and their
     conjugates, once the excess on one side, copies of a multiple real zero
     left just off the axis, is put on it, nearest first. DeficitError when

@@ -15,9 +15,9 @@ returned zero (evals/zero; it only prints).
 The accuracy sweep on grid G (R cos theta x theta x n, 240 points) and
 grid H (R cos theta up to 1000, 36 points): every zero must lie within
 2^5 ulp of max(1, |z|) on grid G and 2^9 ulp on grid H by its forward
-error |F_n / F_n'| in mpmath, and deflation may return at most 64 of the
-zeros over both grids. The table gives the worst zero in ulp per
-(R cos theta, theta).
+error |F_n / F_n'| in mpmath, deflation may return at most 64 of the
+zeros over both grids, and _tighten may move at most 128 of them. The
+table gives the worst zero in ulp per (R cos theta, theta).
 """
 
 import math
@@ -131,6 +131,15 @@ def test_zeros_within_32_ulp_on_grid_g_512_on_grid_h_few_deflated(monkeypatch):
         return out
 
     monkeypatch.setattr(rootfind, "_deflate", counted_deflate)
+    tighten = rootfind._tighten
+    moved = [0]
+
+    def counted_tighten(p, n, zs, grades):
+        out = tighten(p, n, zs, grades)
+        moved[0] += int(np.count_nonzero(out[0] != zs))
+        return out
+
+    monkeypatch.setattr(rootfind, "_tighten", counted_tighten)
     worst = defaultdict(float)
     failures = []
     for rc, theta, n in GRID_G + GRID_H:
@@ -146,5 +155,7 @@ def test_zeros_within_32_ulp_on_grid_g_512_on_grid_h_few_deflated(monkeypatch):
     for rc, theta in worst:
         print(f"{rc:>11} {theta:>6} {worst[rc, theta]:>10.1f}")
     print(f"deflated zeros: {deflated[0]}")
+    print(f"zeros moved by _tighten: {moved[0]}")
     assert not failures, failures
     assert deflated[0] <= 64, deflated[0]
+    assert moved[0] <= 128, moved[0]

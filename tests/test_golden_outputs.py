@@ -90,13 +90,13 @@ GOLDEN = {
 # verify_report.json of `verify --paper-figure <fig> --n <n>`, by (fig, n)
 GOLDEN_VERIFY = {
     (1, 100): "71dc3a610a02773d1e1c9486834c546049cad77a82f91f6fa45813c23ed57823",
-    (1, 500): "1977dcbd9a1cc94166a265907ce214616b1cfa70d3433806160681a8c952ec32",
+    (1, 500): "a5d35f2b705feb259d352f907b706721017abef0e838b1325b8de6cfd39272e2",
     (2, 100): "3253caead0a7a8eed91ff6ecd89809230ebd086e5df1149b8dc44c3cef0686b7",
-    (2, 500): "70456dc753d3badafce937ed9b24fbaa237bcc52b4047d11ddee2aaa0e9cd407",
+    (2, 500): "9c18f27da2cc52d561c4bb52032836a1f82f3d75aa663e78bc7f002d91a40dc4",
     (3, 100): "ddcdbee52f8d3be2050ea433ba794ab2b47e388dc94db7dbadd5787cb8a53631",
-    (3, 500): "69fc95271cae5f583f32714cc6a4ac05cb70516b961362928117a57d056c484b",
-    (4, 100): "410a8a8d13b304eb3ed61d5c174354c9e3428056f3f50a15835c274c69e92675",
-    (4, 500): "45e736ce2e797a8634601a4a857c6397d837c5b56abd618d92094ae43513966d",
+    (3, 500): "05bc69db65f666f059a25d0b9c469d35b71b5abdba12952c8015ac0d62252064",
+    (4, 100): "6a6f5a85a7012efc0748e03089f39f34e8be22b18e87391310ca0a89f55af834",
+    (4, 500): "bdba4dab80c47bbfa3d129c7ee49eb29f54aca549bb5441e46ef4801fb56cb4e",
 }
 
 
@@ -111,13 +111,13 @@ GOLDEN_PLOT_500 = {
 # zeros_n<n>.csv of `zeros --paper-figure <fig> --n 100,500 --format csv`, by (fig, n)
 GOLDEN_ZEROS = {
     (1, 100): "80346c3288040be23a225724bc25c05b6453e96ccbc05bdbe39292bc69ad9b59",
-    (1, 500): "e40b4eec87c4c2168266edf558d7f752a9b18ecf20ae49d93301b6b60a33c0e2",
+    (1, 500): "bff275c59d95ce8338b8c3b53058249df54e4eaba7df0190440d12290ffd5715",
     (2, 100): "a92392ba6f1331afa1f738437e879132dd30c3201bc857ba123b14579e5891bf",
-    (2, 500): "f35e867bf4a1735873896a40a3dff67e1484129def81abe424d422327b9235e4",
+    (2, 500): "ca64bbc33668166bd902e157404a2cd1310da87f841d17422475e50947361cdf",
     (3, 100): "f4aa140e1411918e64393d16ebe2102bc3921d82392c87c185c9c22df28146b0",
-    (3, 500): "f3a1f2a0cbd69472ec3fceac4226dc819228ffd5cd7b4e5f179317aac849936e",
-    (4, 100): "483aee0b77a626e76e9ca9621f9699ae5963c8c54d579dfd53848602198ce769",
-    (4, 500): "ed2345bd098b3f8a55458849149ddfc74523f5665f5a142704797a44d06df4c9",
+    (3, 500): "17dd6c41276c92ad89dcdb6e927923dbe0e6176166cc377d245945de7eb28825",
+    (4, 100): "527264a917937d7447cf2257c4b5ee186161c8d7e758155b72259bf5175ded4e",
+    (4, 500): "3062199115a9db6cb81b615f19c4ada3821c3b3cdcea15c481d815ec946fea89",
 }
 
 # (curves.csv, predicted.json, verify_report.json of verify --n 60, verify's
@@ -145,14 +145,14 @@ GOLDEN_CASES = {
 # zeros.tobytes() + residuals.tobytes() of compute_zeros at (R, theta, n)
 GOLDEN_ZERO_SETS = {
     # real segment, below criticality
-    (1.26, 0.0, 500): "2b8c162d03f268a6c7c6b1bedc38e0bfa872b0e3ae39c546a788be6834a32db9",
+    (1.26, 0.0, 500): "c37fb9281d25b3b94d25e57e5df4c855402d17fd29d81a00a95e45064430c554",
     # real segment and loop; deflation finds the zero the seeds miss
-    (2.1, 0.0, 300): "2c9b2fa9069d97800a5d0a15a9dabffbeac62dc5bf82cc3de477b917192fec6b",
+    (2.1, 0.0, 300): "f51ff16aee51b229f79bf20ac404667c9a15590f89a74d13932e0b0d4f939275",
     # arc and loop
-    (2.1, 0.2, 500): "a57be7eb7572a9ff15b69db900a4949da60f97d4a0ddcfb73e8612b9bf9a4475",
+    (2.1, 0.2, 500): "d541618101416eeca7b67dd24068af4bc28e745bb2f53950ad285cc00bebe3a1",
     # steep arc and loop, with deflation
     (2.691922, -0.952326, 193):
-        "28c57dbca2118477a49ea80475860d03f546dea0e3958e79155343ebf8fc3956",
+        "1b3f0a54146fd6a89d7350b77089cf8dd41b6eb2464158a65a8cc2c42c3e8eec",
     # n < 100: powers by numpy's x ** n, below the squaring chain
     (1.45, 0.2, 60): "2f38d7bd7f0d132029d354878b36d19873ac67f9ac7ebd5c28de32638c8ce232",
     # steep and far: the closed form's last two terms cancel at every zero
@@ -165,13 +165,14 @@ GOLDEN_ZERO_SETS = {
 # that an evaluation added back shows here. The loop seeds' Newton passes
 # count here since they run in z with the arc seeds' (the w-plane passes
 # they replaced raised their own powers); at (8/cos 1.5, 1.5, 7) the seeds
-# crawl at the step cap to their zeros where deflation found them before
+# crawl at the step cap to their zeros where deflation found them before.
+# _tighten evaluates nothing where no zero's Newton step reaches one ulp
 CLOSED_FORM_CALLS = {
-    (1.26, 0.0, 500): 3,
-    (2.1, 0.0, 300): 11,
+    (1.26, 0.0, 500): 2,
+    (2.1, 0.0, 300): 9,
     (2.1, 0.2, 500): 9,
-    (2.691922, -0.952326, 193): 23,
-    (1.45, 0.2, 60): 4,
+    (2.691922, -0.952326, 193): 22,
+    (1.45, 0.2, 60): 3,
     (8 / math.cos(1.5), 1.5, 7): 39,
 }
 

@@ -371,6 +371,58 @@ def test_tighten_grades_the_zeros_it_returns(monkeypatch):
         assert np.array_equal(res.view(np.uint64), want.view(np.uint64)), (R, theta, n)
 
 
+def test_final_stage_skips_zeros_a_step_cannot_move(monkeypatch):
+    # at high degree TIGHTEN_GATE sits at the closed form's rounding floor:
+    # the zeros above it have a Newton step below one ulp of 1 + |z|, and the
+    # final stage re-polished them by rounding alone, with one Newton and one
+    # _grade call. Now it evaluates nothing there
+    counts = []
+    inside = [False]
+    tighten = rootfind._tighten
+
+    def counted_tighten(*args):
+        counts.append(0)
+        inside[0] = True
+        try:
+            return tighten(*args)
+        finally:
+            inside[0] = False
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            if inside[0]:
+                counts[-1] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(rootfind, "_tighten", counted_tighten)
+    monkeypatch.setattr(rootfind, "_grade", counting(rootfind._grade))
+    monkeypatch.setattr(rootfind, "_newton_z", counting(rootfind._newton_z))
+    for R, theta in [(1.26, 0.0), (1.45, 0.2)]:
+        for n in (40, 100, 300):
+            counts.clear()
+            compute_zeros(params_from(R, theta), n)
+            assert counts[-1] == 0, (R, theta, n, counts)
+    monkeypatch.undo()
+    # a zero a step can move is still moved back: three zeros shifted by
+    # 1e-13, 1e-12 and 4e-16 (1.8 ulp, above one ulp of 1 + |z| at the
+    # smallest |z|) of max(1, |z|) return within one ulp; the rest stay
+    p, n = params_from(1.45, 0.2), 300
+    z0 = compute_zeros(p, n).zeros
+    idx = [0, n // 2, int(np.argmin(np.abs(z0)))]
+    z = z0.copy()
+    for i, d in zip(idx, (1e-13, 1e-12, 4e-16)):
+        z[i] += d * max(1.0, abs(z[i]))
+    with np.errstate(all="ignore"):
+        grades = rootfind._grade(p, n, z)
+        assert np.all(grades[0][idx] > rootfind.TIGHTEN_GATE)
+        zt = rootfind._tighten(p, n, z, grades)[0]
+    ulp = 2.0 ** -52 * np.maximum(1.0, np.abs(z0[idx]))
+    assert np.all(np.abs(zt[idx] - z0[idx]) <= ulp), np.abs(zt[idx] - z0[idx]) / ulp
+    rest = np.setdiff1d(np.arange(n), idx)
+    assert np.array_equal(zt[rest].view(np.uint64), z[rest].view(np.uint64))
+
+
 def test_grade_r_and_derivative_are_residuals_bit_for_bit():
     # _tighten's first Newton step is formed from _grade's r and r': they
     # must be residual()'s, bit for bit, at zeros, near them and off them
@@ -491,7 +543,7 @@ def test_high_degree_near_pole_stays_finite_and_quiet():
     # RuntimeWarnings and one NaN residual. The solver's private helpers run
     # under roots_seeded's one errstate; the public entry points each keep
     # their own: residual and scaled_residual at z = +-1 (r' is 0/0 there)
-    # and next to c, and seed_plan where the loop seeds divide by 1 - w = 0
+    # and next to c; seed_plan skips omega = 1, where g divides by 1 - w = 0
     p = params_from(3.0, 0.5)
     ends = np.array([1.0, -1.0], dtype=complex)
     near_c = p.c * (1.0 + np.array([0.0, 1e-15, -1e-12, 1e-9j]))
