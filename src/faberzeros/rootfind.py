@@ -11,28 +11,40 @@ F_n(J(b(1-w))) = (-b/a)^n (w^n + g(w)^n - 1). It steps on f V^(-n/2),
 V = b^2 + 1 - 2bz, which on the arc is 2 T_n(U) - (-b/sqrt(V))^n with
 |-b/sqrt(V)| <= 1: bounded there, and within an exponentially small term of
 a zero at each node (_step). Its step cap scales with the airfoil
-(_newton_z). On a real airfoil a candidate within DISTINCT_TOL/2 of the
-axis is real (_on_axis), and the zeros come back in exact conjugate pairs.
-The zeros these seeds miss (near the loop corners, just above criticality,
-and at low degree and steep rotation, where the limit set is far from the
-zeros) come from Aberth's iteration on the branch-free closed form with the
-found zeros held fixed (Maehly's implicit deflation). A double-precision
-Newton pass tightens each zero whose scaled residual is above TIGHTEN_GATE
-and whose Newton step, formed from its grades, is at least one ulp,
-2^-52 (1 + |z|) (a NaN step counts as above): a shorter step moves the zero
-by rounding alone, and at high degree TIGHTEN_GATE is the closed form's own
-rounding floor (n eps = 1.1e-13 at n = 500). No stage needs more than
-double: where the closed form's last two terms cancel, far from the segment
-on steep or large airfoils, faber._closed_terms takes their difference from
-the exact identity w - s + b = 1/(z + s), so the residual and the scaled
-residual see the zeros' error there too, and mpmath serves only the test
-oracles and roots_simultaneous. Each candidate is evaluated once: one call of the
-closed form (_grade) on all segment, arc and loop candidates decides which
-are zeros and gives each kept zero its grades (scaled residual, r and r'),
-which follow it through the duplicate filter (_dedup returns indices); the
-Newton pass takes its first step from them, and only the zeros it moves, or
-deflation adds, are evaluated again. The closed form raises w + s and w - s
-as one array through one power chain (faber._closed_terms).
+(_newton_z). Above criticality the arc piece and both ends of the loop meet
+at the corner i_b, where all three terms of the closed form have one
+modulus and each of those two-term seeds drops one that is not small there:
+the seeds at the three ends give way to corner seeds, zeros of the exact
+pullback that a damped scalar Newton in xi = n log(w/c), c a loop end,
+reaches from them (_corner). On a real airfoil a candidate within
+DISTINCT_TOL/2 of the axis is real (_on_axis), and the zeros come back in
+exact conjugate pairs. Degrees 1 and 2 have their zeros in closed form. The
+zeros these seeds still miss come from Aberth's iteration on the
+branch-free closed form with the found zeros held fixed (Maehly's implicit
+deflation, _deflate): just above criticality, where the whole loop lies
+next to i_b and loop seeds land two or three on one zero; on real airfoils
+far above criticality, where a loop end lies within 1/n of g's pole
+(n < R - 1), the corner is left to the two-term seeds and the zero just
+past i_b has none; and at a few points where the corner runs,
+(R cos theta, theta, n) = (2, 0, 60), (8, 0, 35), (1.8, 1.3, 58),
+(2.5, 1.48, 300) and (4, 1.5, 500).
+A double-precision Newton pass tightens each zero whose scaled residual is
+above TIGHTEN_GATE and whose Newton step, formed from its grades, is at
+least one ulp, 2^-52 (1 + |z|) (a NaN step counts as above): a shorter step
+moves the zero by rounding alone, and at high degree TIGHTEN_GATE is the
+closed form's own rounding floor (n eps = 1.1e-13 at n = 500). No stage
+needs more than double: where the closed form's last two terms cancel, far
+from the segment on steep or large airfoils, faber._closed_terms takes their
+difference from the exact identity w - s + b = 1/(z + s), so the residual
+and the scaled residual see the zeros' error there too, and mpmath serves
+only the test oracles and roots_simultaneous. Each candidate is evaluated
+once: one call of the closed form (_grade) on all segment, loop and corner
+candidates decides which are zeros and gives each kept zero its grades
+(scaled residual, r and r'), which follow it through the duplicate filter
+(_dedup returns indices); the Newton pass takes its first step from them,
+and only the zeros it moves, or deflation adds, are evaluated again. The
+closed form raises w + s and w - s as one array through one power chain
+(faber._closed_terms).
 
 Floating-point warnings: roots_seeded runs the whole solve under one
 np.errstate (divide, over, under and invalid ignored). The private helpers
@@ -40,15 +52,18 @@ np.errstate (divide, over, under and invalid ignored). The private helpers
 underscored function here) run under their caller's errstate and enter
 none of their own; the public residual, scaled_residual and ipow each keep
 one, so they stay quiet wherever they are called; seed_plan needs none, as
-it skips omega = 1, the pole of g.
+it skips omega = 1, the pole of g, and its corner seeds come from cmath,
+which raises where numpy warns.
 
-The evaluation budget per stage, in calls of the closed form: the Newton in
-z one per pass on the segment and loop seeds together (at most 80); one
-_grade call for all those candidates; _tighten at most 7 residual calls (8
-passes, the first from the grades) and one _grade call on the zeros it
-moved, and none where no zero's step reaches one ulp; _deflate one per
-Aberth pass (at most 200) and one _grade call; on a real airfoil, one call
-on the copies of a multiple real zero put back on the axis, if any.
+The evaluation budget per stage, in calls of the closed form: none for the
+corner seeds (at most 12 scalar steps per start, on the pullback); the
+Newton in z one per pass on the segment, loop and corner seeds together (at
+most 80); one _grade call for all those candidates; _tighten at most 7
+residual calls (8 passes, the first from the grades) and one _grade call on
+the zeros it moved, and none where no zero's step reaches one ulp; _deflate
+one per Aberth pass (at most 200) and one _grade call; on a real airfoil,
+one call on the copies of a multiple real zero put back on the axis, if
+any; degrees 1 and 2 one call, for the residuals.
 
 The simultaneous (Aberth) solver on the coefficients,
 roots_simultaneous(faber_closed(p, n)), is kept as an independent oracle for
@@ -59,6 +74,7 @@ PolyCoeffs, and it stops converging above n = 60.
 
 from __future__ import annotations
 
+import cmath
 import enum
 from dataclasses import dataclass
 
@@ -246,28 +262,31 @@ def roots_simultaneous(poly, max_iter: int = 120) -> ZeroSet:
 @dataclass(frozen=True)
 class SeedPlan:
     """Where to look: arc points at the Chebyshev nodes for segment zeros,
-    and the images J(b(1-omega_k)) of the kept roots of unity for loop
-    zeros, mapped once here."""
+    the images J(b(1-omega_k)) of the kept roots of unity for loop zeros,
+    and above criticality the corner seeds (_corner) in place of those of
+    them next to i_b, mapped once here."""
 
     n: int
-    arc_seeds: np.ndarray   # the segment starts, one per bracket kept
-    loop_seeds: np.ndarray  # J(b(1-omega_k)) for the omega_k with |g| < 1
+    arc_seeds: np.ndarray     # the segment starts, one per bracket, but the corner's
+    loop_seeds: np.ndarray    # J(b(1-omega_k)) for the omega_k with |g| < 1, but the corner's
+    corner_seeds: np.ndarray  # zeros of the pullback next to i_b (_corner)
 
     @property
     def count(self) -> int:
-        return len(self.arc_seeds) + len(self.loop_seeds)
+        return len(self.arc_seeds) + len(self.loop_seeds) + len(self.corner_seeds)
 
 
 def seed_plan(p: AirfoilParams, n: int) -> SeedPlan:
-    """Arc seeds for segment zeros plus unit-root seeds on the loop-side
-    circle arc (selected by |g(omega)| < 1). The arc piece u = cos t,
+    """Arc seeds for segment zeros, unit-root seeds on the loop-side circle
+    arc (selected by |g(omega)| < 1) for loop zeros, and above criticality
+    corner seeds for the zeros next to i_b. The arc piece u = cos t,
     0 <= t <= s_max, is cut into brackets [k pi/n, (k+1) pi/n], the last one
     cut at s_max, and each gets the arc point of its middle angle, the
-    Chebyshev node where not cut. On a real airfoil the cut bracket gets no
-    seed when it holds no zero (that seed would crawl at the arc Newton's
-    cap through every pass). The closed form tells with no evaluation:
-    f V^(-n/2) = 2 T_n(U) - (-b/sqrt(V))^n has the sign of (-1)^k at
-    t = k pi/n, and at i_b, where -b/sqrt(V) = 1, it is 2 cos(n s_max) - 1."""
+    Chebyshev node where not cut. Both kinds drop a term of the three-term
+    closed form, which is not small next to i_b, where all three have one
+    modulus: the seeds at the three ends that meet there (the last two arc
+    seeds, the cut bracket's among them, and the first two and last two
+    loop seeds) give way to the zeros _corner finds from them."""
     if n < 1:
         raise ValueError("n must be >= 1")
     case = classify(p)
@@ -276,16 +295,104 @@ def seed_plan(p: AirfoilParams, n: int) -> SeedPlan:
     tlo, thi = t[:-1], t[1:]
     keep = tlo < s_max - 1e-15
     mid = 0.5 * (tlo[keep] + np.minimum(thi[keep], s_max))
-    # the last bracket's k is len(mid) - 1
-    if p.is_real and (-1.0) ** (len(mid) - 1) * (2.0 * np.cos(n * s_max) - 1.0) > 0.0:
-        mid = mid[:-1]
+    arc = arc_z_of_u(p, np.cos(mid))
+    corner = np.empty(0, complex)
     if case.has_loop:
         # omega = 1, a pole of g, is never kept
         om = np.exp(2j * np.pi * np.arange(1, n) / n)
         loop = phi_b_inverse(p, om[np.abs(loop_g(p, om)) < 1.0 - 1e-12])
+        if case.c_plus is not None:
+            arc, loop, corner = _corner(p, n, arc, loop)
     else:
         loop = np.empty(0, complex)
-    return SeedPlan(n=n, arc_seeds=arc_z_of_u(p, np.cos(mid)), loop_seeds=loop)
+    return SeedPlan(n=n, arc_seeds=arc, loop_seeds=loop, corner_seeds=corner)
+
+
+def _corner(p: AirfoilParams, n: int, arc, loop):
+    """(arc, loop, corner): the seeds at the corner i_b, where the arc piece
+    and the two ends of the loop meet, replaced by zeros of the exact
+    pullback F_n(J(b(1-w))) = (-b/a)^n (w^n + g(w)^n - 1). Next to i_b all
+    three terms have modulus near 1, so the seeds there, each of which drops
+    one of them, land two on one zero or none on another, and wander for up
+    to 21 passes of the Newton in z. The corner coordinate is
+    xi = n log(w / c), c the loop end farther from w = 1, g's pole (|c| =
+    |g(c)| = 1), where the zeros next to i_b lie O(1) from xi = 0. The last
+    two arc seeds (the cut bracket's last) and the first two and last two
+    loop seeds each start, from their preimage next to c where that lies
+    within 4 pi of xi = 0 (two periods of c^n e^xi; farther out a seed keeps
+    its place, as the two-term seeds serve there and a zero reached in xi
+    ended up to 56 ulp off after the Newton in z), a damped Newton in xi:
+    its step is (w^n + g^n - 1) / (w^n + kappa(w) g^n), kappa(w) =
+    w g'(w) / g(w) = -w q / ((1 - w) g), q = 1 - g(w), with w^n = c^n e^xi
+    and g^n = g(c)^n (g(w) / g(c))^n, so no power is raised; each step is
+    cut to length 1, and a start arrives when a step is below 1e-2 within
+    12. Two starts that arrive at one zero stand for a pair of near zeros
+    about a critical point xi* of c^n e^xi + g(c)^n e^(kappa xi) - 1,
+    kappa = kappa(c), (kappa - 1) xi* = log(-c^n / (kappa g(c)^n)) + 2 pi i j:
+    the second starts again from the zero's mirror image 2 xi* - xi. A start
+    that does not arrive keeps its seed, but the cut bracket's: the other
+    starts reach the zeros next to i_b, and where that bracket holds no zero
+    its seed crawls at the step cap. Where the other loop end lies within
+    1/n of w = 1 the seeds stay as they are (g has its pole within one
+    root-of-unity spacing of that end, and the zeros next to i_b crowd
+    within rounding of one another in xi), but for a real airfoil's
+    cut-bracket seed where its bracket holds no zero: the closed form at the
+    bracket's ends, (-1)^k at t = k pi/n and 2 cos(n s_max) - 1 at i_b, has
+    one sign there."""
+    case = p.case
+    c, near = case.c_plus, case.c_minus
+    if abs(1.0 - c) < abs(1.0 - near):
+        c, near = near, c
+    if n * abs(1.0 - near) < 1.0:
+        empty = p.is_real and (-1.0) ** (len(arc) - 1) * (2.0 * np.cos(n * case.s_max) - 1.0) > 0
+        return arc[:len(arc) - empty], loop, np.empty(0, complex)
+    b, bb = p.b, p.b * p.b
+    gc = 1.0 - 1.0 / (bb * (1.0 - c))
+    cn = cmath.exp(1j * n * cmath.phase(c))
+    gn = cmath.exp(1j * n * cmath.phase(gc))
+    kappa = c * (gc - 1.0) / ((1.0 - c) * gc)
+    crit = cmath.log(-cn / (kappa * gn))
+
+    def arrive(x):
+        for _ in range(12):
+            try:
+                w = c * cmath.exp(x / n)
+                u = 1.0 - w
+                q = 1.0 / (bb * u)
+                g = 1.0 - q
+                tw = cn * cmath.exp(x)
+                tg = gn * cmath.exp(n * cmath.log(g / gc))
+                step = (tw + tg - 1.0) / (tw - w * q / (u * g) * tg)
+            except (OverflowError, ValueError, ZeroDivisionError):
+                return None
+            size = abs(step)
+            x -= step if size <= 1.0 else step / size
+            if size < 1e-2:
+                return x
+        return None
+
+    k, m = min(2, len(arc)), min(2, len(loop) // 2)
+    ends = arc[len(arc) - k:].tolist() + loop[:m].tolist() + loop[len(loop) - m:].tolist()
+    ends.append(ends.pop(k - 1))            # the cut bracket's seed last
+    xis, kept = [], []
+    for i, z in enumerate(ends):
+        s = cmath.sqrt(z - 1.0) * cmath.sqrt(z + 1.0)
+        w, v = 1.0 - (z + s) / b, 1.0 - (z - s) / b
+        x = n * cmath.log((w if abs(w - c) <= abs(v - c) else v) / c)
+        x = arrive(x) if abs(x) <= 4.0 * cmath.pi else None
+        if x is None:
+            if i < len(ends) - 1:
+                kept.append(z)
+            continue
+        if any(abs(x - y) < 1e-2 for y in xis):
+            j = round(((kappa - 1.0) * x - crit).imag / (2.0 * cmath.pi))
+            x = arrive(2.0 * (crit + 2j * cmath.pi * j) / (kappa - 1.0) - x)
+            if x is None or any(abs(x - y) < 1e-2 for y in xis):
+                continue
+        xis.append(x)
+    zetas = [b * (1.0 - c * cmath.exp(x / n)) for x in xis]     # J(zeta) is the seed
+    corner = [0.5 * (zeta + 1.0 / zeta) for zeta in zetas] + kept
+    return arc[:len(arc) - k], loop[m:len(loop) - m], np.array(corner, complex)
 
 
 def _at_floor(mag, z, prev):
@@ -458,23 +565,30 @@ def _deflate(p: AirfoilParams, n: int, found):
 
 def roots_seeded(p: AirfoilParams, n: int) -> ZeroSet:
     """Coefficient-free zero finder: all n zeros from the seed plan, and the
-    ones the seeds miss by Aberth's iteration with the found zeros held fixed
-    (_deflate). The arc and loop seeds go through one Newton in z
-    (_newton_z) on every airfoil, real or not, and one _grade call covers
-    the candidates that arrive: it decides which are zeros (|r| below 1e-6
-    on the arc, scaled residual below 1e-6 on the loop) and gives the kept
-    ones the grades _tighten starts from. Every zero a Newton step can
-    still move is then tightened in double (_tighten). A real airfoil's
-    zeros come back in conjugate pairs, the zeros above the axis and their
-    conjugates, once the excess on one side, copies of a multiple real zero
-    left just off the axis, is put on it, nearest first. DeficitError when
-    the count isn't n. The whole solve runs under this one errstate; the
-    private helpers it calls have none of their own."""
+    ones the seeds miss by Aberth's iteration with the found zeros held
+    fixed (_deflate). The arc, loop and corner seeds go through one Newton
+    in z (_newton_z) on every airfoil, real or not, and one _grade call
+    covers the candidates that arrive: it decides which are zeros (|r| below
+    1e-6 on the arc, scaled residual below 1e-6 on the loop and at the
+    corner) and gives the kept ones the grades _tighten starts from. Every
+    zero a Newton step can still move is then tightened in double
+    (_tighten). A real airfoil's zeros come back in conjugate pairs, the
+    zeros above the axis and their conjugates, once the excess on one side,
+    copies of a multiple real zero left just off the axis, is put on it,
+    nearest first. DeficitError when the count isn't n. The whole solve runs
+    under this one errstate; the private helpers it calls have none of their
+    own. Degrees 1 and 2 need no solve: a F_1 = 2z - b and
+    a^2 F_2 = 4z^2 - 4bz + b^2 - 2 have the zeros b/2 and (b -+ sqrt 2)/2, in
+    (Re, Im) order, graded by one closed-form call (scaled_residual)."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n <= 2:
+        zs = 0.5 * p.b + np.sqrt(0.5) * np.array([0.0] if n == 1 else [-1.0, 1.0])
+        return ZeroSet(n, zs, scaled_residual(p, n, zs), Method.SEEDED)
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
         plan = seed_plan(p, n)
-        zs, lost = _newton_z(p, n, np.concatenate([plan.arc_seeds, plan.loop_seeds]))
+        zs, lost = _newton_z(p, n, np.concatenate([plan.arc_seeds, plan.loop_seeds,
+                                                    plan.corner_seeds]))
         arc = np.count_nonzero(~lost[:len(plan.arc_seeds)])
         zs = _on_axis(p, zs[~lost])
         grades = _grade(p, n, zs)

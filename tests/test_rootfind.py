@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import faberzeros as fz
-from faberzeros import rootfind
+from faberzeros import faber, rootfind
 from faberzeros.conformal import params_from
 from faberzeros.errors import MismatchError
 from faberzeros.faber import (
@@ -155,15 +155,17 @@ def test_seed_plan_counts():
     # about n (1 - span/2pi) brackets and n span/2pi loop seeds
     assert plan.count >= 70
     assert plan.count <= 72
-    assert len(plan.loop_seeds) == 49
-    # 22 brackets, the last one [21 pi/70, s_max] cut at u_lo; it holds no
-    # zero, so its seed is dropped, and the last seed is the node of the 21st
+    # 22 brackets, the last one [21 pi/70, s_max] cut at u_lo, and 49 loop
+    # seeds; the corner takes the last two arc seeds and the first two and
+    # last two loop seeds, and gives back the 5 zeros next to i_b, among them
+    # the real one just past it, which no seed reached
     assert classify(p).u_lo == pytest.approx(0.5867768595041323, abs=1e-12)
     assert 21 * np.pi / 70 < classify(p).s_max < 22 * np.pi / 70
-    assert len(plan.arc_seeds) == 21 and plan.count == 70
-    assert plan.arc_seeds[-1] == arc_z_of_u(p, np.cos(0.5 * (20 * np.pi / 70 + 21 * np.pi / 70)))[0]
+    assert len(plan.arc_seeds) == 20 and len(plan.loop_seeds) == 45
+    assert len(plan.corner_seeds) == 5 and plan.count == 70
+    assert plan.arc_seeds[-1] == arc_z_of_u(p, np.cos(0.5 * (19 * np.pi / 70 + 20 * np.pi / 70)))[0]
     sub = seed_plan(params_from(1.26, 0.0), 30)
-    assert len(sub.loop_seeds) == 0
+    assert len(sub.loop_seeds) == 0 and len(sub.corner_seeds) == 0
     assert len(sub.arc_seeds) == 30
 
 
@@ -441,8 +443,8 @@ def test_grade_r_and_derivative_are_residuals_bit_for_bit():
 
 
 def test_seed_plan_maps_arc_seeds_on_every_airfoil():
-    # one arc seed per bracket, at its middle angle, real airfoil or not;
-    # only a real airfoil's cut bracket may lose its seed
+    # one arc seed per bracket, at its middle angle, real airfoil or not,
+    # but for the last two above criticality, which the corner takes
     for R, theta in PRESETS + [(2.1 / math.cos(1.3), 1.3)]:
         p = params_from(R, theta)
         plan = seed_plan(p, 90)
@@ -453,9 +455,9 @@ def test_seed_plan_maps_arc_seeds_on_every_airfoil():
         t = 0.5 * (tlo[keep] + np.minimum((k[keep] + 1) * np.pi / 90, s_max))
         seeds = arc_z_of_u(p, np.cos(t))
         m = len(plan.arc_seeds)
-        assert m == len(seeds) or (p.is_real and m == len(seeds) - 1), (R, theta)
+        assert m == len(seeds) - (2 if classify(p).c_plus else 0), (R, theta)
         assert np.array_equal(plan.arc_seeds, seeds[:m]), (R, theta)
-        assert plan.count == m + len(plan.loop_seeds)
+        assert plan.count == m + len(plan.loop_seeds) + len(plan.corner_seeds)
         if p.is_real:
             # real seeds in order along the segment, from the cusp down
             assert np.all(plan.arc_seeds.imag == 0.0)
@@ -543,7 +545,8 @@ def test_high_degree_near_pole_stays_finite_and_quiet():
     # RuntimeWarnings and one NaN residual. The solver's private helpers run
     # under roots_seeded's one errstate; the public entry points each keep
     # their own: residual and scaled_residual at z = +-1 (r' is 0/0 there)
-    # and next to c; seed_plan skips omega = 1, where g divides by 1 - w = 0
+    # and next to c; seed_plan skips omega = 1, where g divides by 1 - w = 0,
+    # and the corner seeds come from cmath, which raises where numpy warns
     p = params_from(3.0, 0.5)
     ends = np.array([1.0, -1.0], dtype=complex)
     near_c = p.c * (1.0 + np.array([0.0, 1e-15, -1e-12, 1e-9j]))
@@ -558,7 +561,7 @@ def test_high_degree_near_pole_stays_finite_and_quiet():
             residual(p, n, near_c)
             scaled_residual(p, n, near_c)
             plan = seed_plan(supercritical, n)
-            assert len(plan.loop_seeds)
+            assert len(plan.loop_seeds) + len(plan.corner_seeds)
     assert zs.n == 500
     assert np.all(np.isfinite(zs.residuals))
 
@@ -649,12 +652,14 @@ def _arc_stage(p, n):
 
 
 def test_segment_newton_needs_few_residual_calls(monkeypatch):
-    # on real airfoils the arc Newton needs 3.8 residual calls on average
-    # and 11 at most, one per pass, from the Chebyshev nodes; the bracketed
+    # on real airfoils the arc Newton needs 3.0 residual calls on average
+    # and 9 at most, one per pass, from the Chebyshev nodes; the bracketed
     # real-axis Newton it replaced took 3.6 and 7, a bracket-end call
-    # included, and 60 bisection steps took 62. The same 8,983 points come
-    # out, none of them dropped (counted on the residual's errstate-free
-    # core, which the solver calls)
+    # included, and 60 bisection steps took 62. 8,944 points come out, none
+    # of them dropped (counted on the residual's errstate-free core, which
+    # the solver calls). 11 calls at most and 8,983 points before the corner
+    # took the last two arc seeds above criticality: the cut bracket's seed
+    # was among the slowest
     calls = 0
     core = rootfind._residual
 
@@ -673,8 +678,8 @@ def test_segment_newton_needs_few_residual_calls(monkeypatch):
             counts.append(calls)
             found += np.count_nonzero(~lost)
     assert np.mean(counts) <= 5.0, np.mean(counts)
-    assert max(counts) == 11
-    assert found == 8983
+    assert max(counts) == 9
+    assert found == 8944
 
 
 def _cut_bracket(p, n):
@@ -686,9 +691,10 @@ def _cut_bracket(p, n):
 
 
 def test_cut_bracket_sign_rule_matches_the_residual():
-    # seed_plan drops a real airfoil's cut-bracket seed by the closed form's
-    # signs at the bracket's ends, (-1)^k at t = k pi/n and 2 cos(n s_max) - 1
-    # at i_b, with no evaluation: the residual must have those signs. The
+    # seed_plan keeps no seed of a real airfoil's cut bracket that holds no
+    # zero, by the closed form's signs at the bracket's ends, (-1)^k at
+    # t = k pi/n and 2 cos(n s_max) - 1 at i_b, with no evaluation (_corner):
+    # the residual must have those signs. The
     # exceptions are points where 2 cos(n s_max) - 1 is rounding, within
     # 2 n eps of 0; all lie at R = 2, where i_b = -1/2 is a zero of F_n for
     # n = 1 (mod 6), and a double zero for n = 5 (mod 6)
@@ -714,11 +720,17 @@ def test_cut_bracket_sign_rule_matches_the_residual():
                                  (2.416984, 5), (1.711694, 43)])
 def test_cut_bracket_without_a_zero_gets_no_seed(R, n, monkeypatch):
     # the cut bracket here holds no zero; with its seed kept, the arc Newton
-    # crawled from it at the 0.05 cap for up to all 80 passes
+    # crawled from it at the 0.05 cap for up to all 80 passes. The corner
+    # starts from it instead and gives back the zero just past i_b that no
+    # seed reached: the plan holds n seeds, the cut bracket's node not among
+    # them, and the Newton in z from all of them needs few passes
     p = params_from(R, 0.0)
     k, end = _cut_bracket(p, n)
     assert (-1) ** k * end > 0.0
-    assert len(seed_plan(p, n).arc_seeds) == k
+    plan = seed_plan(p, n)
+    seeds = np.concatenate([plan.arc_seeds, plan.loop_seeds, plan.corner_seeds])
+    node = arc_z_of_u(p, np.cos(0.5 * (k * np.pi / n + classify(p).s_max)))
+    assert plan.count == n and not np.isin(node, seeds).any()
     calls = 0
     core = rootfind._residual
 
@@ -728,7 +740,8 @@ def test_cut_bracket_without_a_zero_gets_no_seed(R, n, monkeypatch):
         return core(*args)
 
     monkeypatch.setattr(rootfind, "_residual", counted)
-    z, lost = _arc_stage(p, n)
+    with np.errstate(all="ignore"):
+        z, lost = rootfind._newton_z(p, n, seeds)
     assert calls <= 4 and not lost.any(), (R, n, calls)
 
 
@@ -736,7 +749,8 @@ def test_newton_z_drops_a_seed_that_cannot_arrive(monkeypatch):
     # at (R cos theta, theta, n) = (2.1, 1.48, 1) the arc seed's Newton step
     # is about 23, 460 times the cap: it crawled 0.05 a pass through all 80
     # passes and drifted off (|r| 0.93) before _deflate found the zero; now
-    # it is dropped on the first pass
+    # it is dropped on the first pass. compute_zeros takes F_1's zero, b/2,
+    # in closed form, so the Newton runs here on the plan's arc seed
     calls = 0
     newton_step = rootfind._newton_step
 
@@ -747,9 +761,10 @@ def test_newton_z_drops_a_seed_that_cannot_arrive(monkeypatch):
 
     monkeypatch.setattr(rootfind, "_newton_step", counted)
     p = params_from(2.1 / math.cos(1.48), 1.48)
-    zs = compute_zeros(p, 1)
-    assert calls == 1
-    assert _rel_ulp_ok(p, 1, zs.zeros)
+    with np.errstate(all="ignore"):
+        z, lost = rootfind._newton_z(p, 1, seed_plan(p, 1).arc_seeds)
+    assert calls == 1 and len(lost) == 1 and lost.all()
+    assert _rel_ulp_ok(p, 1, compute_zeros(p, 1).zeros)
 
 
 def test_far_airfoil_seeds_arrive_without_deflation(monkeypatch):
@@ -770,6 +785,73 @@ def test_far_airfoil_seeds_arrive_without_deflation(monkeypatch):
     assert deflated == 0
     assert len(np.unique(zs.zeros)) == 500
     assert np.max(zs.residuals) <= rootfind.RESIDUAL_GATE
+
+
+# preset 2 and two real and complex airfoils where the seeds met at i_b:
+# deflation found the zero just past i_b, or two seeds wandered onto one zero
+# for up to 21 passes
+CORNER = [(2.1, 0.0, 100), (2.1, 0.0, 300), (2.1, 0.0, 500),
+          (2.691922, -0.952326, 193), (2.295906, 0.0, 477)]
+
+
+def test_corner_zeros_seeded_without_deflation(monkeypatch):
+    # every zero next to i_b has a seed that arrives: the Newton in z from
+    # the seed plan needs at most 6 passes (one _newton_step call each), and
+    # _deflate never runs. Before the corner seeds the first three points
+    # deflated the zero just past i_b, and the fourth took 21 passes
+    deflated, passes, steps = [], [], []
+    deflate, newton_z, newton_step = rootfind._deflate, rootfind._newton_z, rootfind._newton_step
+
+    def counted_deflate(*args):
+        deflated.append(args[1])
+        return deflate(*args)
+
+    def counted_newton_z(p, n, z, max_iter=80, cap=None, first=None):
+        before = len(steps)
+        out = newton_z(p, n, z, max_iter, cap, first)
+        if first is None:                   # the seeds' Newton, not _tighten's
+            passes.append(len(steps) - before)
+        return out
+
+    def counted_step(*args):
+        steps.append(1)
+        return newton_step(*args)
+
+    monkeypatch.setattr(rootfind, "_deflate", counted_deflate)
+    monkeypatch.setattr(rootfind, "_newton_z", counted_newton_z)
+    monkeypatch.setattr(rootfind, "_newton_step", counted_step)
+    for R, theta, n in CORNER:
+        passes.clear()
+        zs = compute_zeros(params_from(R, theta), n)
+        assert len(np.unique(zs.zeros)) == n
+        assert passes[0] <= 6, (R, theta, n, passes)
+    assert not deflated, deflated
+
+
+def test_degrees_one_and_two_in_closed_form(monkeypatch):
+    # a F_1 = 2z - b and a^2 F_2 = 4z^2 - 4bz + b^2 - 2: the zeros are b/2
+    # and (b -+ sqrt 2)/2, to 1 ulp of max(1, |z|), from one closed-form call
+    # (the residuals'); at (4/cos 1.3, 1.3, 2) the seeds crawled at the step
+    # cap through 50 calls
+    calls = 0
+    closed_terms = faber._closed_terms
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return closed_terms(*args)
+
+    monkeypatch.setattr(faber, "_closed_terms", counted)
+    for rc, theta in [(4.0, 1.3), (2.1, 0.0), (1.001, -1.5)]:
+        p = params_from(rc / math.cos(theta), theta)
+        b = mp.mpc(p.b)
+        for n, want in ((1, [b / 2]), (2, [(b - mp.sqrt(2)) / 2, (b + mp.sqrt(2)) / 2])):
+            calls = 0
+            zs = compute_zeros(p, n)
+            assert calls == 1 and zs.method is Method.SEEDED
+            assert np.array_equal(zs.residuals, scaled_residual(p, n, zs.zeros))
+            for z, w in zip(zs.zeros, want):
+                assert abs(mp.mpc(z) - w) <= 2.0 ** -52 * max(1.0, abs(z)), (rc, theta, n)
 
 
 def test_scaled_residual_sees_a_moved_zero_at_the_far_corner():
@@ -800,9 +882,11 @@ def test_import_and_verify_leave_mpmath_unloaded():
     assert r.returncode == 0, r.stderr
 
 
-# just above criticality the seeds miss a few zeros: the Newton in z lands two
-# or three loop seeds on one zero, and deflation finds 2-3 zeros at each real
-# point here (none at (1.501, -0.7, 250))
+# just above criticality the seeds miss a few zeros: the whole loop lies
+# within a few cap/n of i_b, more seeds meet there than the corner takes, the
+# Newton in z lands two or three loop seeds on one zero, and deflation finds
+# 1-2 zeros at (1.5001, 0, 401), (1.5001, 0, 499) and (1.501, 0, 150) (2-3 at
+# each real point before the corner seeds; none at (1.501, -0.7, 250))
 NEAR_CRITICAL = [(1.5001, 0.0, 299), (1.5001, 0.0, 401), (1.5001, 0.0, 499),
                  (1.501, 0.0, 99), (1.501, 0.0, 150), (1.501, -0.7, 250)]
 
